@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,9 +32,12 @@ def _csv_floats(count: int):
         if len(parts) != count:
             raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers, got {len(parts)}")
         try:
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
+        if not all(math.isfinite(v) for v in values):
+            raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
+        return values
 
     return parse
 
@@ -137,7 +141,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     place_pose = top_down_pose(*args.place_pos)
     try:
         plan = plan_pick_place(model, object_pose, place_pose, clearance=args.clearance)
-        trajectory = plan_to_trajectory(model, plan, model.mid_config())
+        trajectory = plan_to_trajectory(model, plan)
     except (UnreachableError, NoConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLANNING

@@ -35,15 +35,16 @@ class IkSettings:
     step_limit: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.position_tolerance <= 0.0 or self.orientation_tolerance <= 0.0:
+        # Written as negated comparisons so NaN fails them too.
+        if not (self.position_tolerance > 0.0 and self.orientation_tolerance > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.damping < 0.0:
+        if not (self.damping >= 0.0):
             raise ValueError("damping must be >= 0")
-        if self.step_limit <= 0.0:
+        if not (self.step_limit > 0.0):
             raise ValueError("step_limit must be positive")
 
 

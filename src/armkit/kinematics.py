@@ -17,6 +17,27 @@ from .dh_model import JOINT_COUNT, ArmModel, DHRow, JointConfig
 JACOBIAN_FD_STEP_RAD = 1e-6
 
 
+def _dh_matrices(theta: np.ndarray, alpha: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Joint transforms of n DH rows, shape (n, 4, 4); ``theta`` (radians)
+    already includes each row's offset."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    T = np.zeros((len(ct), 4, 4))
+    T[:, 0, 0] = ct
+    T[:, 0, 1] = -st * ca
+    T[:, 0, 2] = st * sa
+    T[:, 0, 3] = a * ct
+    T[:, 1, 0] = st
+    T[:, 1, 1] = ct * ca
+    T[:, 1, 2] = -ct * sa
+    T[:, 1, 3] = a * st
+    T[:, 2, 1] = sa
+    T[:, 2, 2] = ca
+    T[:, 2, 3] = d
+    T[:, 3, 3] = 1.0
+    return T
+
+
 def dh_transform(row: DHRow, joint_angle: float) -> np.ndarray:
     """Homogeneous transform of one joint; ``joint_angle`` in radians.
 
@@ -24,42 +45,18 @@ def dh_transform(row: DHRow, joint_angle: float) -> np.ndarray:
     and offset come from the row.
     """
     theta = joint_angle + math.radians(row.theta_offset_deg)
-    alpha = math.radians(row.alpha_deg)
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, row.a_m * ct],
-            [st, ct * ca, -ct * sa, row.a_m * st],
-            [0.0, sa, ca, row.d_m],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    return _dh_matrices(
+        np.array([theta]), np.array([math.radians(row.alpha_deg)]), np.array([row.a_m]), np.array([row.d_m])
+    )[0]
 
 
 def _link_frames(model: ArmModel, q_rad: np.ndarray) -> np.ndarray:
     """Cumulative base->joint transforms, shape (7, 4, 4); frames[0] = I."""
-    theta = q_rad + model.theta_offset_rad
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(model.alpha_rad), np.sin(model.alpha_rad)
-    a, d = model.a, model.d
+    steps = _dh_matrices(q_rad + model.theta_offset_rad, model.alpha_rad, model.a, model.d)
     frames = np.empty((JOINT_COUNT + 1, 4, 4))
     frames[0] = np.eye(4)
-    step = np.zeros((4, 4))
-    step[3, 3] = 1.0
     for i in range(JOINT_COUNT):
-        step[0, 0] = ct[i]
-        step[0, 1] = -st[i] * ca[i]
-        step[0, 2] = st[i] * sa[i]
-        step[0, 3] = a[i] * ct[i]
-        step[1, 0] = st[i]
-        step[1, 1] = ct[i] * ca[i]
-        step[1, 2] = -ct[i] * sa[i]
-        step[1, 3] = a[i] * st[i]
-        step[2, 1] = sa[i]
-        step[2, 2] = ca[i]
-        step[2, 3] = d[i]
-        np.matmul(frames[i], step, out=frames[i + 1])
+        np.matmul(frames[i], steps[i], out=frames[i + 1])
     return frames
 
 
@@ -272,24 +269,16 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     return theta / (2.0 * math.sin(theta)) * skew
 
 
-def rotation_angle_between(Ra: np.ndarray, Rb: np.ndarray) -> float:
-    """Angle of the relative rotation Ra * Rb^T, radians; the uniform
-    orientation-error metric."""
-    return float(np.linalg.norm(rotation_log(np.asarray(Ra) @ np.asarray(Rb).T)))
-
-
 def _geometric_jacobian_rad(
     model: ArmModel, q_rad: np.ndarray, frames: np.ndarray | None = None
 ) -> np.ndarray:
     """Analytic world-frame Jacobian from the revolute-axis cross products."""
     if frames is None:
         frames = _link_frames(model, q_rad)
-    p_end = frames[-1][:3, 3]
+    z = frames[:-1, :3, 2]
     J = np.empty((6, JOINT_COUNT))
-    for i in range(JOINT_COUNT):
-        z = frames[i][:3, 2]
-        J[:3, i] = np.cross(z, p_end - frames[i][:3, 3])
-        J[3:, i] = z
+    J[:3] = np.cross(z, frames[-1, :3, 3] - frames[:-1, :3, 3]).T
+    J[3:] = z.T
     return J
 
 

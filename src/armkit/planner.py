@@ -30,17 +30,20 @@ WAYPOINT_ORDER = ("home", "pre_grasp", "grasp", "lift", "pre_place", "place", "r
 
 @dataclass(frozen=True)
 class Waypoint:
+    """A named target pose, the gripper state on arrival, and the solved
+    joint configuration that reaches the pose."""
+
     name: str
     pose: Pose6D
     gripper: GripperState
+    config: JointConfig
 
 
 @dataclass(frozen=True)
 class GraspPlan:
-    """Ordered, named waypoints of one pick-and-place cycle."""
+    """Ordered, named, solved waypoints of one pick-and-place cycle."""
 
     waypoints: tuple[Waypoint, ...]
-    clearance: float
 
     def waypoint(self, name: str) -> Waypoint:
         for wp in self.waypoints:
@@ -88,6 +91,20 @@ def _raised(pose: Pose6D, dz: float) -> Pose6D:
     return Pose6D((x, y, z + dz), pose.quaternion)
 
 
+def _solve_waypoint(
+    model: ArmModel, name: str, pose: Pose6D, seed: JointConfig, ik_settings: IkSettings
+) -> JointConfig:
+    """IK for one waypoint; solver errors are re-raised naming the waypoint."""
+    try:
+        return solve_ik(model, pose, seed, ik_settings).solution
+    except UnreachableError as exc:
+        raise UnreachableError(exc.distance, exc.bound, waypoint=name) from exc
+    except NoConvergenceError as exc:
+        raise NoConvergenceError(
+            exc.best_position_error, exc.best_orientation_error, exc.attempts, waypoint=name
+        ) from exc
+
+
 def plan_pick_place(
     model: ArmModel,
     object_pose: Pose6D,
@@ -96,48 +113,40 @@ def plan_pick_place(
     clearance: float = DEFAULT_CLEARANCE_M,
     ik_settings: IkSettings = IkSettings(),
 ) -> GraspPlan:
-    """Build the seven-waypoint grasp plan and prove every waypoint solvable.
+    """Build the seven-waypoint grasp plan and solve every waypoint.
 
     The gripper closes exactly once (at grasp) and opens exactly once (at
     place); pre/post waypoints sit ``clearance`` meters above their targets
-    along world +z.  Raises UnreachableError or NoConvergenceError naming the
-    first offending waypoint.
+    along world +z.  Each waypoint's IK is seeded with the previous solution,
+    starting from ``mid_config()``, so the whole plan stays on one branch.
+    Raises UnreachableError or NoConvergenceError naming the first offending
+    waypoint.
     """
     if clearance < 0.0:
         raise ValueError("clearance must be >= 0")
     home = matrix_to_pose(forward_kinematics(model, model.mid_config()))
-    by_name = {
-        "home": Waypoint("home", home, GRIPPER_OPEN),
-        "pre_grasp": Waypoint("pre_grasp", _raised(object_pose, clearance), GRIPPER_OPEN),
-        "grasp": Waypoint("grasp", object_pose, GRIPPER_CLOSED),
-        "lift": Waypoint("lift", _raised(object_pose, clearance), GRIPPER_CLOSED),
-        "pre_place": Waypoint("pre_place", _raised(place_pose, clearance), GRIPPER_CLOSED),
-        "place": Waypoint("place", place_pose, GRIPPER_OPEN),
-        "retreat": Waypoint("retreat", _raised(place_pose, clearance), GRIPPER_OPEN),
+    targets = {
+        "home": (home, GRIPPER_OPEN),
+        "pre_grasp": (_raised(object_pose, clearance), GRIPPER_OPEN),
+        "grasp": (object_pose, GRIPPER_CLOSED),
+        "lift": (_raised(object_pose, clearance), GRIPPER_CLOSED),
+        "pre_place": (_raised(place_pose, clearance), GRIPPER_CLOSED),
+        "place": (place_pose, GRIPPER_OPEN),
+        "retreat": (_raised(place_pose, clearance), GRIPPER_OPEN),
     }
     bound = model.workspace_bound()
     # Check the commanded poses before the derived ones so errors name the cause.
     for name in ("grasp", "place", "pre_grasp", "lift", "pre_place", "retreat", "home"):
-        wp = by_name[name]
-        distance = float(np.linalg.norm(wp.pose.position))
+        distance = float(np.linalg.norm(targets[name][0].position))
         if distance > bound:
             raise UnreachableError(distance, bound, waypoint=name)
-    seed = model.mid_config()
+    config = model.mid_config()
+    waypoints = []
     for name in WAYPOINT_ORDER:
-        wp = by_name[name]
-        try:
-            result = solve_ik(model, wp.pose, seed, ik_settings)
-        except UnreachableError as exc:
-            raise UnreachableError(exc.distance, exc.bound, waypoint=name) from exc
-        except NoConvergenceError as exc:
-            raise NoConvergenceError(
-                exc.best_position_error, exc.best_orientation_error, exc.attempts, waypoint=name
-            ) from exc
-        seed = result.solution
-    return GraspPlan(
-        waypoints=tuple(by_name[name] for name in WAYPOINT_ORDER),
-        clearance=float(clearance),
-    )
+        pose, gripper = targets[name]
+        config = _solve_waypoint(model, name, pose, config, ik_settings)
+        waypoints.append(Waypoint(name, pose, gripper, config))
+    return GraspPlan(tuple(waypoints))
 
 
 def interpolate_trajectory(
@@ -172,29 +181,10 @@ def interpolate_trajectory(
 
 
 def plan_to_trajectory(
-    model: ArmModel,
-    plan: GraspPlan,
-    seed: JointConfig,
-    *,
-    max_step_deg: float = DEFAULT_MAX_STEP_DEG,
-    ik_settings: IkSettings = IkSettings(),
+    model: ArmModel, plan: GraspPlan, *, max_step_deg: float = DEFAULT_MAX_STEP_DEG
 ) -> Trajectory:
-    """Solve IK per waypoint (each seeded with the previous solution, so the
-    whole plan stays on one branch) and interpolate in joint space."""
-    solved: list[tuple[JointConfig, GripperState]] = []
-    current_seed = seed
-    for wp in plan.waypoints:
-        try:
-            result = solve_ik(model, wp.pose, current_seed, ik_settings)
-        except UnreachableError as exc:
-            raise UnreachableError(exc.distance, exc.bound, waypoint=wp.name) from exc
-        except NoConvergenceError as exc:
-            raise NoConvergenceError(
-                exc.best_position_error, exc.best_orientation_error, exc.attempts, waypoint=wp.name
-            ) from exc
-        solved.append((result.solution, wp.gripper))
-        current_seed = result.solution
-    return interpolate_trajectory(model, solved, max_step_deg)
+    """Interpolate the plan's solved waypoint configurations in joint space."""
+    return interpolate_trajectory(model, [(wp.config, wp.gripper) for wp in plan.waypoints], max_step_deg)
 
 
 def _round_half_up_centideg(angle_deg: float) -> int:

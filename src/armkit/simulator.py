@@ -54,11 +54,12 @@ class SimConfig:
     capture_radius_m: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.rate_limit_deg_s <= 0.0:
+        # Written as negated comparisons so NaN fails them too.
+        if not (self.rate_limit_deg_s > 0.0):
             raise ValueError("rate_limit_deg_s must be positive")
-        if self.tick_s <= 0.0:
+        if not (self.tick_s > 0.0):
             raise ValueError("tick_s must be positive")
-        if self.capture_radius_m <= 0.0:
+        if not (self.capture_radius_m > 0.0):
             raise ValueError("capture_radius_m must be positive")
 
 
@@ -239,9 +240,7 @@ def run_pick_cycle(
     plan = plan_pick_place(
         model, object_pose, place_pose, clearance=clearance, ik_settings=ik_settings
     )
-    trajectory = plan_to_trajectory(
-        model, plan, model.mid_config(), max_step_deg=max_step_deg, ik_settings=ik_settings
-    )
+    trajectory = plan_to_trajectory(model, plan, max_step_deg=max_step_deg)
     frames = encode_servo_frames(trajectory)
     state = initial_state(model, object_pose=object_pose)
     for frame in frames:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -73,6 +74,21 @@ def detect_args(scene, threshold="50", min_area="10", table_z="0.02"):
         "--table-z",
         table_z,
     ]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["fk"], "--joints", "inf,90,90,90,90,90"),
+        (["ik"], "--pos", "nan,0,0.1"),
+        (["plan", "--place-pos=0,0.1,0.02"], "--object-pos", "nan,0,0"),
+    ],
+)
+def test_non_finite_number_is_usage_error(config_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--config", config_path, f"{flag}={value}"])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 class TestFk:
@@ -188,6 +204,37 @@ class TestPlanAndSim:
         )
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "object_pos, place_pos, frame_count, sha256",
+        [
+            # every waypoint solved from the caller's seed chain
+            ("0.12,0.05,0.02", "-0.05,0.12,0.02", 151, "8c6997f0a805f9241afc9ddc7f539ace7284c53fa751c5ff3d3b525027720b77"),
+            # pre_place is solved by restart 8
+            ("0.17,0.0,0.02", "0.0,-0.12,0.02", 242, "d3dfedf8004a3b9a7978f39de808aa83bf050e9cb7580ac2d05a44b26345b380"),
+        ],
+    )
+    def test_plan_output_is_pinned(self, wide_config_path, capsys, object_pos, place_pos, frame_count, sha256):
+        code = main(["plan", "--config", wide_config_path, f"--object-pos={object_pos}", f"--place-pos={place_pos}"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == frame_count
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("flag", ["--rate", "--tick"])
+    def test_sim_nan_setting_is_usage_error(self, config_path, tmp_path, capsys, flag):
+        stream = tmp_path / "one.txt"
+        stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\n")
+        assert main(["sim", "--config", config_path, "--frames", str(stream), flag, "nan"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_sim_infinite_rate_gives_finite_report(self, config_path, tmp_path, capsys):
+        stream = tmp_path / "two.txt"
+        stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\nF 1 0 18000 0 9000 18000 0 G 1\n")
+        assert main(["sim", "--config", config_path, "--frames", str(stream), "--rate", "inf"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["frames_sent"] == 2
+        assert doc["sim_time_s"] == 0.01
 
     def test_sim_replays_plan_file(self, wide_config_path, tmp_path, capsys):
         assert (

@@ -64,6 +64,10 @@ class TestSettings:
             {"restarts": 0},
             {"damping": -0.1},
             {"step_limit": 0.0},
+            {"position_tolerance": math.nan},
+            {"orientation_tolerance": math.nan},
+            {"damping": math.nan},
+            {"step_limit": math.nan},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):

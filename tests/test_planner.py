@@ -161,7 +161,7 @@ class TestPlanToTrajectory:
         rng = np.random.default_rng(149)
         obj, place = feasible_pair(arm, rng, 0.02)
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
-        traj = plan_to_trajectory(arm, plan, arm.mid_config(), ik_settings=QUICK)
+        traj = plan_to_trajectory(arm, plan)
         assert len(traj.knots) > len(plan.waypoints)
         for knot in traj.knots:
             assert check_limits(arm, knot.config) == []
@@ -174,7 +174,7 @@ class TestPlanToTrajectory:
         obj, place = feasible_pair(arm, rng, 0.02)
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
         max_step_deg = 2.0
-        traj = plan_to_trajectory(arm, plan, arm.mid_config(), max_step_deg=max_step_deg, ik_settings=QUICK)
+        traj = plan_to_trajectory(arm, plan, max_step_deg=max_step_deg)
         bound = math.radians(max_step_deg) * arm.workspace_bound() + 1e-4
         positions = [forward_kinematics(arm, k.config)[:3, 3] for k in traj.knots]
         for p1, p2 in zip(positions, positions[1:]):

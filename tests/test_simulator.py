@@ -127,6 +127,20 @@ class TestApplyFrame:
             apply_frame(arm, initial_state(arm), frame)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rate_limit_deg_s": float("nan")},
+            {"tick_s": float("nan")},
+            {"capture_radius_m": float("nan")},
+        ],
+    )
+    def test_nan_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+
 class TestSimStep:
     def test_rate_limited_motion(self, arm):
         state = initial_state(arm)
@@ -276,6 +290,23 @@ class TestPickCycle:
         second = run_pick_cycle(arm, obj, place, clearance=0.02)
         assert first == second
 
+    def test_each_waypoint_is_solved_once(self, wide_arm, monkeypatch):
+        import armkit.planner
+
+        calls = []
+        solve = armkit.planner.solve_ik
+
+        def counting_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            calls.append(result.restart_index)
+            return result
+
+        monkeypatch.setattr(armkit.planner, "solve_ik", counting_solve)
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        place = top_down_pose(-0.05, 0.12, 0.02)
+        assert run_pick_cycle(wide_arm, obj, place).success
+        assert calls == [0] * 7
+
     def test_report_serializes_to_json(self, arm):
         rng = np.random.default_rng(193)
         obj, place = feasible_pair(arm, rng)
@@ -291,7 +322,7 @@ class TestReplay:
         rng = np.random.default_rng(197)
         obj, place = feasible_pair(arm, rng)
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
-        traj = plan_to_trajectory(arm, plan, arm.mid_config(), ik_settings=QUICK)
+        traj = plan_to_trajectory(arm, plan)
         text = frames_to_text(encode_servo_frames(traj))
         report = replay_frames(arm, text)
         assert report.success
