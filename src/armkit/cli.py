@@ -26,18 +26,22 @@ EXIT_PLANNING = 3
 EXIT_NO_DETECTION = 4
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
+    return value
+
+
 def _csv_floats(count: int):
     def parse(text: str) -> tuple[float, ...]:
         parts = text.split(",")
         if len(parts) != count:
             raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers, got {len(parts)}")
-        try:
-            values = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-        if not all(math.isfinite(v) for v in values):
-            raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
-        return values
+        return tuple(_finite_float(p) for p in parts)
 
     return parse
 
@@ -98,15 +102,11 @@ def _cmd_fk(args: argparse.Namespace) -> int:
 def _cmd_ik(args: argparse.Namespace) -> int:
     model = _load_model(args.config)
     seed = JointConfig(args.seed) if args.seed else model.mid_config()
-    try:
-        if args.euler_zyx is not None:
-            target = Pose6D.from_position_euler_zyx(args.pos, *args.euler_zyx)
-            result = solve_ik(model, target, seed)
-        else:
-            result = solve_ik_position_only(model, args.pos, seed)
-    except (UnreachableError, NoConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
+    if args.euler_zyx is not None:
+        target = Pose6D.from_position_euler_zyx(args.pos, *args.euler_zyx)
+        result = solve_ik(model, target, seed)
+    else:
+        result = solve_ik_position_only(model, args.pos, seed)
     print(_ik_result_json(result))
     return EXIT_OK
 
@@ -139,12 +139,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     model = _load_model(args.config)
     object_pose = top_down_pose(*args.object_pos)
     place_pose = top_down_pose(*args.place_pos)
-    try:
-        plan = plan_pick_place(model, object_pose, place_pose, clearance=args.clearance)
-        trajectory = plan_to_trajectory(model, plan)
-    except (UnreachableError, NoConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
+    plan = plan_pick_place(model, object_pose, place_pose, clearance=args.clearance)
+    trajectory = plan_to_trajectory(model, plan)
     for frame in encode_servo_frames(trajectory):
         sys.stdout.write(frame.encode())
     return EXIT_OK
@@ -170,11 +166,7 @@ def _cmd_pick(args: argparse.Namespace) -> int:
         return EXIT_NO_DETECTION
     object_pose = top_down_pose(*detection.world_point)
     place_pose = top_down_pose(*args.place_pos)
-    try:
-        report = run_pick_cycle(model, object_pose, place_pose)
-    except (UnreachableError, NoConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
+    report = run_pick_cycle(model, object_pose, place_pose)
     print(report.to_json())
     return EXIT_OK
 
@@ -185,7 +177,7 @@ def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--calib", required=True, help="pixel/world calibration JSON")
     parser.add_argument("--threshold", required=True, type=float, help="intensity threshold (0..255)")
     parser.add_argument("--min-area", required=True, type=int, help="minimum blob area, pixels")
-    parser.add_argument("--table-z", required=True, type=float, help="table plane height, meters")
+    parser.add_argument("--table-z", required=True, type=_finite_float, help="table plane height, meters")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -217,7 +209,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--object-pos", required=True, type=_csv_floats(3), help="object position x,y,z meters")
     p.add_argument("--place-pos", required=True, type=_csv_floats(3), help="place position x,y,z meters")
-    p.add_argument("--clearance", type=float, default=DEFAULT_CLEARANCE_M, help="approach clearance, meters")
+    p.add_argument("--clearance", type=_finite_float, default=DEFAULT_CLEARANCE_M, help="approach clearance, meters")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("sim", help="replay a servo frame stream on the simulator")
@@ -243,6 +235,9 @@ def main(argv=None) -> int:
     except (ArmConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (UnreachableError, NoConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PLANNING
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .kinematics import (
 # Restart seeds are drawn from a per-call generator with this fixed seed, so
 # identical solve inputs always produce bit-identical results.
 RESTART_RNG_SEED = 0xA5C0FFEE
+
+# Maps an end-effector transform to (error vector, position error, orientation
+# error); the error vector's length picks the Jacobian rows a step uses.
+Residual = Callable[[np.ndarray], tuple[np.ndarray, float, float]]
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,13 @@ def solve_ik(
     Raises UnreachableError without iterating when the target position lies
     beyond the reach bound, NoConvergenceError when every attempt fails.
     """
-    return _solve(model, pose_to_matrix(target), np.asarray(target.position, float), seed, settings, False)
+    target_T = pose_to_matrix(target)
+
+    def residual(T: np.ndarray) -> tuple[np.ndarray, float, float]:
+        e = pose_error(T, target_T)
+        return e, float(np.linalg.norm(e[:3])), float(np.linalg.norm(e[3:]))
+
+    return _solve(model, residual, np.asarray(target.position, float), seed, settings)
 
 
 def solve_ik_position_only(
@@ -138,17 +149,12 @@ def solve_ik_position_only(
     """As solve_ik, but only the position rows constrain the solve; the
     orientation is left free and the reported orientation error is 0."""
     p = np.asarray(target_position, dtype=float).reshape(3)
-    return _solve(model, None, p, seed, settings, True)
 
-
-def _residual(
-    T: np.ndarray, target_T: np.ndarray | None, target_p: np.ndarray, position_only: bool
-) -> tuple[np.ndarray, float, float]:
-    if position_only:
-        e = target_p - T[:3, 3]
+    def residual(T: np.ndarray) -> tuple[np.ndarray, float, float]:
+        e = p - T[:3, 3]
         return e, float(np.linalg.norm(e)), 0.0
-    e = pose_error(T, target_T)
-    return e, float(np.linalg.norm(e[:3])), float(np.linalg.norm(e[3:]))
+
+    return _solve(model, residual, p, seed, settings)
 
 
 def _converged(pos_err: float, ori_err: float, settings: IkSettings) -> bool:
@@ -160,14 +166,12 @@ def _dls_step(
     q_rad: np.ndarray,
     err: np.ndarray,
     settings: IkSettings,
-    position_only: bool,
     frames: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """One damped-least-squares update, step-limited; None if the normal
-    equations are singular (possible only with zero damping)."""
-    J = _geometric_jacobian_rad(model, q_rad, frames)
-    if position_only:
-        J = J[:3]
+    equations are singular (possible only with zero damping).  Uses the
+    first ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose."""
+    J = _geometric_jacobian_rad(model, q_rad, frames)[: len(err)]
     JJt = J @ J.T
     JJt[np.diag_indices_from(JJt)] += settings.damping**2
     try:
@@ -180,63 +184,54 @@ def _dls_step(
     return dq
 
 
-def _finalize(
-    model: ArmModel,
-    q_rad: np.ndarray,
-    target_T: np.ndarray | None,
-    target_p: np.ndarray,
-    settings: IkSettings,
-    position_only: bool,
-    iterations: int,
-) -> tuple[JointConfig, float, float, int] | None:
-    """Convert to degrees, clamp exactly onto the limits, and re-verify the
-    tolerances on the value the caller will see."""
-    config = clamp_to_limits(model, JointConfig.from_radians(q_rad))
-    T = forward_kinematics(model, config)
-    _, pos_err, ori_err = _residual(T, target_T, target_p, position_only)
-    if not _converged(pos_err, ori_err, settings):
-        return None
-    return config, pos_err, ori_err, iterations
-
-
 def _attempt(
     model: ArmModel,
-    target_T: np.ndarray | None,
-    target_p: np.ndarray,
+    residual: Residual,
     q0_rad: np.ndarray,
     lo_rad: np.ndarray,
     hi_rad: np.ndarray,
     settings: IkSettings,
-    position_only: bool,
-) -> tuple[tuple[JointConfig, float, float, int] | None, tuple[float, float]]:
-    """Iterate from one start; returns (result-or-None, best residual pair)."""
+    restart_index: int,
+) -> tuple[IkResult | None, tuple[float, float]]:
+    """Iterate from one start; returns (result-or-None, best residual pair).
+    A converged iterate counts only if its clamped degree configuration, the
+    value the caller sees, passes the tolerances again through FK."""
     q = np.clip(q0_rad, lo_rad, hi_rad)
     best = (math.inf, math.inf)
     for it in range(settings.max_iterations + 1):
         frames = _link_frames(model, q)
-        e, pos_err, ori_err = _residual(frames[-1], target_T, target_p, position_only)
+        e, pos_err, ori_err = residual(frames[-1])
         if pos_err + ori_err < best[0] + best[1]:
             best = (pos_err, ori_err)
         if _converged(pos_err, ori_err, settings):
-            result = _finalize(model, q, target_T, target_p, settings, position_only, it)
-            if result is not None:
-                return result, best
+            config = clamp_to_limits(model, JointConfig.from_radians(q))
+            _, final_pos, final_ori = residual(forward_kinematics(model, config))
+            if _converged(final_pos, final_ori, settings):
+                return IkResult(config, it, final_pos, final_ori, restart_index), best
         if it == settings.max_iterations:
             break
-        dq = _dls_step(model, q, e, settings, position_only, frames)
+        dq = _dls_step(model, q, e, settings, frames)
         if dq is None:
             break
         q = np.clip(q + dq, lo_rad, hi_rad)
     return None, best
 
 
+def _starts(seed_rad: np.ndarray, lo_rad: np.ndarray, hi_rad: np.ndarray, restarts: int):
+    """Attempt 0 is the caller's seed; the restart generator is built and
+    drawn from only once the seed has failed."""
+    yield seed_rad
+    rng = np.random.default_rng(RESTART_RNG_SEED)
+    for _ in range(restarts):
+        yield rng.uniform(lo_rad, hi_rad)
+
+
 def _solve(
     model: ArmModel,
-    target_T: np.ndarray | None,
+    residual: Residual,
     target_p: np.ndarray,
     seed: JointConfig,
     settings: IkSettings,
-    position_only: bool,
 ) -> IkResult:
     bound = model.workspace_bound()
     distance = float(np.linalg.norm(target_p))
@@ -246,28 +241,17 @@ def _solve(
     lo_rad = np.radians(model.limits_deg[0])
     hi_rad = np.radians(model.limits_deg[1])
     seed_rad = seed.radians
-
-    result, best = _attempt(model, target_T, target_p, seed_rad, lo_rad, hi_rad, settings, position_only)
-    if result is not None:
-        config, pos_err, ori_err, iters = result
-        return IkResult(config, iters, pos_err, ori_err, restart_index=0)
-
-    best_pos, best_ori = best
-    rng = np.random.default_rng(RESTART_RNG_SEED)
-    candidates: list[tuple[float, int, JointConfig, float, float, int]] = []
-    for k in range(1, settings.restarts + 1):
-        q0 = rng.uniform(lo_rad, hi_rad)
-        result, attempt_best = _attempt(
-            model, target_T, target_p, q0, lo_rad, hi_rad, settings, position_only
-        )
-        if attempt_best[0] + attempt_best[1] < best_pos + best_ori:
-            best_pos, best_ori = attempt_best
+    best = (math.inf, math.inf)
+    solved: list[IkResult] = []
+    for k, q0 in enumerate(_starts(seed_rad, lo_rad, hi_rad, settings.restarts)):
+        result, attempt_best = _attempt(model, residual, q0, lo_rad, hi_rad, settings, k)
+        if attempt_best[0] + attempt_best[1] < best[0] + best[1]:
+            best = attempt_best
         if result is not None:
-            config, pos_err, ori_err, iters = result
-            distance_to_seed = float(np.linalg.norm(config.radians - seed_rad))
-            candidates.append((distance_to_seed, k, config, pos_err, ori_err, iters))
-    if candidates:
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        _, k, config, pos_err, ori_err, iters = candidates[0]
-        return IkResult(config, iters, pos_err, ori_err, restart_index=k)
-    raise NoConvergenceError(best_pos, best_ori, settings.restarts + 1)
+            if k == 0:
+                return result
+            solved.append(result)
+    if solved:
+        # min keeps the first of equally near solutions: the lowest restart index.
+        return min(solved, key=lambda r: float(np.linalg.norm(r.solution.radians - seed_rad)))
+    raise NoConvergenceError(*best, settings.restarts + 1)

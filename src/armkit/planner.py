@@ -122,7 +122,7 @@ def plan_pick_place(
     Raises UnreachableError or NoConvergenceError naming the first offending
     waypoint.
     """
-    if clearance < 0.0:
+    if not (clearance >= 0.0):  # negated so NaN fails too
         raise ValueError("clearance must be >= 0")
     home = matrix_to_pose(forward_kinematics(model, model.mid_config()))
     targets = {

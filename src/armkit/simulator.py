@@ -57,8 +57,8 @@ class SimConfig:
         # Written as negated comparisons so NaN fails them too.
         if not (self.rate_limit_deg_s > 0.0):
             raise ValueError("rate_limit_deg_s must be positive")
-        if not (self.tick_s > 0.0):
-            raise ValueError("tick_s must be positive")
+        if not (0.0 < self.tick_s < math.inf):
+            raise ValueError("tick_s must be positive and finite")
         if not (self.capture_radius_m > 0.0):
             raise ValueError("capture_radius_m must be positive")
 

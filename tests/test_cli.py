@@ -82,13 +82,20 @@ def detect_args(scene, threshold="50", min_area="10", table_z="0.02"):
         (["fk"], "--joints", "inf,90,90,90,90,90"),
         (["ik"], "--pos", "nan,0,0.1"),
         (["plan", "--place-pos=0,0.1,0.02"], "--object-pos", "nan,0,0"),
+        (["plan", "--object-pos=0.1,0,0.05", "--place-pos=0,0.1,0.05"], "--clearance", "nan"),
+        (
+            ["pick", "--place-pos=0,0.1,0.02", "--background=bg.pgm", "--frame=frame.pgm"]
+            + ["--calib=calib.json", "--threshold=50", "--min-area=10"],
+            "--table-z",
+            "nan",
+        ),
     ],
 )
 def test_non_finite_number_is_usage_error(config_path, capsys, command, flag, value):
     with pytest.raises(SystemExit) as info:
         main([*command, "--config", config_path, f"{flag}={value}"])
     assert info.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestFk:
@@ -227,6 +234,12 @@ class TestPlanAndSim:
         stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\n")
         assert main(["sim", "--config", config_path, "--frames", str(stream), flag, "nan"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sim_infinite_tick_is_usage_error(self, config_path, tmp_path, capsys):
+        stream = tmp_path / "two.txt"
+        stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\nF 1 0 18000 0 9000 18000 0 G 1\n")
+        assert main(["sim", "--config", config_path, "--frames", str(stream), "--tick", "inf"]) == 2
+        assert "tick_s" in capsys.readouterr().err
 
     def test_sim_infinite_rate_gives_finite_report(self, config_path, tmp_path, capsys):
         stream = tmp_path / "two.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -195,8 +196,63 @@ class TestStep:
             target_T = forward_kinematics(arm, q_star)
             q = q_star.radians + rng.uniform(-1e-3, 1e-3, 6)
             e = pose_error(forward_kinematics(arm, JointConfig.from_radians(q)), target_T)
-            dq = _dls_step(arm, q, e, settings, position_only=False)
+            dq = _dls_step(arm, q, e, settings)
             if dq is None:
                 continue  # exactly singular configuration; nothing to assert
             e2 = pose_error(forward_kinematics(arm, JointConfig.from_radians(q + dq)), target_T)
             assert np.linalg.norm(e2) < np.linalg.norm(e)
+
+
+def _criterion_2_target(arm, index):
+    """The index-th target of the acceptance round trip: FK of the index-th
+    configuration drawn uniformly within the limits from seed 2025."""
+    rng = np.random.default_rng(2025)
+    lo, hi = arm.limits_deg
+    configs = [JointConfig(tuple(rng.uniform(lo, hi))) for _ in range(index + 1)]
+    return fk_pose(arm, configs[index])
+
+
+def _sha256(fields) -> str:
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+class TestPinnedBits:
+    """Hashes of every output bit of fixed solves; any change to an angle, an
+    iteration count, a residual or the winning restart fails these."""
+
+    @pytest.mark.parametrize(
+        "index, position_only, restart_index, sha256",
+        [
+            (0, False, 0, "2f25196b5517867518cfe76588088d8770fecce5a59e75754e9e59a554780cd7"),
+            (0, True, 0, "62d2b3ba630951e7f5d02f8cd40bb219bcaeb3821c31dccac76f4fb7fd19fcdb"),
+            (12, False, 7, "93565cd318236be142ee779659017d3adba210efcb417bdd37a1a262db1a749c"),
+            (12, True, 0, "fa2ee90aef5d8741d3e9fca646772481695d27365f8a9f421bc9ad3b0c6c74b1"),
+            (126, False, 2, "3a0179d3dc70ad22bde12984f5f62b4185aa255d77b24b0e0306f854c65caae5"),
+            (126, True, 0, "006f576285a239fab0c4e8dc65b62b6f5abb1abe2f39b303f67190f8b86fa594"),
+            (127, False, 4, "bc283e95855d6953f1f6cb466de4b611cfc5a0d49262dacd16a7995c6a085ffd"),
+            (127, True, 2, "df195af7875c90e7cf19b7302d3dbe0b4e1aea88fe8729c97181e9e89ee98ecd"),
+        ],
+    )
+    def test_result_bits(self, arm, index, position_only, restart_index, sha256):
+        target = _criterion_2_target(arm, index)
+        if position_only:
+            result = solve_ik_position_only(arm, target.position, arm.mid_config())
+        else:
+            result = solve_ik(arm, target, arm.mid_config())
+        assert result.restart_index == restart_index
+        fields = (
+            tuple(a.hex() for a in result.solution.angles_deg),
+            result.iterations,
+            result.final_position_error.hex(),
+            result.final_orientation_error.hex(),
+            result.restart_index,
+        )
+        assert _sha256(fields) == sha256
+
+    def test_best_residual_bits(self, arm):
+        starved = IkSettings(max_iterations=5, restarts=2)
+        with pytest.raises(NoConvergenceError) as info:
+            solve_ik(arm, _criterion_2_target(arm, 12), arm.mid_config(), starved)
+        exc = info.value
+        fields = (exc.best_position_error.hex(), exc.best_orientation_error.hex(), exc.attempts)
+        assert _sha256(fields) == "fc7680ac4dd0f811b66dba20262738b0fa1ed770d61033bdccef0df6dc253619"

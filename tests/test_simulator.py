@@ -134,6 +134,7 @@ class TestSimConfig:
             {"rate_limit_deg_s": float("nan")},
             {"tick_s": float("nan")},
             {"capture_radius_m": float("nan")},
+            {"tick_s": float("inf")},
         ],
     )
     def test_nan_rejected(self, kwargs):
