@@ -178,9 +178,9 @@ def _require_number(entry: dict, key: str, joint: int) -> float:
     if key not in entry:
         raise ArmConfigError(f"joint {joint}: missing field '{key}'")
     value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ArmConfigError(f"joint {joint}: '{key}' must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ArmConfigError(f"joint {joint}: '{key}' must be a finite number, got {value!r}")
+    return value
 
 
 def load_arm_config(text: str) -> ArmModel:
@@ -189,10 +189,14 @@ def load_arm_config(text: str) -> ArmModel:
     The document holds ``name`` and exactly six ``joints`` entries with
     ``theta_offset_deg``, ``alpha_deg``, ``a_m``, ``d_m`` and an optional
     ``limit_deg: [min, max]``; omitted limits fall back to the stock servo
-    ranges.  Unknown fields are rejected.
+    ranges.  Unknown fields are rejected, and so are numbers that are not
+    finite (JSON's ``NaN``/``Infinity`` extensions, or integers beyond float
+    range).
     """
     try:
-        doc = json.loads(text)
+        # Every JSON number becomes a float (too-large integers become inf),
+        # so bools and strings fail the float check and nothing overflows.
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ArmConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -229,10 +233,10 @@ def load_arm_config(text: str) -> ArmModel:
             if (
                 not isinstance(raw, list)
                 or len(raw) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
+                or any(not isinstance(v, float) for v in raw)
             ):
                 raise ArmConfigError(f"joint {i}: 'limit_deg' must be a [min, max] number pair")
-            limits.append(JointLimit(float(raw[0]), float(raw[1])))
+            limits.append(JointLimit(*raw))
         else:
             limits.append(JointLimit(*DEFAULT_JOINT_LIMITS_DEG[i]))
     return ArmModel(rows=tuple(rows), limits=tuple(limits), name=name)

@@ -122,43 +122,63 @@ def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
 
     Ties go to the component whose first scan-order pixel has the smaller
     (row, col).
+
+    Two-pass labeling over row runs (He et al. 2008; Wu, Otoo & Suzuki
+    2009): numpy extracts every row's [start, end) runs in scan order, one
+    Python pass joins runs of adjacent rows whose columns overlap, and
+    bincounts give each component's area and row/column sums.  Those sums
+    are integers held exactly in float64 (below 2**53 for frames up to
+    200,000 pixels on a side), so the centroid is the same correctly rounded
+    quotient a per-pixel count gives.  The smaller run index is always the
+    root, so each component's root is its first run in scan order.
     """
     bits = mask.bits
-    visited = np.zeros_like(bits, dtype=bool)
-    height, width = bits.shape
-    best: Blob | None = None
-    rows_set, cols_set = np.nonzero(bits)
-    for r0, c0 in zip(rows_set.tolist(), cols_set.tolist()):
-        if visited[r0, c0]:
-            continue
-        stack = [(r0, c0)]
-        visited[r0, c0] = True
-        area = 0
-        sum_r = 0
-        sum_c = 0
-        while stack:
-            r, c = stack.pop()
-            area += 1
-            sum_r += r
-            sum_c += c
-            if r > 0 and bits[r - 1, c] and not visited[r - 1, c]:
-                visited[r - 1, c] = True
-                stack.append((r - 1, c))
-            if r + 1 < height and bits[r + 1, c] and not visited[r + 1, c]:
-                visited[r + 1, c] = True
-                stack.append((r + 1, c))
-            if c > 0 and bits[r, c - 1] and not visited[r, c - 1]:
-                visited[r, c - 1] = True
-                stack.append((r, c - 1))
-            if c + 1 < width and bits[r, c + 1] and not visited[r, c + 1]:
-                visited[r, c + 1] = True
-                stack.append((r, c + 1))
-        if area < min_area:
-            continue
-        # Scan order guarantees (r0, c0) is the component's smallest (row, col).
-        if best is None or area > best.area:
-            best = Blob((sum_c / area, sum_r / area), area, (r0, c0))
-    return best
+    rows = np.flatnonzero(bits.any(axis=1))
+    if rows.size == 0:
+        return None
+    width = bits.shape[1]
+    # +1 where a run starts, -1 one past where it ends; nonzeros alternate.
+    row_bits = bits[rows].view(np.int8)
+    edges = np.zeros((rows.size, width + 1), dtype=np.int8)
+    edges[:, :width] = row_bits
+    edges[:, 1:] -= row_bits
+    flat = np.flatnonzero(edges)
+    run_row = rows[flat[0::2] // (width + 1)]
+    start = flat[0::2] % (width + 1)
+    end = flat[1::2] % (width + 1)
+
+    rr, ss, ee = run_row.tolist(), start.tolist(), end.tolist()
+    runs = len(rr)
+    parent = list(range(runs))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    above = 0  # first run of the row above that may still touch run k
+    for k, (r, s, e) in enumerate(zip(rr, ss, ee)):
+        while rr[above] < r - 1 or (rr[above] == r - 1 and ee[above] <= s):
+            above += 1
+        j = above
+        while rr[j] == r - 1 and ss[j] < e:
+            a, b = find(j), find(k)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+            j += 1
+
+    label = np.array([find(k) for k in range(runs)])
+    length = end - start
+    area = np.bincount(label, weights=length, minlength=runs)
+    sum_r = np.bincount(label, weights=run_row * length, minlength=runs)
+    sum_c = np.bincount(label, weights=(start + end - 1) * length // 2, minlength=runs)
+    eligible = (label == np.arange(runs)) & (area >= min_area)
+    if not eligible.any():
+        return None
+    best = int(np.argmax(np.where(eligible, area, -1.0)))  # first maximum: lowest root
+    n = int(area[best])
+    return Blob((int(sum_c[best]) / n, int(sum_r[best]) / n), n, (rr[best], ss[best]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,11 +353,19 @@ def write_pgm(image: GrayImage, path) -> None:
     Path(path).write_bytes(pgm_bytes(image))
 
 
+_CALIBRATION_FIELDS = ("px", "py", "wx_m", "wy_m")
+
+
 def load_calibration(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a calibration file into (pixel_points, world_points) arrays."""
+    """Parse a calibration file into (pixel_points, world_points) arrays.
+
+    Every field must be a finite JSON number: strings, bools, ``NaN`` and
+    ``Infinity`` are rejected with the entry index and field name.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # Every JSON number becomes a float (too-large integers become inf).
+        doc = json.loads(text, parse_int=float)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed calibration JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ValueError("calibration file must be a JSON array")
@@ -348,12 +376,15 @@ def load_calibration(text: str) -> tuple[np.ndarray, np.ndarray]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise ValueError(f"calibration entry {i}: must be an object")
-        unknown = set(entry) - {"px", "py", "wx_m", "wy_m"}
+        unknown = set(entry) - set(_CALIBRATION_FIELDS)
         if unknown:
             raise ValueError(f"calibration entry {i}: unknown fields: {sorted(unknown)}")
-        try:
-            pixel_pts.append([float(entry["px"]), float(entry["py"])])
-            world_pts.append([float(entry["wx_m"]), float(entry["wy_m"])])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"calibration entry {i}: missing or non-numeric field ({exc})")
+        for key in _CALIBRATION_FIELDS:
+            if key not in entry:
+                raise ValueError(f"calibration entry {i}: missing field '{key}'")
+            value = entry[key]
+            if not isinstance(value, float) or not math.isfinite(value):
+                raise ValueError(f"calibration entry {i}: '{key}' must be a finite number, got {value!r}")
+        pixel_pts.append([entry["px"], entry["py"]])
+        world_pts.append([entry["wx_m"], entry["wy_m"]])
     return np.array(pixel_pts), np.array(world_pts)

@@ -1,7 +1,12 @@
-"""Hand-rolled pure-Python kinematics oracles, independent of the package's
-numpy implementation.  Everything here is plain lists and math functions so a
-bug in the library's array plumbing cannot hide in its own checker."""
+"""Hand-rolled oracles, independent of the package's numpy implementations.
+
+The kinematics oracles are plain lists and math functions so a bug in the
+library's array plumbing cannot hide in its own checker.  The blob oracle is
+a per-pixel flood fill, the straightforward counterpart of the library's
+run-based labeling."""
 import math
+
+from armkit import BinaryMask, Blob
 
 
 def naive_dh_matrix(theta_offset_deg, alpha_deg, a_m, d_m, joint_rad):
@@ -43,3 +48,33 @@ def planar_2r_jacobian_linear(q1_rad, q2_rad, a1=1.0, a2=1.0):
     col1 = (-a1 * s1 - a2 * s12, a1 * c1 + a2 * c12, 0.0)
     col2 = (-a2 * s12, a2 * c12, 0.0)
     return col1, col2
+
+
+def naive_largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
+    """Largest 4-connected component with area >= min_area, by depth-first
+    flood fill from each unvisited foreground pixel in scan order; ties keep
+    the component found first."""
+    bits = mask.bits.tolist()
+    height, width = mask.height, mask.width
+    visited = [[False] * width for _ in range(height)]
+    best = None
+    for r0 in range(height):
+        for c0 in range(width):
+            if not bits[r0][c0] or visited[r0][c0]:
+                continue
+            stack = [(r0, c0)]
+            visited[r0][c0] = True
+            area = sum_r = sum_c = 0
+            while stack:
+                r, c = stack.pop()
+                area += 1
+                sum_r += r
+                sum_c += c
+                for rn, cn in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= rn < height and 0 <= cn < width and bits[rn][cn] and not visited[rn][cn]:
+                        visited[rn][cn] = True
+                        stack.append((rn, cn))
+            if area >= min_area and (best is None or area > best.area):
+                # Scan order makes (r0, c0) the component's smallest (row, col).
+                best = Blob((sum_c / area, sum_r / area), area, (r0, c0))
+    return best

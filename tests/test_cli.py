@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ class TestFk:
         missing = str(tmp_path / "nope.json")
         assert main(["fk", "--config", missing, "--joints", MID]) == 2
 
+    def test_non_finite_geometry_is_usage_error(self, tmp_path, capsys):
+        doc = json.loads(dump_arm_config(default_arm()))
+        doc["joints"][3]["d_m"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))  # json writes the NaN literal
+        assert main(["fk", "--config", str(bad), "--joints", MID]) == 2
+        captured = capsys.readouterr()
+        assert "joint 3: 'd_m' must be a finite number" in captured.err
+        assert captured.out == ""
+
     def test_invalid_config_document_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"name\": \"x\", \"joints\": []}")
@@ -171,6 +182,16 @@ class TestDetect:
         assert doc["world_point_m"][0] == pytest.approx(-0.2, abs=1e-9)
         assert doc["world_point_m"][1] == pytest.approx(0.0, abs=1e-9)
         assert doc["world_point_m"][2] == 0.02
+
+    def test_non_finite_calibration_is_usage_error(self, scene, capsys):
+        path = Path(scene["calib"])
+        calib = json.loads(path.read_text())
+        calib[2]["wx_m"] = float("inf")
+        path.write_text(json.dumps(calib))  # json writes the Infinity literal
+        assert main(["detect", *detect_args(scene)]) == 2
+        captured = capsys.readouterr()
+        assert "calibration entry 2: 'wx_m' must be a finite number" in captured.err
+        assert captured.out == ""
 
     def test_no_detection_prints_none_and_exits_4(self, scene, capsys):
         args = detect_args(scene)

@@ -79,6 +79,39 @@ class TestLoad:
         with pytest.raises(ArmConfigError, match="joint 0"):
             load_arm_config(_doc(joints))
 
+    @pytest.mark.parametrize("field", ["a_m", "d_m"])
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            pytest.param("NaN", id="nan"),
+            pytest.param("Infinity", id="inf"),
+            pytest.param("-Infinity", id="-inf"),
+            pytest.param("1e400", id="float-overflow"),
+            pytest.param("1" + "0" * 400, id="integer-beyond-float"),
+            pytest.param("true", id="bool"),
+        ],
+    )
+    def test_non_finite_geometry_rejected_naming_field(self, field, literal):
+        joints = [_joint() for _ in range(6)]
+        joints[3][field] = "@VALUE@"
+        text = _doc(joints).replace('"@VALUE@"', literal)
+        with pytest.raises(ArmConfigError, match=f"joint 3: '{field}' must be a finite number"):
+            load_arm_config(text)
+
+    def test_integer_beyond_float_limit_rejected(self):
+        joints = [_joint() for _ in range(6)]
+        joints[2]["limit_deg"] = [0, "@VALUE@"]
+        text = _doc(joints).replace('"@VALUE@"', "1" + "0" * 400)
+        with pytest.raises(ArmConfigError, match="joint 2: limits must lie in"):
+            load_arm_config(text)
+
+    def test_integer_fields_load_as_floats(self):
+        joints = [_joint(a=0, d=1, limit=[0, 90]) for _ in range(6)]
+        model = load_arm_config(_doc(joints))
+        assert model.rows[0] == DHRow(0.0, 0.0, 0.0, 1.0)
+        assert all(type(v) is float for v in (model.rows[0].a_m, model.limits[0].max_deg))
+        assert model.limits[0] == JointLimit(0.0, 90.0)
+
     def test_inverted_limit_rejected(self):
         joints = [_joint() for _ in range(6)]
         joints[3]["limit_deg"] = [120.0, 30.0]

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from armkit import (
+    BinaryMask,
     GrayImage,
     Homography,
     HomographyError,
@@ -19,6 +21,8 @@ from armkit import (
     subtract_images,
     write_pgm,
 )
+
+from naive_oracle import naive_largest_blob
 
 
 def image(height, width, value=0):
@@ -118,6 +122,117 @@ class TestBlobs:
         blob = largest_blob(mask, 1)
         assert blob.area == 1
         assert blob.top_left == (0, 0)
+
+
+def _spiral(n: int) -> np.ndarray:
+    """Square spiral path walked clockwise from the top-left corner, keeping
+    one background pixel between neighbouring turns."""
+    grid = np.zeros((n, n), dtype=bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    grid[r, c] = True
+    turns = 0
+    while turns < 2:
+        nr, nc, ar, ac = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+        blocked = not (0 <= nr < n and 0 <= nc < n) or grid[nr, nc]
+        crowded = 0 <= ar < n and 0 <= ac < n and grid[ar, ac]
+        if blocked or crowded:
+            dr, dc = dc, -dr
+            turns += 1
+        else:
+            r, c = nr, nc
+            grid[r, c] = True
+            turns = 0
+    return grid
+
+
+def _named_masks() -> dict[str, np.ndarray]:
+    yy, xx = np.indices((10, 11))
+    u = np.zeros((8, 9), dtype=bool)
+    u[:, 1] = u[:, 7] = True
+    u[7, 1:8] = True
+    lopsided_u = np.zeros((8, 9), dtype=bool)  # the right arm starts first
+    lopsided_u[2:, 1] = lopsided_u[:, 6] = True
+    lopsided_u[7, 1:7] = True
+    comb = np.zeros((6, 15), dtype=bool)  # seven teeth joined by the last row
+    comb[:5, ::2] = True
+    comb[5, :] = True
+    nested_u = np.zeros((9, 11), dtype=bool)
+    nested_u[:, 0] = nested_u[:, 10] = nested_u[8, :] = True
+    nested_u[:6, 3] = nested_u[:6, 7] = nested_u[5, 3:8] = True
+    nested_u[6, 5] = nested_u[7, 5] = True  # inner U hangs off the outer one's floor
+    two_spirals = np.zeros((15, 32), dtype=bool)
+    two_spirals[:, :15] = _spiral(15)
+    two_spirals[:, 16:31] = _spiral(15)[:, ::-1]
+    edges = np.zeros((9, 10), dtype=bool)
+    edges[0, :] = True  # a run spanning the whole row
+    edges[2, :3] = True  # touches column 0
+    edges[2, 7:] = True  # touches the last column
+    edges[4:, 0] = edges[4:, 9] = True
+    edges[8, :] = True
+    ties = np.zeros((10, 12), dtype=bool)  # five components of area 4
+    ties[6:8, 0:2] = True
+    ties[1:5, 10] = True
+    ties[0:2, 4:6] = True  # first in scan order: the winner
+    ties[3, 2:5] = ties[4, 4] = True
+    ties[8, 6:10] = True
+    ties_same_row = np.zeros((5, 8), dtype=bool)
+    ties_same_row[1:3, 0:2] = True
+    ties_same_row[1:5, 6] = True
+    ties_same_row[0, 3] = True  # area 1, below min_area 2
+    return {
+        "empty": np.zeros((9, 13), dtype=bool),
+        "full": np.ones((9, 13), dtype=bool),
+        "checkerboard": (yy + xx) % 2 == 0,
+        "checkerboard_odd": (yy + xx) % 2 == 1,
+        "u": u,
+        "lopsided_u": lopsided_u,
+        "comb": comb,
+        "nested_u": nested_u,
+        "spiral": _spiral(17),
+        "two_spirals": two_spirals,
+        "edges": edges,
+        "ties": ties,
+        "ties_same_row": ties_same_row,
+    }
+
+
+MIN_AREAS = (0, 1, 2, 4, 30, 10**6)
+
+
+class TestBlobOracle:
+    """largest_blob must return exactly the per-pixel flood fill's Blob."""
+
+    @staticmethod
+    def _agree(bits: np.ndarray) -> None:
+        mask = BinaryMask(bits.shape[1], bits.shape[0], bits)
+        for min_area in MIN_AREAS:
+            assert largest_blob(mask, min_area) == naive_largest_blob(mask, min_area), (bits.shape, min_area)
+
+    @pytest.mark.parametrize("name", sorted(_named_masks()))
+    def test_constructed_masks(self, name):
+        self._agree(_named_masks()[name])
+
+    def test_seeded_random_masks(self):
+        rng = np.random.default_rng(5005)
+        shapes = [(1, 1), (1, 37), (41, 1), (2, 2), (3, 70), (70, 3), (70, 70)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 71, 2)) for _ in range(20)]
+        for shape in shapes:
+            for density in (0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 1.0):
+                self._agree(rng.random(shape) < density)
+
+    def test_oracle_sanity(self):
+        masks = _named_masks()
+        checker = masks["checkerboard"]
+        one = naive_largest_blob(BinaryMask(11, 10, checker), 1)
+        assert (one.area, one.top_left) == (1, (0, 0))
+        full = naive_largest_blob(BinaryMask(13, 9, masks["full"]), 1)
+        assert (full.area, full.pixel_centroid) == (117, (6.0, 4.0))
+        spiral = masks["spiral"]
+        assert naive_largest_blob(BinaryMask(17, 17, spiral), 1).area == spiral.sum()
+        assert naive_largest_blob(BinaryMask(9, 8, masks["lopsided_u"]), 1).top_left == (0, 6)
+        assert naive_largest_blob(BinaryMask(12, 10, masks["ties"]), 1).top_left == (0, 4)
+        assert naive_largest_blob(BinaryMask(8, 5, masks["ties_same_row"]), 2).top_left == (1, 0)
+        assert naive_largest_blob(BinaryMask(13, 9, masks["empty"]), 0) is None
 
 
 class TestHomography:
@@ -307,3 +422,110 @@ class TestCalibration:
         entries[2]["z"] = 1
         with pytest.raises(ValueError, match="entry 2"):
             load_calibration(json.dumps(entries))
+
+    def test_integer_fields_load_as_floats(self):
+        entries = [{"px": i, "py": 0, "wx_m": i, "wy_m": 1} for i in range(4)]
+        pixel_pts, world_pts = load_calibration(json.dumps(entries))
+        assert pixel_pts.dtype == world_pts.dtype == np.float64
+        assert world_pts.tolist() == [[float(i), 1.0] for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            pytest.param('"1.0"', id="string"),
+            pytest.param("true", id="bool"),
+            pytest.param("NaN", id="nan"),
+            pytest.param("-Infinity", id="infinity"),
+            pytest.param("1" + "0" * 400, id="integer-beyond-float"),
+            pytest.param("null", id="null"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_value_rejected(self, literal):
+        entries = [{"px": i, "py": 0, "wx_m": i, "wy_m": 0} for i in range(4)]
+        entries[1]["px"] = "@VALUE@"
+        text = json.dumps(entries).replace('"@VALUE@"', literal)
+        with pytest.raises(ValueError, match="calibration entry 1: 'px' must be a finite number"):
+            load_calibration(text)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValueError, match="malformed calibration JSON"):
+            load_calibration("[" * 100_000)
+
+    def test_missing_field_named(self):
+        entries = [{"px": i, "py": 0, "wx_m": i, "wy_m": 0} for i in range(4)]
+        del entries[3]["wy_m"]
+        with pytest.raises(ValueError, match="calibration entry 3: missing field 'wy_m'"):
+            load_calibration(json.dumps(entries))
+
+
+# Replacement tokens for the fuzzers: numbers out of range, non-finite
+# spellings, and things that are not numbers at all.
+FUZZ_TOKENS = [
+    "0", "-1", "255", "65535", "1e3", "-0", "99999999999999999999", "1" * 5000,
+    "NaN", "nan", "Infinity", "-Infinity", "inf", "1e400", "true", "null",
+    '"1.0"', "[]", "{}", "[[[[", "}", ",", "#", "P5", "P2", "\xff", "",
+]
+
+
+def _mutate(rng: np.random.Generator, data: bytes) -> bytes:
+    """One random mutation: byte flips, truncation, a dropped, extra or
+    replaced token."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        buf = bytearray(data)
+        for pos in rng.integers(0, len(buf), int(rng.integers(1, 4))):
+            buf[pos] = int(rng.integers(256))
+        return bytes(buf)
+    if kind == 1:
+        return data[: int(rng.integers(len(data)))]
+    tokens = list(re.finditer(rb"[^\s,:\[\]{}]+", data))
+    tok = tokens[int(rng.integers(len(tokens)))]
+    new = FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))].encode("latin-1")
+    if kind == 2:
+        return data[: tok.start()] + data[tok.end() :]
+    if kind == 3:
+        return data[: tok.start()] + new + b" " + data[tok.start() :]
+    return data[: tok.start()] + new + data[tok.end() :]
+
+
+class TestParserFuzz:
+    """Mutated inputs either parse to finite arrays or raise ValueError;
+    any other exception, or a hang, fails the suite."""
+
+    def test_parse_pgm(self):
+        rng = np.random.default_rng(6161)
+        payload = rng.integers(0, 256, 35, dtype=np.uint8).tobytes()
+        valid = b"P5\n# fixture\n7 5\n255\n" + payload
+        accepted = 0
+        for _ in range(3000):
+            data = _mutate(rng, valid)
+            try:
+                img = parse_pgm(data)
+            except ValueError:
+                continue
+            accepted += 1
+            assert img.pixels.shape == (img.height, img.width)
+            assert img.pixels.dtype == np.uint8
+        assert accepted > 0  # some mutations (e.g. in the payload) stay valid
+
+    def test_load_calibration(self):
+        rng = np.random.default_rng(6262)
+        entries = [
+            {"px": 0, "py": 0, "wx_m": -0.3, "wy_m": -0.3},
+            {"px": 60, "py": 0, "wx_m": 0.3, "wy_m": -0.3},
+            {"px": 60, "py": 60.5, "wx_m": 0.3, "wy_m": 0.3},
+            {"px": 0, "py": 60, "wx_m": -0.3, "wy_m": 0.3},
+            {"px": 30, "py": 30, "wx_m": 0.0, "wy_m": 0.0},
+        ]
+        valid = json.dumps(entries).encode()
+        accepted = 0
+        for _ in range(3000):
+            text = _mutate(rng, valid).decode("latin-1")
+            try:
+                pixel_pts, world_pts = load_calibration(text)
+            except ValueError:
+                continue
+            accepted += 1
+            assert pixel_pts.shape == world_pts.shape == (len(pixel_pts), 2)
+            assert np.isfinite(pixel_pts).all() and np.isfinite(world_pts).all()
+        assert accepted > 0
