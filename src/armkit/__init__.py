@@ -30,9 +30,7 @@ from .kinematics import (
     forward_kinematics,
     geometric_jacobian,
     matrix_to_pose,
-    numeric_jacobian,
     pose_to_matrix,
-    transform_is_valid,
 )
 from .planner import (
     GRIPPER_CLOSED,
@@ -77,7 +75,6 @@ from .vision import (
     pgm_bytes,
     pixel_to_world,
     read_pgm,
-    rgb_to_gray,
     subtract_images,
     write_pgm,
 )

@@ -16,7 +16,7 @@ import numpy as np
 from .dh_model import ArmConfigError, ArmModel, JointConfig, load_arm_config
 from .ik_solver import IkResult, NoConvergenceError, UnreachableError, solve_ik, solve_ik_position_only
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
-from .planner import encode_servo_frames, plan_pick_place, plan_to_trajectory, top_down_pose, DEFAULT_CLEARANCE_M
+from .planner import encode_servo_frames, frames_to_text, plan_pick_place, plan_to_trajectory, top_down_pose, DEFAULT_CLEARANCE_M
 from .simulator import SimConfig, replay_frames, run_pick_cycle
 from .vision import Detection, detect_object, estimate_homography, load_calibration, read_pgm
 
@@ -140,9 +140,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     object_pose = top_down_pose(*args.object_pos)
     place_pose = top_down_pose(*args.place_pos)
     plan = plan_pick_place(model, object_pose, place_pose, clearance=args.clearance)
-    trajectory = plan_to_trajectory(model, plan)
-    for frame in encode_servo_frames(trajectory):
-        sys.stdout.write(frame.encode())
+    sys.stdout.write(frames_to_text(encode_servo_frames(plan_to_trajectory(model, plan))))
     return EXIT_OK
 
 

@@ -197,7 +197,7 @@ def load_arm_config(text: str) -> ArmModel:
         # Every JSON number becomes a float (too-large integers become inf),
         # so bools and strings fail the float check and nothing overflows.
         doc = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ArmConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArmConfigError("top level must be a JSON object")

@@ -22,6 +22,11 @@ from .kinematics import (
 # identical solve inputs always produce bit-identical results.
 RESTART_RNG_SEED = 0xA5C0FFEE
 
+# Step damping; positive, so J J^T + damping^2 I is invertible everywhere.
+DLS_DAMPING = 1e-2
+# Largest joint change of one step (infinity norm), radians.
+STEP_LIMIT_RAD = 0.3
+
 # Maps an end-effector transform to (error vector, position error, orientation
 # error); the error vector's length picks the Jacobian rows a step uses.
 Residual = Callable[[np.ndarray], tuple[np.ndarray, float, float]]
@@ -29,15 +34,14 @@ Residual = Callable[[np.ndarray], tuple[np.ndarray, float, float]]
 
 @dataclass(frozen=True)
 class IkSettings:
-    """Solver knobs.  Defaults are an order of magnitude tighter than typical
-    hobby-arm sensing error, so the solver never dominates the error budget."""
+    """Convergence tolerances and the attempt budget.  The tolerances are an
+    order of magnitude tighter than typical hobby-arm sensing error, so the
+    solver never dominates the error budget."""
 
     position_tolerance: float = 1e-4
     orientation_tolerance: float = 1e-3
     max_iterations: int = 200
-    damping: float = 1e-2
     restarts: int = 8
-    step_limit: float = 0.3
 
     def __post_init__(self) -> None:
         # Written as negated comparisons so NaN fails them too.
@@ -47,10 +51,6 @@ class IkSettings:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (self.damping >= 0.0):
-            raise ValueError("damping must be >= 0")
-        if not (self.step_limit > 0.0):
-            raise ValueError("step_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,11 @@ def solve_ik(
     """Find a limit-respecting configuration whose forward kinematics match
     ``target`` in position and orientation.
 
-    Damped least squares: dq = J^T (J J^T + damping^2 I)^-1 e, with each step
-    clamped to ``step_limit`` (infinity norm) and angles projected onto their
-    limits after every update.  If the seed fails, ``restarts`` deterministic
-    pseudo-random seeds are tried and the successful solution closest to the
-    original seed (joint-space L2, radians) is returned.
+    Damped least squares: dq = J^T (J J^T + DLS_DAMPING^2 I)^-1 e, with each
+    step clamped to STEP_LIMIT_RAD (infinity norm) and angles projected onto
+    their limits after every update.  If the seed fails, ``restarts``
+    deterministic pseudo-random seeds are tried and the successful solution
+    closest to the original seed (joint-space L2, radians) is returned.
 
     Raises UnreachableError without iterating when the target position lies
     beyond the reach bound, NoConvergenceError when every attempt fails.
@@ -162,25 +162,17 @@ def _converged(pos_err: float, ori_err: float, settings: IkSettings) -> bool:
 
 
 def _dls_step(
-    model: ArmModel,
-    q_rad: np.ndarray,
-    err: np.ndarray,
-    settings: IkSettings,
-    frames: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """One damped-least-squares update, step-limited; None if the normal
-    equations are singular (possible only with zero damping).  Uses the
-    first ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose."""
+    model: ArmModel, q_rad: np.ndarray, err: np.ndarray, frames: np.ndarray | None = None
+) -> np.ndarray:
+    """One damped-least-squares update, step-limited.  Uses the first
+    ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose."""
     J = _geometric_jacobian_rad(model, q_rad, frames)[: len(err)]
     JJt = J @ J.T
-    JJt[np.diag_indices_from(JJt)] += settings.damping**2
-    try:
-        dq = J.T @ np.linalg.solve(JJt, err)
-    except np.linalg.LinAlgError:
-        return None
+    JJt[np.diag_indices_from(JJt)] += DLS_DAMPING**2
+    dq = J.T @ np.linalg.solve(JJt, err)
     m = float(np.max(np.abs(dq)))
-    if m > settings.step_limit:
-        dq *= settings.step_limit / m
+    if m > STEP_LIMIT_RAD:
+        dq *= STEP_LIMIT_RAD / m
     return dq
 
 
@@ -210,10 +202,7 @@ def _attempt(
                 return IkResult(config, it, final_pos, final_ori, restart_index), best
         if it == settings.max_iterations:
             break
-        dq = _dls_step(model, q, e, settings, frames)
-        if dq is None:
-            break
-        q = np.clip(q + dq, lo_rad, hi_rad)
+        q = np.clip(q + _dls_step(model, q, e, frames), lo_rad, hi_rad)
     return None, best
 
 

@@ -1,4 +1,4 @@
-"""Forward kinematics, pose/quaternion algebra, and Jacobians.
+"""Forward kinematics, pose/quaternion algebra, and the analytic Jacobian.
 
 All transforms are plain 4x4 numpy arrays: rotation block in the upper left,
 translation (meters) in the upper right, bottom row [0, 0, 0, 1].
@@ -12,9 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from .dh_model import JOINT_COUNT, ArmModel, DHRow, JointConfig
-
-# Central-difference step for the finite-difference Jacobian, radians.
-JACOBIAN_FD_STEP_RAD = 1e-6
 
 
 def _dh_matrices(theta: np.ndarray, alpha: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -66,19 +63,6 @@ def forward_kinematics(model: ArmModel, q: JointConfig) -> np.ndarray:
     Defined for every configuration; limit validity is not required.
     """
     return _link_frames(model, q.radians)[-1]
-
-
-def transform_is_valid(T: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when T is a well-formed rigid transform within ``tol``."""
-    T = np.asarray(T)
-    if T.shape != (4, 4) or not np.all(np.isfinite(T)):
-        return False
-    if not np.array_equal(T[3], np.array([0.0, 0.0, 0.0, 1.0])):
-        return False
-    R = T[:3, :3]
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        return False
-    return abs(float(np.linalg.det(R)) - 1.0) <= tol
 
 
 def invert_transform(T: np.ndarray) -> np.ndarray:
@@ -173,10 +157,6 @@ class Pose6D:
         q = _canonical_quat(raw)
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "quaternion", tuple(float(v) for v in q))
-
-    @classmethod
-    def identity(cls) -> "Pose6D":
-        return cls((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_position_euler_zyx(
@@ -285,24 +265,3 @@ def _geometric_jacobian_rad(
 def geometric_jacobian(model: ArmModel, q: JointConfig) -> np.ndarray:
     """Analytic 6x6 Jacobian: linear rows m/rad, angular rows rad/rad."""
     return _geometric_jacobian_rad(model, q.radians)
-
-
-def numeric_jacobian(model: ArmModel, q: JointConfig) -> np.ndarray:
-    """Central finite-difference 6x6 Jacobian.
-
-    Column i differentiates the end-effector twist with respect to joint i;
-    angular rows come from the log of the relative rotation across the step.
-    """
-    q0 = q.radians
-    h = JACOBIAN_FD_STEP_RAD
-    J = np.empty((6, JOINT_COUNT))
-    for i in range(JOINT_COUNT):
-        qp = q0.copy()
-        qm = q0.copy()
-        qp[i] += h
-        qm[i] -= h
-        Tp = _link_frames(model, qp)[-1]
-        Tm = _link_frames(model, qm)[-1]
-        J[:3, i] = (Tp[:3, 3] - Tm[:3, 3]) / (2.0 * h)
-        J[3:, i] = rotation_log(Tp[:3, :3] @ Tm[:3, :3].T) / (2.0 * h)
-    return J

@@ -22,7 +22,7 @@ GRIPPER_OPEN: GripperState = "open"
 GRIPPER_CLOSED: GripperState = "closed"
 
 DEFAULT_CLEARANCE_M = 0.05
-DEFAULT_MAX_STEP_DEG = 2.0
+MAX_STEP_DEG = 2.0
 
 # Grasp schema: approach from above, close once at grasp, open once at place.
 WAYPOINT_ORDER = ("home", "pre_grasp", "grasp", "lift", "pre_place", "place", "retreat")
@@ -44,12 +44,6 @@ class GraspPlan:
     """Ordered, named, solved waypoints of one pick-and-place cycle."""
 
     waypoints: tuple[Waypoint, ...]
-
-    def waypoint(self, name: str) -> Waypoint:
-        for wp in self.waypoints:
-            if wp.name == name:
-                return wp
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -180,11 +174,10 @@ def interpolate_trajectory(
     return Trajectory(tuple(knots))
 
 
-def plan_to_trajectory(
-    model: ArmModel, plan: GraspPlan, *, max_step_deg: float = DEFAULT_MAX_STEP_DEG
-) -> Trajectory:
-    """Interpolate the plan's solved waypoint configurations in joint space."""
-    return interpolate_trajectory(model, [(wp.config, wp.gripper) for wp in plan.waypoints], max_step_deg)
+def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:
+    """Interpolate the plan's solved waypoint configurations in joint space,
+    at most MAX_STEP_DEG per joint between knots."""
+    return interpolate_trajectory(model, [(wp.config, wp.gripper) for wp in plan.waypoints], MAX_STEP_DEG)
 
 
 def _round_half_up_centideg(angle_deg: float) -> int:

@@ -15,11 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dh_model import JOINT_COUNT, ArmModel, JointConfig
-from .ik_solver import IkSettings
 from .kinematics import Pose6D, forward_kinematics, invert_transform, matrix_to_pose, pose_to_matrix
 from .planner import (
     DEFAULT_CLEARANCE_M,
-    DEFAULT_MAX_STEP_DEG,
     GRIPPER_CLOSED,
     GRIPPER_OPEN,
     GripperState,
@@ -32,6 +30,12 @@ from .planner import (
 # A cycle places successfully when the object ends within this distance of
 # the requested place position.
 PLACE_TOLERANCE_M = 0.002
+# Closing the gripper captures a free object whose origin lies within this
+# distance of the tool origin.
+CAPTURE_RADIUS_M = 0.01
+# Smallest joint move per tick, degrees: a tenth of the wire's 0.01-degree
+# step, so no frame (at most 360 degrees of travel) needs over 360,000 ticks.
+MIN_MOVE_PER_TICK_DEG = 1e-3
 
 _INT = r"(?:0|[1-9]\d*)"
 _FRAME_RE = re.compile(
@@ -51,7 +55,6 @@ class SimConfig:
 
     rate_limit_deg_s: float = 300.0
     tick_s: float = 0.01
-    capture_radius_m: float = 0.01
 
     def __post_init__(self) -> None:
         # Written as negated comparisons so NaN fails them too.
@@ -59,8 +62,8 @@ class SimConfig:
             raise ValueError("rate_limit_deg_s must be positive")
         if not (0.0 < self.tick_s < math.inf):
             raise ValueError("tick_s must be positive and finite")
-        if not (self.capture_radius_m > 0.0):
-            raise ValueError("capture_radius_m must be positive")
+        if not (self.rate_limit_deg_s * self.tick_s >= MIN_MOVE_PER_TICK_DEG):
+            raise ValueError(f"rate_limit_deg_s * tick_s must be >= {MIN_MOVE_PER_TICK_DEG} degrees")
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _tool_transform(model: ArmModel, state: SimState) -> np.ndarray:
     return forward_kinematics(model, JointConfig(state.current_deg))
 
 
-def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState, config: SimConfig) -> SimState:
+def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> SimState:
     """Instantaneous gripper transition with proximity capture / release."""
     if gripper == state.gripper:
         return state
@@ -112,7 +115,7 @@ def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState, config
             tool = _tool_transform(model, state)
             obj = pose_to_matrix(state.object_pose)
             reach = float(np.linalg.norm(tool[:3, 3] - obj[:3, 3]))
-            if reach <= config.capture_radius_m:
+            if reach <= CAPTURE_RADIUS_M:
                 rel = invert_transform(tool) @ obj
                 return replace(
                     state,
@@ -141,7 +144,7 @@ def apply_frame(
     """Accept one frame: update targets and gripper; motion happens in steps.
 
     Frames must arrive with strictly increasing sequence numbers and targets
-    inside the joint limits.
+    inside the joint limits.  ``config`` is unused; it matches settle's.
     """
     if frame.seq <= state.last_seq:
         raise FrameError(
@@ -158,7 +161,7 @@ def apply_frame(
             )
     new = replace(state, target_deg=target, last_seq=frame.seq)
     gripper = GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN
-    return _set_gripper(model, new, gripper, config)
+    return _set_gripper(model, new, gripper)
 
 
 def sim_step(
@@ -226,10 +229,7 @@ def run_pick_cycle(
     object_pose: Pose6D,
     place_pose: Pose6D,
     *,
-    ik_settings: IkSettings = IkSettings(),
-    sim_config: SimConfig = SimConfig(),
     clearance: float = DEFAULT_CLEARANCE_M,
-    max_step_deg: float = DEFAULT_MAX_STEP_DEG,
 ) -> CycleReport:
     """Plan, encode, and execute a full pick-and-place cycle in simulation.
 
@@ -237,15 +237,13 @@ def run_pick_cycle(
     the requested place position.  Planning failures raise before any frame is
     sent; execution itself never errors.
     """
-    plan = plan_pick_place(
-        model, object_pose, place_pose, clearance=clearance, ik_settings=ik_settings
-    )
-    trajectory = plan_to_trajectory(model, plan, max_step_deg=max_step_deg)
+    plan = plan_pick_place(model, object_pose, place_pose, clearance=clearance)
+    trajectory = plan_to_trajectory(model, plan)
     frames = encode_servo_frames(trajectory)
     state = initial_state(model, object_pose=object_pose)
     for frame in frames:
-        state = apply_frame(model, state, frame, sim_config)
-        state = settle(model, state, sim_config)
+        state = apply_frame(model, state, frame)
+        state = settle(model, state)
     final = state.object_pose
     success = final is not None and (
         float(np.linalg.norm(np.array(final.position) - np.array(place_pose.position)))

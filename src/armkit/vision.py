@@ -95,15 +95,6 @@ class Detection:
     world_point: tuple[float, float, float]
 
 
-def rgb_to_gray(rgb) -> GrayImage:
-    """Luminance conversion 0.299 R + 0.587 G + 0.114 B, rounded half up."""
-    arr = np.asarray(rgb, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError("expected an (h, w, 3) RGB array")
-    y = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
-    return GrayImage.from_array(np.floor(y + 0.5).astype(np.uint8))
-
-
 def subtract_images(background: GrayImage, frame: GrayImage, threshold: float) -> BinaryMask:
     """Foreground mask: pixel set iff |frame - background| > threshold."""
     if (background.width, background.height) != (frame.width, frame.height):
@@ -199,13 +190,6 @@ class Homography:
             raise HomographyError("homography is singular")
         H.flags.writeable = False
         object.__setattr__(self, "matrix", H)
-
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
-
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix))
 
 
 def _normalization(points: np.ndarray) -> np.ndarray:
@@ -322,13 +306,19 @@ def parse_pgm(data: bytes) -> GrayImage:
             raise ValueError("truncated PGM header")
         return data[start:pos]
 
+    def next_number() -> int:
+        token = next_token()
+        if not token.isdigit():  # ASCII digits only; int() also takes a sign and '_'
+            raise ValueError(f"{token!r} is not a decimal number")
+        return int(token)
+
     magic = next_token()
     if magic != b"P5":
         raise ValueError(f"unsupported PGM magic {magic!r}; only binary P5 is accepted")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
+        width = next_number()
+        height = next_number()
+        maxval = next_number()
     except ValueError as exc:
         raise ValueError(f"malformed PGM header: {exc}") from exc
     if maxval != 255:

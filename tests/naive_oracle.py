@@ -1,12 +1,21 @@
 """Hand-rolled oracles, independent of the package's numpy implementations.
 
 The kinematics oracles are plain lists and math functions so a bug in the
-library's array plumbing cannot hide in its own checker.  The blob oracle is
-a per-pixel flood fill, the straightforward counterpart of the library's
-run-based labeling."""
+library's array plumbing cannot hide in its own checker.  The finite-
+difference Jacobian checks the analytic one from the FK chain alone, and
+``transform_is_valid`` checks that FK output is a rigid transform.  The blob
+oracle is a per-pixel flood fill, the straightforward counterpart of the
+library's run-based labeling."""
 import math
 
+import numpy as np
+
 from armkit import BinaryMask, Blob
+from armkit.dh_model import JOINT_COUNT
+from armkit.kinematics import _link_frames, rotation_log
+
+# Central-difference step for the finite-difference Jacobian, radians.
+JACOBIAN_FD_STEP_RAD = 1e-6
 
 
 def naive_dh_matrix(theta_offset_deg, alpha_deg, a_m, d_m, joint_rad):
@@ -39,6 +48,40 @@ def naive_fk(dh_rows, q_deg):
     for (toff, alpha, a, d), angle_deg in zip(dh_rows, q_deg):
         T = matmul4(T, naive_dh_matrix(toff, alpha, a, d, math.radians(angle_deg)))
     return T
+
+
+def transform_is_valid(T, tol=1e-9):
+    """True when T is a well-formed rigid transform within ``tol``."""
+    T = np.asarray(T)
+    if T.shape != (4, 4) or not np.all(np.isfinite(T)):
+        return False
+    if not np.array_equal(T[3], np.array([0.0, 0.0, 0.0, 1.0])):
+        return False
+    R = T[:3, :3]
+    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+        return False
+    return abs(float(np.linalg.det(R)) - 1.0) <= tol
+
+
+def numeric_jacobian(model, q):
+    """Central finite-difference 6x6 Jacobian.
+
+    Column i differentiates the end-effector twist with respect to joint i;
+    angular rows come from the log of the relative rotation across the step.
+    """
+    q0 = q.radians
+    h = JACOBIAN_FD_STEP_RAD
+    J = np.empty((6, JOINT_COUNT))
+    for i in range(JOINT_COUNT):
+        qp = q0.copy()
+        qm = q0.copy()
+        qp[i] += h
+        qm[i] -= h
+        Tp = _link_frames(model, qp)[-1]
+        Tm = _link_frames(model, qm)[-1]
+        J[:3, i] = (Tp[:3, 3] - Tm[:3, 3]) / (2.0 * h)
+        J[3:, i] = rotation_log(Tp[:3, :3] @ Tm[:3, :3].T) / (2.0 * h)
+    return J
 
 
 def planar_2r_jacobian_linear(q1_rad, q2_rad, a1=1.0, a2=1.0):

@@ -31,7 +31,6 @@ from armkit import (
     initial_state,
     largest_blob,
     matrix_to_pose,
-    numeric_jacobian,
     parse_frame,
     parse_pgm,
     pgm_bytes,
@@ -46,7 +45,7 @@ from armkit.kinematics import quat_to_matrix
 from armkit.planner import GRIPPER_CLOSED, GRIPPER_OPEN
 
 from conftest import make_arm, random_arm, random_config
-from naive_oracle import naive_fk
+from naive_oracle import naive_fk, numeric_jacobian
 
 DEFAULT_ARM = default_arm()
 ROUNDTRIP_TRIALS = 1000

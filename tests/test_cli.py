@@ -135,6 +135,12 @@ class TestFk:
         assert main(["fk", "--config", str(bad), "--joints", MID]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 50_000)
+        assert main(["fk", "--config", str(deep), "--joints", MID]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
 
 class TestIk:
     def test_position_only_solve(self, config_path, capsys):
@@ -249,6 +255,22 @@ class TestPlanAndSim:
         assert len(out.splitlines()) == frame_count
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "object_pos, place_pos, sha256",
+        [
+            ("0.12,0.05,0.02", "-0.05,0.12,0.02", "d35d53e785cc7cd4de8832f0e7d9927c759900fce9b280601c988c75a8e6efae"),
+            ("0.17,0.0,0.02", "0.0,-0.12,0.02", "1f2ac273c45f1d7bbd66ec9753462d5bd94d2732f7b8306c9ffe47e3b640a67e"),
+        ],
+    )
+    def test_sim_output_is_pinned(self, wide_config_path, tmp_path, capsys, object_pos, place_pos, sha256):
+        """Replays the two pinned plan streams above."""
+        code = main(["plan", "--config", wide_config_path, f"--object-pos={object_pos}", f"--place-pos={place_pos}"])
+        assert code == 0
+        frames_path = tmp_path / "cycle.frames"
+        frames_path.write_text(capsys.readouterr().out)
+        assert main(["sim", "--config", wide_config_path, "--frames", str(frames_path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("flag", ["--rate", "--tick"])
     def test_sim_nan_setting_is_usage_error(self, config_path, tmp_path, capsys, flag):
         stream = tmp_path / "one.txt"
@@ -261,6 +283,12 @@ class TestPlanAndSim:
         stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\nF 1 0 18000 0 9000 18000 0 G 1\n")
         assert main(["sim", "--config", config_path, "--frames", str(stream), "--tick", "inf"]) == 2
         assert "tick_s" in capsys.readouterr().err
+
+    def test_sim_tiny_move_per_tick_is_usage_error(self, config_path, tmp_path, capsys):
+        stream = tmp_path / "two.txt"
+        stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\nF 1 0 18000 0 9000 18000 0 G 1\n")
+        assert main(["sim", "--config", config_path, "--frames", str(stream), "--rate", "1e-300"]) == 2
+        assert "rate_limit_deg_s * tick_s" in capsys.readouterr().err
 
     def test_sim_infinite_rate_gives_finite_report(self, config_path, tmp_path, capsys):
         stream = tmp_path / "two.txt"
@@ -333,6 +361,14 @@ class TestPick:
         final = doc["final_object_pose"]["position_m"]
         assert final[0] == pytest.approx(-0.15, abs=0.002)
         assert final[1] == pytest.approx(-0.1, abs=0.002)
+
+    def test_pick_output_is_pinned(self, wide_config_path, scene, capsys):
+        code = main(["pick", "--config", wide_config_path, *detect_args(scene), "--place-pos=-0.15,-0.1,0.02"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2e4272c106c035fdf038c183f5b30a5ceffa596d6a090a3040b6d0be277f9d54"
+        )
 
     def test_empty_scene_exits_4(self, wide_config_path, scene, capsys):
         args = detect_args(scene)

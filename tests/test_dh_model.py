@@ -140,6 +140,10 @@ class TestLoad:
         with pytest.raises(ArmConfigError, match="malformed JSON"):
             load_arm_config("{not json")
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ArmConfigError, match="malformed JSON"):
+            load_arm_config("[" * 50_000)
+
     def test_name_required(self):
         with pytest.raises(ArmConfigError, match="name"):
             load_arm_config(json.dumps({"joints": [_joint() for _ in range(6)]}))

@@ -12,9 +12,7 @@ from armkit import (
     forward_kinematics,
     geometric_jacobian,
     matrix_to_pose,
-    numeric_jacobian,
     pose_to_matrix,
-    transform_is_valid,
 )
 from armkit.kinematics import (
     euler_zyx_to_matrix,
@@ -25,7 +23,7 @@ from armkit.kinematics import (
 )
 
 from conftest import make_arm, random_arm, random_config
-from naive_oracle import naive_fk, planar_2r_jacobian_linear
+from naive_oracle import naive_fk, numeric_jacobian, planar_2r_jacobian_linear, transform_is_valid
 
 
 def random_rotation(rng):

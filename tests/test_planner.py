@@ -24,7 +24,7 @@ from armkit import (
     pose_to_matrix,
     top_down_pose,
 )
-from armkit.planner import WAYPOINT_ORDER
+from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
 
 from conftest import random_config
 
@@ -62,21 +62,23 @@ class TestPlan:
         rng = np.random.default_rng(113)
         obj, place = feasible_pair(arm, rng, 0.02)
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
-        grasp = plan.waypoint("grasp")
+        waypoints = {wp.name: wp for wp in plan.waypoints}
+        grasp = waypoints["grasp"]
         for name in ("pre_grasp", "lift"):
-            wp = plan.waypoint(name)
+            wp = waypoints[name]
             assert wp.pose.position[0] == grasp.pose.position[0]
             assert wp.pose.position[1] == grasp.pose.position[1]
             assert wp.pose.position[2] == pytest.approx(grasp.pose.position[2] + 0.02, abs=1e-15)
             assert wp.pose.quaternion == grasp.pose.quaternion
-        assert plan.waypoint("grasp").pose == obj
-        assert plan.waypoint("place").pose == place
+        assert grasp.pose == obj
+        assert waypoints["place"].pose == place
 
     def test_zero_clearance_collapses_pre_grasp_onto_grasp(self, arm):
         rng = np.random.default_rng(127)
         obj, place = feasible_pair(arm, rng, 0.0)
         plan = plan_pick_place(arm, obj, place, clearance=0.0, ik_settings=QUICK)
-        assert plan.waypoint("pre_grasp").pose == plan.waypoint("grasp").pose
+        waypoints = {wp.name: wp for wp in plan.waypoints}
+        assert waypoints["pre_grasp"].pose == waypoints["grasp"].pose
 
     def test_object_outside_workspace_names_grasp(self, arm):
         far = top_down_pose(2.0 * arm.workspace_bound(), 0.0, 0.0)
@@ -173,9 +175,8 @@ class TestPlanToTrajectory:
         rng = np.random.default_rng(151)
         obj, place = feasible_pair(arm, rng, 0.02)
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
-        max_step_deg = 2.0
-        traj = plan_to_trajectory(arm, plan, max_step_deg=max_step_deg)
-        bound = math.radians(max_step_deg) * arm.workspace_bound() + 1e-4
+        traj = plan_to_trajectory(arm, plan)
+        bound = math.radians(MAX_STEP_DEG) * arm.workspace_bound() + 1e-4
         positions = [forward_kinematics(arm, k.config)[:3, 3] for k in traj.knots]
         for p1, p2 in zip(positions, positions[1:]):
             assert float(np.linalg.norm(p2 - p1)) <= bound

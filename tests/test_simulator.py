@@ -133,8 +133,9 @@ class TestSimConfig:
         [
             {"rate_limit_deg_s": float("nan")},
             {"tick_s": float("nan")},
-            {"capture_radius_m": float("nan")},
             {"tick_s": float("inf")},
+            {"rate_limit_deg_s": 1e-300},
+            {"tick_s": 1e-7},
         ],
     )
     def test_nan_rejected(self, kwargs):

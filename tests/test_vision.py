@@ -17,7 +17,6 @@ from armkit import (
     pgm_bytes,
     pixel_to_world,
     read_pgm,
-    rgb_to_gray,
     subtract_images,
     write_pgm,
 )
@@ -287,7 +286,7 @@ class TestHomography:
 
 class TestPixelToWorld:
     def test_identity(self):
-        got = pixel_to_world(Homography.identity(), (3.0, 4.0), 0.0)
+        got = pixel_to_world(Homography(np.eye(3)), (3.0, 4.0), 0.0)
         assert np.array_equal(got, [3.0, 4.0, 0.0])
 
     def test_pure_scale_with_table_height(self):
@@ -305,7 +304,7 @@ class TestPixelToWorld:
             h = Homography(M)
             p = rng.uniform(0, 100, 2)
             w = pixel_to_world(h, p, 0.0)
-            back = pixel_to_world(h.inverse(), w[:2], 0.0)
+            back = pixel_to_world(Homography(np.linalg.inv(h.matrix)), w[:2], 0.0)
             assert np.linalg.norm(back[:2] - p) <= 1e-9
 
     def test_point_at_infinity_rejected(self):
@@ -317,13 +316,13 @@ class TestPixelToWorld:
 class TestDetect:
     def test_no_change_gives_none(self):
         img = image(32, 32, 10)
-        assert detect_object(img, img, Homography.identity(), threshold=20, min_area=5, table_height=0.0) is None
+        assert detect_object(img, img, Homography(np.eye(3)), threshold=20, min_area=5, table_height=0.0) is None
 
     def test_block_detected_at_centroid(self):
         background = image(64, 64)
         frame = with_block(background, slice(20, 30), slice(30, 40), 200)
         detection = detect_object(
-            background, frame, Homography.identity(), threshold=50, min_area=10, table_height=0.01
+            background, frame, Homography(np.eye(3)), threshold=50, min_area=10, table_height=0.01
         )
         assert detection.pixel_centroid == (34.5, 24.5)
         assert detection.area == 100
@@ -340,7 +339,7 @@ class TestDetect:
         background = image(80, 80)
         base = with_block(background, slice(10, 18), slice(12, 22), 255)
         moved = with_block(background, slice(10 + 7, 18 + 7), slice(12 + 13, 22 + 13), 255)
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         d0 = detect_object(background, base, h, threshold=40, min_area=5, table_height=0.0)
         d1 = detect_object(background, moved, h, threshold=40, min_area=5, table_height=0.0)
         assert d1.pixel_centroid[0] - d0.pixel_centroid[0] == 13.0
@@ -383,18 +382,13 @@ class TestPgm:
         with pytest.raises(ValueError, match="payload"):
             parse_pgm(b"P5\n4 4\n255\n" + bytes(7))
 
-
-class TestGrayConversion:
-    def test_luminance_values(self):
-        rgb = np.array(
-            [[[255, 0, 0], [0, 255, 0], [0, 0, 255], [10, 20, 30], [255, 255, 255]]]
-        )
-        gray = rgb_to_gray(rgb)
-        assert gray.pixels.tolist() == [[76, 150, 29, 18, 255]]
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="RGB"):
-            rgb_to_gray(np.zeros((4, 4)))
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n+1_0 1\n2_5_5\n", b"P5\n-1 1\n255\n", b"P5\n1_0 1\n255\n"],
+    )
+    def test_header_numbers_are_ascii_digits_only(self, header):
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            parse_pgm(header + bytes(10))
 
 
 class TestCalibration:
