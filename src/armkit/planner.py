@@ -13,7 +13,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .dh_model import ArmModel, JointConfig, clamp_to_limits
+# clamp_to_limits stays a module global for perfbench/tracing.py to rebind.
+from .dh_model import ArmModel, JointConfig, clamp_to_limits  # noqa: F401
 from .ik_solver import IkSettings, NoConvergenceError, UnreachableError, solve_ik
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
 
@@ -158,6 +159,7 @@ def interpolate_trajectory(
         raise ValueError("max_step_deg must be positive")
     if not waypoints:
         raise ValueError("at least one waypoint required")
+    lo, hi = model.limits_deg
     first_config, first_gripper = waypoints[0]
     knots = [TrajectoryKnot(first_config, first_gripper)]
     for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
@@ -165,10 +167,12 @@ def interpolate_trajectory(
         b = np.array(next_config.angles_deg)
         gap = float(np.max(np.abs(b - a)))
         steps = math.ceil(gap / max_step_deg)
-        for k in range(1, steps + 1):
-            t = k / steps
-            config = clamp_to_limits(model, JointConfig(tuple((1.0 - t) * a + t * b)))
-            knots.append(TrajectoryKnot(config, prev_gripper))
+        t = np.arange(1, steps + 1)[:, None] / steps
+        q = (1.0 - t) * a + t * b
+        # JointLimit.clamp's comparisons: np.clip would turn -0.0 into 0.0.
+        q = np.where(q < lo, lo, q)
+        q = np.where(q > hi, hi, q)
+        knots.extend(TrajectoryKnot(JointConfig(tuple(row)), prev_gripper) for row in q.tolist())
         if next_gripper != prev_gripper:
             knots.append(TrajectoryKnot(next_config, next_gripper))
     return Trajectory(tuple(knots))

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -97,8 +98,11 @@ def parse_frame(line: str) -> ServoFrame:
     m = _FRAME_RE.match(body)
     if m is None:
         raise FrameError(f"malformed servo frame: {line!r}")
-    seq = int(m.group(1))
-    centi = tuple(int(m.group(i)) for i in range(2, 8))
+    try:
+        seq = int(m.group(1))
+        centi = tuple(int(m.group(i)) for i in range(2, 8))
+    except ValueError as exc:  # more digits than int() converts
+        raise FrameError(f"malformed servo frame: a number has too many digits: {line[:40]!r}...") from exc
     return ServoFrame(seq=seq, centidegrees=centi, gripper_closed=m.group(8) == "1")
 
 
@@ -152,7 +156,10 @@ def apply_frame(
         )
     if len(frame.centidegrees) != JOINT_COUNT:
         raise FrameError(f"frame {frame.seq}: expected {JOINT_COUNT} angles")
-    target = tuple(c / 100.0 for c in frame.centidegrees)
+    try:
+        target = tuple(c / 100.0 for c in frame.centidegrees)
+    except OverflowError as exc:
+        raise FrameError(f"frame {frame.seq}: target beyond float range") from exc
     for i, (angle, lim) in enumerate(zip(target, model.limits)):
         if not lim.contains(angle):
             raise FrameError(
@@ -162,6 +169,29 @@ def apply_frame(
     new = replace(state, target_deg=target, last_seq=frame.seq)
     gripper = GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN
     return _set_gripper(model, new, gripper)
+
+
+def _carry(model: ArmModel, state: SimState) -> SimState:
+    """Put an attached object where the tool holds it now."""
+    if not state.attached:
+        return state
+    tool = _tool_transform(model, state)
+    obj = tool @ np.array(state.grasp_rel).reshape(4, 4)
+    return replace(state, object_pose=matrix_to_pose(obj))
+
+
+def _move_joints(state: SimState, dt: float, config: SimConfig) -> SimState:
+    """One tick of dt > 0: every joint slews toward its target at the rate
+    limit, arriving exactly (no overshoot)."""
+    max_move = config.rate_limit_deg_s * dt
+    current = []
+    for cur, tgt in zip(state.current_deg, state.target_deg):
+        gap = tgt - cur
+        if abs(gap) <= max_move:
+            current.append(tgt)
+        else:
+            current.append(cur + math.copysign(max_move, gap))
+    return replace(state, current_deg=tuple(current), elapsed_s=state.elapsed_s + dt)
 
 
 def sim_step(
@@ -174,27 +204,28 @@ def sim_step(
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
         return replace(state, elapsed_s=state.elapsed_s + 0.0)
-    max_move = config.rate_limit_deg_s * dt
-    current = []
-    for cur, tgt in zip(state.current_deg, state.target_deg):
-        gap = tgt - cur
-        if abs(gap) <= max_move:
-            current.append(tgt)
-        else:
-            current.append(cur + math.copysign(max_move, gap))
-    new = replace(state, current_deg=tuple(current), elapsed_s=state.elapsed_s + dt)
-    if new.attached:
-        tool = _tool_transform(model, new)
-        obj = tool @ np.array(new.grasp_rel).reshape(4, 4)
-        new = replace(new, object_pose=matrix_to_pose(obj))
-    return new
+    return _carry(model, _move_joints(state, dt, config))
+
+
+def _slew(state: SimState, config: SimConfig) -> tuple[SimState, bool]:
+    """Tick until every joint sits exactly on its target, leaving the object
+    pose as it was; also tells whether any tick ran."""
+    ticked = False
+    while state.current_deg != state.target_deg:
+        state = _move_joints(state, config.tick_s, config)
+        ticked = True
+    return state, ticked
 
 
 def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) -> SimState:
-    """Step until every joint sits exactly on its target."""
-    while state.current_deg != state.target_deg:
-        state = sim_step(model, state, config.tick_s, config)
-    return state
+    """Step until every joint sits exactly on its target.
+
+    An attached object is posed once, at the end, with the same bits as
+    carrying it every tick.  A state that needs no tick comes back as it is,
+    so an object captured on a zero-motion frame keeps its pose's exact bits
+    instead of passing through the tool transform and its inverse."""
+    state, ticked = _slew(state, config)
+    return _carry(model, state) if ticked else state
 
 
 @dataclass(frozen=True)
@@ -224,6 +255,29 @@ class CycleReport:
         return json.dumps(self.as_dict(), indent=2)
 
 
+def _run_frames(
+    model: ArmModel, state: SimState, frames: Iterable[ServoFrame], config: SimConfig
+) -> tuple[SimState, int]:
+    """Apply and settle each frame in turn; returns the final state and the
+    number of frames.
+
+    An attached object is posed once, after the last frame, and only if a
+    tick moved it since its capture: nothing reads its pose in between
+    (release poses it from the tool), so the bits match settling each frame.
+    Raises ValueError once the simulated time is no longer finite.
+    """
+    carried = False
+    count = 0
+    for frame in frames:
+        state = apply_frame(model, state, frame, config)
+        state, ticked = _slew(state, config)
+        carried = state.attached and (carried or ticked)
+        if not math.isfinite(state.elapsed_s):
+            raise ValueError(f"tick_s {config.tick_s} overflows the simulated time at frame {frame.seq}")
+        count += 1
+    return (_carry(model, state) if carried else state), count
+
+
 def run_pick_cycle(
     model: ArmModel,
     object_pose: Pose6D,
@@ -240,10 +294,7 @@ def run_pick_cycle(
     plan = plan_pick_place(model, object_pose, place_pose, clearance=clearance)
     trajectory = plan_to_trajectory(model, plan)
     frames = encode_servo_frames(trajectory)
-    state = initial_state(model, object_pose=object_pose)
-    for frame in frames:
-        state = apply_frame(model, state, frame)
-        state = settle(model, state)
+    state, _ = _run_frames(model, initial_state(model, object_pose=object_pose), frames, SimConfig())
     final = state.object_pose
     success = final is not None and (
         float(np.linalg.norm(np.array(final.position) - np.array(place_pose.position)))
@@ -260,14 +311,8 @@ def run_pick_cycle(
 def replay_frames(model: ArmModel, text: str, config: SimConfig = SimConfig()) -> CycleReport:
     """Execute a frame stream (one frame per line) with no workspace object;
     used to replay recorded plans byte-for-byte."""
-    state = initial_state(model)
-    count = 0
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        state = apply_frame(model, state, parse_frame(line), config)
-        state = settle(model, state, config)
-        count += 1
+    frames = (parse_frame(line) for line in text.splitlines() if line.strip())
+    state, count = _run_frames(model, initial_state(model), frames, config)
     return CycleReport(
         success=True, final_object_pose=None, frames_sent=count, sim_time_s=state.elapsed_s
     )

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +44,51 @@ def random_config(rng: np.random.Generator, model: ArmModel):
 
     lo, hi = model.limits_deg
     return JointConfig(tuple(rng.uniform(lo, hi)))
+
+
+# Replacement tokens for the fuzzers: numbers out of range, non-finite
+# spellings, and things that are not numbers at all.
+FUZZ_TOKENS = [
+    "0", "-1", "255", "65535", "1e3", "-0", "99999999999999999999", "9" * 400, "1" * 5000,
+    "NaN", "nan", "Infinity", "-Infinity", "inf", "1e400", "true", "null",
+    '"1.0"', "[]", "{}", "[[[[", "}", ",", "#", "P5", "P2", "\xff", "",
+]
+
+
+def mutate(rng: np.random.Generator, data: bytes) -> bytes:
+    """One random mutation: byte flips, truncation, a dropped, extra or
+    replaced token."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        buf = bytearray(data)
+        for pos in rng.integers(0, len(buf), int(rng.integers(1, 4))):
+            buf[pos] = int(rng.integers(256))
+        return bytes(buf)
+    if kind == 1:
+        return data[: int(rng.integers(len(data)))]
+    tokens = list(re.finditer(rb"[^\s,:\[\]{}]+", data))
+    tok = tokens[int(rng.integers(len(tokens)))]
+    new = FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))].encode("latin-1")
+    if kind == 2:
+        return data[: tok.start()] + data[tok.end() :]
+    if kind == 3:
+        return data[: tok.start()] + new + b" " + data[tok.start() :]
+    return data[: tok.start()] + new + data[tok.end() :]
+
+
+def float_bits(value):
+    """``value`` with every float replaced by its ``float.hex``, through
+    dataclasses, tuples and lists, so that comparing two results checks every
+    bit, the sign of zero included."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(float_bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            (f.name, float_bits(getattr(value, f.name))) for f in dataclasses.fields(value)
+        )
+    return value
 
 
 @pytest.fixture

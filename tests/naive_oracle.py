@@ -5,13 +5,15 @@ library's array plumbing cannot hide in its own checker.  The finite-
 difference Jacobian checks the analytic one from the FK chain alone, and
 ``transform_is_valid`` checks that FK output is a rigid transform.  The blob
 oracle is a per-pixel flood fill, the straightforward counterpart of the
-library's run-based labeling."""
+library's run-based labeling.  ``naive_settle`` carries an attached object on
+every tick and ``naive_interpolate`` builds and clamps one knot at a time:
+the per-step forms of the simulator's and planner's batched code."""
 import math
 
 import numpy as np
 
-from armkit import BinaryMask, Blob
-from armkit.dh_model import JOINT_COUNT
+from armkit import BinaryMask, Blob, JointConfig, SimConfig, Trajectory, TrajectoryKnot, sim_step
+from armkit.dh_model import JOINT_COUNT, clamp_to_limits
 from armkit.kinematics import _link_frames, rotation_log
 
 # Central-difference step for the finite-difference Jacobian, radians.
@@ -121,3 +123,30 @@ def naive_largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
                 # Scan order makes (r0, c0) the component's smallest (row, col).
                 best = Blob((sum_c / area, sum_r / area), area, (r0, c0))
     return best
+
+
+def naive_settle(model, state, config=SimConfig()):
+    """Step until every joint sits exactly on its target, carrying an
+    attached object along on each tick."""
+    while state.current_deg != state.target_deg:
+        state = sim_step(model, state, config.tick_s, config)
+    return state
+
+
+def naive_interpolate(model, waypoints, max_step_deg):
+    """Linear joint-space interpolation, one clamped knot at a time, with a
+    zero-motion knot at each gripper change."""
+    first_config, first_gripper = waypoints[0]
+    knots = [TrajectoryKnot(first_config, first_gripper)]
+    for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
+        a = np.array(prev_config.angles_deg)
+        b = np.array(next_config.angles_deg)
+        gap = float(np.max(np.abs(b - a)))
+        steps = math.ceil(gap / max_step_deg)
+        for k in range(1, steps + 1):
+            t = k / steps
+            config = clamp_to_limits(model, JointConfig(tuple((1.0 - t) * a + t * b)))
+            knots.append(TrajectoryKnot(config, prev_gripper))
+        if next_gripper != prev_gripper:
+            knots.append(TrajectoryKnot(next_config, next_gripper))
+    return Trajectory(tuple(knots))

@@ -1,0 +1,35 @@
+"""perfbench/run.py's ``--trace 0`` counter digest hashes the records of each
+gated workload's warm-up ops: frames sent, simulated time and where the object
+ended, bit for bit.  Pinning the digests here makes tier-1 fail when a change
+alters what the benchmark's ops return, without running the benchmark.
+perfbench/ is only read."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def run():
+    # run.py imports its sibling modules by their bare names.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize(
+    "workload, digest", [("pick_table", "8cd3f7a9068ed5e0"), ("sim_replay", "9821092664310ce9")]
+)
+def test_warm_up_records_are_pinned(run, workload, digest):
+    bench = run.WORKLOADS[workload](run.Env(), 8088)
+    warm = run.run_pass(bench, count=bench.warmup_ops)
+    assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
+    assert run.digest(warm.records) == digest

@@ -284,6 +284,19 @@ class TestPlanAndSim:
         assert main(["sim", "--config", config_path, "--frames", str(stream), "--tick", "inf"]) == 2
         assert "tick_s" in capsys.readouterr().err
 
+    def test_sim_time_overflow_is_usage_error(self, config_path, tmp_path, capsys):
+        # Each moving frame takes one 1e308-s tick; the second overflows.
+        stream = tmp_path / "three.txt"
+        stream.write_text(
+            "F 0 9000 13500 4500 13500 9000 4500 G 0\n"
+            "F 1 0 18000 0 9000 18000 0 G 1\n"
+            "F 2 9000 13500 4500 13500 9000 4500 G 0\n"
+        )
+        assert main(["sim", "--config", config_path, "--frames", str(stream), "--tick", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tick_s" in captured.err
+
     def test_sim_tiny_move_per_tick_is_usage_error(self, config_path, tmp_path, capsys):
         stream = tmp_path / "two.txt"
         stream.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\nF 1 0 18000 0 9000 18000 0 G 1\n")

@@ -14,10 +14,11 @@ from armkit import (
     clamp_to_limits,
     default_arm,
     dump_arm_config,
+    forward_kinematics,
     load_arm_config,
 )
 
-from conftest import make_arm, random_arm, random_config
+from conftest import make_arm, mutate, random_arm, random_config
 
 
 def _doc(joints, name="doc-arm"):
@@ -232,3 +233,25 @@ class TestTypes:
         for _ in range(100):
             q = random_config(rng, arm)
             assert check_limits(arm, q) == []
+
+
+class TestConfigFuzz:
+    """Mutated arm configuration documents either load to a model with
+    finite geometry, limits and FK, or raise ArmConfigError; any other
+    exception, or a hang, fails the suite."""
+
+    def test_load_arm_config(self):
+        rng = np.random.default_rng(6464)
+        valid = dump_arm_config(default_arm()).encode()
+        accepted = 0
+        for _ in range(3000):
+            text = mutate(rng, valid).decode("latin-1")
+            try:
+                model = load_arm_config(text)
+            except ArmConfigError:
+                continue
+            accepted += 1
+            rows = [(r.theta_offset_deg, r.alpha_deg, r.a_m, r.d_m) for r in model.rows]
+            assert np.isfinite(rows).all() and np.isfinite(model.limits_deg).all()
+            assert np.isfinite(forward_kinematics(model, model.mid_config())).all()
+        assert accepted > 0

@@ -26,7 +26,8 @@ from armkit import (
 )
 from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
 
-from conftest import random_config
+from conftest import float_bits, random_config
+from naive_oracle import naive_interpolate
 
 
 QUICK = IkSettings(restarts=3, max_iterations=150)
@@ -151,6 +152,25 @@ class TestInterpolation:
         traj = interpolate_trajectory(arm, waypoints, 2.0)
         for knot in traj.knots:
             assert check_limits(arm, knot.config) == []
+
+    def test_matches_per_knot_oracle_bit_for_bit(self, arm, wide_arm):
+        rng = np.random.default_rng(149)
+        for model in (arm, wide_arm):
+            lo, hi = model.limits_deg
+            for _ in range(300):
+                waypoints = []
+                for _ in range(int(rng.integers(1, 6))):
+                    # Signed zeros, exact limits and values past them, so the
+                    # clamp's handling of each shows in the knots' bits.
+                    pool = np.stack(
+                        [rng.uniform(lo - 20.0, hi + 20.0), lo, hi, np.full(6, -0.0), np.zeros(6)]
+                    )
+                    q = pool[rng.choice(5, 6, p=[0.4, 0.15, 0.15, 0.2, 0.1]), np.arange(6)]
+                    gripper = GRIPPER_CLOSED if rng.random() < 0.5 else GRIPPER_OPEN
+                    waypoints.append((JointConfig(tuple(q)), gripper))
+                step = float(rng.uniform(0.5, 10.0))
+                got = interpolate_trajectory(model, waypoints, step)
+                assert float_bits(got) == float_bits(naive_interpolate(model, waypoints, step))
 
     def test_max_step_must_be_positive(self, arm):
         a = arm.mid_config()

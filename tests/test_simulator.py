@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from armkit import (
     Pose6D,
     ServoFrame,
     SimConfig,
+    SimState,
     Trajectory,
     TrajectoryKnot,
     UnreachableError,
@@ -32,9 +35,10 @@ from armkit import (
     top_down_pose,
 )
 from armkit.kinematics import invert_transform, pose_to_matrix
-from armkit.simulator import PLACE_TOLERANCE_M
+from armkit.simulator import PLACE_TOLERANCE_M, _run_frames
 
-from conftest import random_config
+from conftest import float_bits, mutate, random_config
+from naive_oracle import naive_settle
 
 
 QUICK = IkSettings(restarts=3, max_iterations=150)
@@ -53,6 +57,37 @@ def feasible_pair(model, rng, clearance=0.02):
             return obj, place
         except (UnreachableError, NoConvergenceError):
             continue
+
+
+def random_sim_config(rng):
+    return SimConfig(
+        rate_limit_deg_s=float(rng.uniform(100.0, 400.0)), tick_s=float(rng.uniform(0.002, 0.02))
+    )
+
+
+def grasp_stream(rng, model, length):
+    """A wire stream of random moves, pauses (frames that repeat the angles)
+    and gripper changes on zero-motion frames, with the tool returning to the
+    object to grasp it again.  The object starts at the tool of the parked
+    arm, so a close there captures it at once."""
+    lo, hi = (np.rint(100.0 * model.limits_deg)).astype(int)
+    q = np.rint(100.0 * np.array(model.mid_config().angles_deg)).astype(int)
+    at_object = q.copy()
+    closed = holding = False
+    lines = []
+    for seq in range(length):
+        r = rng.random()
+        if r < 0.3:
+            if closed and holding:
+                at_object = q.copy()
+            holding = not closed and np.array_equal(q, at_object)
+            closed = not closed
+        elif r < 0.45 and not holding:
+            q = at_object.copy()
+        elif r < 0.8:
+            q = np.clip(q + rng.integers(-500, 501, 6), lo, hi)
+        lines.append(f"F {seq} {' '.join(str(v) for v in q)} G {int(closed)}\n")
+    return "".join(lines)
 
 
 class TestWireGrammar:
@@ -125,6 +160,38 @@ class TestApplyFrame:
         frame = ServoFrame(0, (0, 13500, 4500, 13500, 9000, 9100), False)
         with pytest.raises(FrameError, match="joint 5"):
             apply_frame(arm, initial_state(arm), frame)
+
+
+class TestFrameFuzz:
+    """Mutated wire frames either parse and apply to finite targets within
+    the limits, or raise FrameError; any other exception, or a hang, fails
+    the suite."""
+
+    def test_parse_and_apply_frame(self, arm):
+        rng = np.random.default_rng(6363)
+        lines = grasp_stream(rng, arm, 40).splitlines(keepends=True)
+        lo, hi = arm.limits_deg
+        accepted = refused = 0
+        for _ in range(3000):
+            text = mutate(rng, lines[int(rng.integers(len(lines)))].encode()).decode("latin-1")
+            try:
+                frame = parse_frame(text)
+            except FrameError:
+                continue
+            # Half the time the frame repeats the last sequence number.
+            state = replace(initial_state(arm), last_seq=frame.seq - int(rng.integers(0, 2)))
+            try:
+                state = settle(arm, apply_frame(arm, state, frame))
+            except FrameError:
+                refused += 1
+                continue
+            accepted += 1
+            target = np.array(state.target_deg)
+            assert state.last_seq == frame.seq
+            assert state.current_deg == state.target_deg
+            assert np.isfinite(target).all() and np.all(lo <= target) and np.all(target <= hi)
+            assert math.isfinite(state.elapsed_s)
+        assert accepted > 0 and refused > 0
 
 
 class TestSimConfig:
@@ -256,6 +323,98 @@ class TestGrasping:
         assert state.gripper == GRIPPER_CLOSED
 
 
+class TestSettleOracle:
+    """The simulator poses an attached object once per settle and once per
+    stream; the oracle carries it on every tick.  Results must agree bit for
+    bit."""
+
+    def test_settle_matches_per_tick_oracle(self, arm, wide_arm):
+        rng = np.random.default_rng(211)
+        attached_moves = 0
+        for model in (arm, wide_arm):
+            lo, hi = model.limits_deg
+            for _ in range(150):
+                current = rng.uniform(lo, hi)
+                target = np.clip(current + rng.uniform(-10.0, 10.0, 6), lo, hi)
+                target = np.where(rng.random(6) < 0.3, current, target)
+                if rng.random() < 0.1:
+                    target = current  # no tick at all
+                obj = fk_pose(model, random_config(rng, model))
+                state = SimState(
+                    current_deg=tuple(current), target_deg=tuple(target),
+                    elapsed_s=float(rng.uniform(0.0, 5.0)), object_pose=obj,
+                )
+                if rng.random() < 0.5:
+                    tool = forward_kinematics(model, JointConfig(state.current_deg))
+                    rel = invert_transform(tool) @ pose_to_matrix(obj)
+                    state = replace(
+                        state, gripper=GRIPPER_CLOSED, attached=True,
+                        grasp_rel=tuple(float(v) for v in rel.reshape(-1)),
+                    )
+                config = random_sim_config(rng)
+                settled = settle(model, state, config)
+                assert float_bits(settled) == float_bits(naive_settle(model, state, config))
+                attached_moves += state.attached and settled.object_pose != obj
+        assert attached_moves > 100
+
+    def test_zero_motion_capture_keeps_the_object_pose(self, arm):
+        # Off the tool point, so that FK times its inverse would move the
+        # pose's last bits.
+        tool = fk_pose(arm, arm.mid_config())
+        obj = Pose6D(tuple(np.add(tool.position, (0.003, -0.002, 0.001))), tool.quaternion)
+        state = initial_state(arm, object_pose=obj)
+        close = encode_servo_frames(Trajectory((TrajectoryKnot(arm.mid_config(), GRIPPER_CLOSED),)))[0]
+        state = apply_frame(arm, state, close)
+        assert state.attached
+        assert float_bits(settle(arm, state)) == float_bits(state)
+        final, count = _run_frames(arm, initial_state(arm, object_pose=obj), [close], SimConfig())
+        assert count == 1
+        assert float_bits(final) == float_bits(state)
+        assert float_bits(final.object_pose) == float_bits(obj)
+
+    def test_streams_match_per_tick_oracle(self, arm, wide_arm):
+        rng = np.random.default_rng(223)
+        regrasps = 0
+        for model in (arm, wide_arm):
+            obj = fk_pose(model, model.mid_config())
+            for _ in range(25):
+                text = grasp_stream(rng, model, int(rng.integers(1, 40)))
+                config = random_sim_config(rng)
+                frames = [parse_frame(line) for line in text.splitlines()]
+                naive = per_settle = initial_state(model, object_pose=obj)
+                captures = 0
+                for frame in frames:
+                    naive = naive_settle(model, apply_frame(model, naive, frame, config), config)
+                    was_attached = per_settle.attached
+                    per_settle = settle(model, apply_frame(model, per_settle, frame, config), config)
+                    assert float_bits(per_settle) == float_bits(naive)
+                    captures += per_settle.attached and not was_attached
+                regrasps += captures > 1
+                final, count = _run_frames(model, initial_state(model, object_pose=obj), frames, config)
+                assert float_bits(final) == float_bits(naive)
+                assert count == len(frames)
+                replayed = replay_frames(model, "\n" + text + "\n", config)
+                assert replayed.frames_sent == len(frames)
+                assert replayed.sim_time_s.hex() == naive.elapsed_s.hex()
+        assert regrasps > 5
+
+    @pytest.mark.parametrize(
+        "obj, place",
+        [((0.12, 0.05, 0.02), (-0.05, 0.12, 0.02)), ((0.17, 0.0, 0.02), (0.0, -0.12, 0.02))],
+    )
+    def test_pick_cycle_matches_per_tick_oracle(self, wide_arm, obj, place):
+        obj, place = top_down_pose(*obj), top_down_pose(*place)
+        report = run_pick_cycle(wide_arm, obj, place)
+        frames = encode_servo_frames(plan_to_trajectory(wide_arm, plan_pick_place(wide_arm, obj, place)))
+        state = initial_state(wide_arm, object_pose=obj)
+        for frame in frames:
+            state = naive_settle(wide_arm, apply_frame(wide_arm, state, frame))
+        assert report.success
+        assert report.frames_sent == len(frames)
+        assert float_bits(report.final_object_pose) == float_bits(state.object_pose)
+        assert report.sim_time_s.hex() == state.elapsed_s.hex()
+
+
 class TestPickCycle:
     def test_reachable_pair_places_within_tolerance(self, arm):
         rng = np.random.default_rng(179)
@@ -308,6 +467,22 @@ class TestPickCycle:
         place = top_down_pose(-0.05, 0.12, 0.02)
         assert run_pick_cycle(wide_arm, obj, place).success
         assert calls == [0] * 7
+
+    def test_forward_kinematics_runs_at_capture_and_release_only(self, wide_arm, monkeypatch):
+        import armkit.simulator
+
+        calls = []
+        fk = armkit.simulator.forward_kinematics
+
+        def counting_fk(*args, **kwargs):
+            calls.append(args)
+            return fk(*args, **kwargs)
+
+        monkeypatch.setattr(armkit.simulator, "forward_kinematics", counting_fk)
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        place = top_down_pose(-0.05, 0.12, 0.02)
+        assert run_pick_cycle(wide_arm, obj, place).success
+        assert len(calls) <= 2
 
     def test_report_serializes_to_json(self, arm):
         rng = np.random.default_rng(193)

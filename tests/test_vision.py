@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from armkit import (
     write_pgm,
 )
 
+from conftest import mutate
 from naive_oracle import naive_largest_blob
 
 
@@ -452,36 +452,6 @@ class TestCalibration:
             load_calibration(json.dumps(entries))
 
 
-# Replacement tokens for the fuzzers: numbers out of range, non-finite
-# spellings, and things that are not numbers at all.
-FUZZ_TOKENS = [
-    "0", "-1", "255", "65535", "1e3", "-0", "99999999999999999999", "1" * 5000,
-    "NaN", "nan", "Infinity", "-Infinity", "inf", "1e400", "true", "null",
-    '"1.0"', "[]", "{}", "[[[[", "}", ",", "#", "P5", "P2", "\xff", "",
-]
-
-
-def _mutate(rng: np.random.Generator, data: bytes) -> bytes:
-    """One random mutation: byte flips, truncation, a dropped, extra or
-    replaced token."""
-    kind = int(rng.integers(5))
-    if kind == 0:
-        buf = bytearray(data)
-        for pos in rng.integers(0, len(buf), int(rng.integers(1, 4))):
-            buf[pos] = int(rng.integers(256))
-        return bytes(buf)
-    if kind == 1:
-        return data[: int(rng.integers(len(data)))]
-    tokens = list(re.finditer(rb"[^\s,:\[\]{}]+", data))
-    tok = tokens[int(rng.integers(len(tokens)))]
-    new = FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))].encode("latin-1")
-    if kind == 2:
-        return data[: tok.start()] + data[tok.end() :]
-    if kind == 3:
-        return data[: tok.start()] + new + b" " + data[tok.start() :]
-    return data[: tok.start()] + new + data[tok.end() :]
-
-
 class TestParserFuzz:
     """Mutated inputs either parse to finite arrays or raise ValueError;
     any other exception, or a hang, fails the suite."""
@@ -492,7 +462,7 @@ class TestParserFuzz:
         valid = b"P5\n# fixture\n7 5\n255\n" + payload
         accepted = 0
         for _ in range(3000):
-            data = _mutate(rng, valid)
+            data = mutate(rng, valid)
             try:
                 img = parse_pgm(data)
             except ValueError:
@@ -514,7 +484,7 @@ class TestParserFuzz:
         valid = json.dumps(entries).encode()
         accepted = 0
         for _ in range(3000):
-            text = _mutate(rng, valid).decode("latin-1")
+            text = mutate(rng, valid).decode("latin-1")
             try:
                 pixel_pts, world_pts = load_calibration(text)
             except ValueError:
