@@ -1,5 +1,9 @@
 import hashlib
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,14 @@ from armkit import (
     UnreachableError,
     check_limits,
     forward_kinematics,
+    load_arm_config,
     matrix_to_pose,
+    plan_pick_place,
     pose_error,
     pose_to_matrix,
     solve_ik,
     solve_ik_position_only,
+    top_down_pose,
 )
 from armkit.ik_solver import _dls_step
 from armkit.kinematics import euler_zyx_to_matrix
@@ -209,6 +216,32 @@ def _sha256(fields) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _pick_table():
+    """The benchmark's wide-limit arm and its pick_table layout, as
+    perfbench/workloads.py builds them: a list of (object, place) top-down
+    poses in layout order.  perfbench/ is only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclass() looks its module up in sys.modules while the class is built.
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    table = workloads.PickTable
+    arm = load_arm_config((PERFBENCH / "data" / "wide_arm.json").read_text(encoding="utf-8"))
+    layout = json.loads(table.LAYOUT.read_text(encoding="utf-8"))
+    candidates = table.candidates(layout["candidates"])
+    pairs = []
+    for k in layout["kept"]:
+        (ox, oy), place, _ = candidates[k]
+        pairs.append((top_down_pose(ox, oy, table.TABLE_Z_M), top_down_pose(*place)))
+    return arm, pairs
+
+
 class TestPinnedBits:
     """Hashes of every output bit of fixed solves; any change to an angle, an
     iteration count, a residual or the winning restart fails these."""
@@ -249,3 +282,25 @@ class TestPinnedBits:
         exc = info.value
         fields = (exc.best_position_error.hex(), exc.best_orientation_error.hex(), exc.attempts)
         assert _sha256(fields) == "fc7680ac4dd0f811b66dba20262738b0fa1ed770d61033bdccef0df6dc253619"
+
+    @pytest.mark.parametrize(
+        "pair, sha256",
+        [
+            (0, "13c683c3d6c5e197311b7c2c7c1cfe00d11cf470ed78fd10775324702d5e6009"),
+            (1, "5c9787b2b14ca5966e59dd4f94c59d98eee577f8909c623d4fad71b762ced2b2"),
+            (2, "a4dfec66b06f5b34804cd7151afcfa505f2f4b8cf4996bda0d321d494ee81d55"),
+            (3, "748d07ea3021ea311f6d2cf68f2771e690f87a330d6adf6037335751bc64a267"),
+        ],
+    )
+    def test_pick_path_waypoint_bits(self, pick_table, pair, sha256):
+        """Every angle of the seven waypoint configurations that
+        plan_pick_place solves for a pick_table pair on the wide arm."""
+        arm, pairs = pick_table
+        plan = plan_pick_place(arm, *pairs[pair])
+        fields = tuple(a.hex() for wp in plan.waypoints for a in wp.config.angles_deg)
+        assert _sha256(fields) == sha256
+
+
+@pytest.fixture(scope="module")
+def pick_table():
+    return _pick_table()

@@ -484,6 +484,24 @@ class TestPickCycle:
         assert run_pick_cycle(wide_arm, obj, place).success
         assert len(calls) <= 2
 
+    def test_dls_steps_per_cycle_are_pinned(self, wide_arm, monkeypatch):
+        """The planner's IK takes 33 damped-least-squares steps on this cycle;
+        a faster solver must do the same steps, each of them cheaper."""
+        import armkit.ik_solver
+
+        calls = []
+        step = armkit.ik_solver._dls_step
+
+        def counting_step(*args, **kwargs):
+            calls.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(armkit.ik_solver, "_dls_step", counting_step)
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        place = top_down_pose(-0.05, 0.12, 0.02)
+        assert run_pick_cycle(wide_arm, obj, place).success
+        assert len(calls) == 33
+
     def test_report_serializes_to_json(self, arm):
         rng = np.random.default_rng(193)
         obj, place = feasible_pair(arm, rng)
