@@ -107,10 +107,21 @@ def pose_error(current: np.ndarray, target: np.ndarray) -> np.ndarray:
     (meters) stacked on the axis-angle of the relative rotation (radians)."""
     current = np.asarray(current, dtype=float)
     target = np.asarray(target, dtype=float)
+    return _pose_error(current, target[:3, 3], target[:3, :3])
+
+
+def _pose_error(current: np.ndarray, target_p: np.ndarray, target_R: np.ndarray) -> np.ndarray:
+    """pose_error against a target given as its translation and rotation."""
     e = np.empty(6)
-    e[:3] = target[:3, 3] - current[:3, 3]
-    e[3:] = rotation_log(target[:3, :3] @ current[:3, :3].T)
+    e[:3] = target_p - current[:3, 3]
+    e[3:] = rotation_log(target_R @ current[:3, :3].T)
     return e
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length of a 1-D float array, computed as np.linalg.norm
+    computes it, without its argument handling."""
+    return math.sqrt(v.dot(v))
 
 
 def solve_ik(
@@ -128,14 +139,16 @@ def solve_ik(
     deterministic pseudo-random seeds are tried and the successful solution
     closest to the original seed (joint-space L2, radians) is returned.
 
-    Raises UnreachableError without iterating when the target position lies
-    beyond the reach bound, NoConvergenceError when every attempt fails.
+    Raises ValueError without iterating when the target position holds a NaN
+    or the seed a non-finite angle, UnreachableError when the target position
+    lies beyond the reach bound, NoConvergenceError when every attempt fails.
     """
     target_T = pose_to_matrix(target)
+    target_p, target_R = target_T[:3, 3], target_T[:3, :3]
 
     def residual(T: np.ndarray) -> tuple[np.ndarray, float, float]:
-        e = pose_error(T, target_T)
-        return e, float(np.linalg.norm(e[:3])), float(np.linalg.norm(e[3:]))
+        e = _pose_error(T, target_p, target_R)
+        return e, _norm(e[:3]), _norm(e[3:])
 
     return _solve(model, residual, np.asarray(target.position, float), seed, settings)
 
@@ -152,7 +165,7 @@ def solve_ik_position_only(
 
     def residual(T: np.ndarray) -> tuple[np.ndarray, float, float]:
         e = p - T[:3, 3]
-        return e, float(np.linalg.norm(e)), 0.0
+        return e, _norm(e), 0.0
 
     return _solve(model, residual, p, seed, settings)
 
@@ -168,9 +181,9 @@ def _dls_step(
     ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose."""
     J = _geometric_jacobian_rad(model, q_rad, frames)[: len(err)]
     JJt = J @ J.T
-    JJt[np.diag_indices_from(JJt)] += DLS_DAMPING**2
+    JJt.flat[:: len(err) + 1] += DLS_DAMPING**2
     dq = J.T @ np.linalg.solve(JJt, err)
-    m = float(np.max(np.abs(dq)))
+    m = float(np.abs(dq).max())
     if m > STEP_LIMIT_RAD:
         dq *= STEP_LIMIT_RAD / m
     return dq
@@ -222,6 +235,13 @@ def _solve(
     seed: JointConfig,
     settings: IkSettings,
 ) -> IkResult:
+    # A NaN fails every comparison, so no attempt could converge or even
+    # record a best residual; each would spin to its iteration limit.
+    if np.isnan(target_p).any():
+        raise ValueError(f"target position must not be NaN, got {tuple(target_p.tolist())}")
+    seed_rad = seed.radians
+    if not np.isfinite(seed_rad).all():
+        raise ValueError(f"seed angles must be finite, got {seed.angles_deg}")
     bound = model.workspace_bound()
     distance = float(np.linalg.norm(target_p))
     if distance > bound:
@@ -229,7 +249,6 @@ def _solve(
 
     lo_rad = np.radians(model.limits_deg[0])
     hi_rad = np.radians(model.limits_deg[1])
-    seed_rad = seed.radians
     best = (math.inf, math.inf)
     solved: list[IkResult] = []
     for k, q0 in enumerate(_starts(seed_rad, lo_rad, hi_rad, settings.restarts)):

@@ -47,11 +47,15 @@ def dh_transform(row: DHRow, joint_angle: float) -> np.ndarray:
     )[0]
 
 
+_IDENTITY4 = np.eye(4)
+_IDENTITY4.flags.writeable = False
+
+
 def _link_frames(model: ArmModel, q_rad: np.ndarray) -> np.ndarray:
     """Cumulative base->joint transforms, shape (7, 4, 4); frames[0] = I."""
     steps = _dh_matrices(q_rad + model.theta_offset_rad, model.alpha_rad, model.a, model.d)
     frames = np.empty((JOINT_COUNT + 1, 4, 4))
-    frames[0] = np.eye(4)
+    frames[0] = _IDENTITY4
     for i in range(JOINT_COUNT):
         np.matmul(frames[i], steps[i], out=frames[i + 1])
     return frames
@@ -252,12 +256,19 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
 def _geometric_jacobian_rad(
     model: ArmModel, q_rad: np.ndarray, frames: np.ndarray | None = None
 ) -> np.ndarray:
-    """Analytic world-frame Jacobian from the revolute-axis cross products."""
+    """Analytic world-frame Jacobian from the revolute-axis cross products:
+    column i is z_i x (p_end - p_i) stacked on z_i.  The cross product is
+    written out row by row with np.cross's own products and differences, so
+    it gives the same bits without np.cross's axis bookkeeping."""
     if frames is None:
         frames = _link_frames(model, q_rad)
     z = frames[:-1, :3, 2]
+    zx, zy, zz = z.T
+    rx, ry, rz = (frames[-1, :3, 3] - frames[:-1, :3, 3]).T
     J = np.empty((6, JOINT_COUNT))
-    J[:3] = np.cross(z, frames[-1, :3, 3] - frames[:-1, :3, 3]).T
+    J[0] = zy * rz - zz * ry
+    J[1] = zz * rx - zx * rz
+    J[2] = zx * ry - zy * rx
     J[3:] = z.T
     return J
 

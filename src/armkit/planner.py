@@ -155,7 +155,7 @@ def interpolate_trajectory(
     intermediate knots are inserted; a gripper change contributes one extra
     zero-motion knot at the arrival configuration.
     """
-    if max_step_deg <= 0.0:
+    if not (max_step_deg > 0.0):  # negated so NaN fails too
         raise ValueError("max_step_deg must be positive")
     if not waypoints:
         raise ValueError("at least one waypoint required")

@@ -7,13 +7,17 @@ difference Jacobian checks the analytic one from the FK chain alone, and
 oracle is a per-pixel flood fill, the straightforward counterpart of the
 library's run-based labeling.  ``naive_settle`` carries an attached object on
 every tick and ``naive_interpolate`` builds and clamps one knot at a time:
-the per-step forms of the simulator's and planner's batched code."""
+the per-step forms of the simulator's and planner's batched code.
+``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
+with numpy's general routines (np.cross, diag_indices_from, np.max), which
+the library's kernel must match bit for bit."""
 import math
 
 import numpy as np
 
 from armkit import BinaryMask, Blob, JointConfig, SimConfig, Trajectory, TrajectoryKnot, sim_step
 from armkit.dh_model import JOINT_COUNT, clamp_to_limits
+from armkit.ik_solver import DLS_DAMPING, STEP_LIMIT_RAD
 from armkit.kinematics import _link_frames, rotation_log
 
 # Central-difference step for the finite-difference Jacobian, radians.
@@ -84,6 +88,30 @@ def numeric_jacobian(model, q):
         J[:3, i] = (Tp[:3, 3] - Tm[:3, 3]) / (2.0 * h)
         J[3:, i] = rotation_log(Tp[:3, :3] @ Tm[:3, :3].T) / (2.0 * h)
     return J
+
+
+def naive_jacobian(model, q_rad):
+    """Geometric Jacobian with np.cross: column i is z_i x (p_end - p_i)
+    stacked on z_i."""
+    frames = _link_frames(model, q_rad)
+    z = frames[:-1, :3, 2]
+    J = np.empty((6, JOINT_COUNT))
+    J[:3] = np.cross(z, frames[-1, :3, 3] - frames[:-1, :3, 3]).T
+    J[3:] = z.T
+    return J
+
+
+def naive_dls_step(model, q_rad, err):
+    """One damped-least-squares step on the first len(err) Jacobian rows,
+    scaled down to STEP_LIMIT_RAD in the infinity norm."""
+    J = naive_jacobian(model, q_rad)[: len(err)]
+    JJt = J @ J.T
+    JJt[np.diag_indices_from(JJt)] += DLS_DAMPING**2
+    dq = J.T @ np.linalg.solve(JJt, err)
+    m = float(np.max(np.abs(dq)))
+    if m > STEP_LIMIT_RAD:
+        dq *= STEP_LIMIT_RAD / m
+    return dq
 
 
 def planar_2r_jacobian_linear(q1_rad, q2_rad, a1=1.0, a2=1.0):

@@ -25,14 +25,22 @@ from armkit import (
     solve_ik_position_only,
     top_down_pose,
 )
-from armkit.ik_solver import _dls_step
-from armkit.kinematics import euler_zyx_to_matrix
+from armkit.ik_solver import _dls_step, _norm
+from armkit.kinematics import _geometric_jacobian_rad, _link_frames, euler_zyx_to_matrix
 
-from conftest import random_config
+from conftest import random_arm, random_config
+from naive_oracle import naive_dls_step, naive_jacobian
 
 
 def fk_pose(model, q):
     return matrix_to_pose(forward_kinematics(model, q))
+
+
+def _solve_pose(model, target, seed, position_only):
+    """solve_ik, or solve_ik_position_only on the target's position."""
+    if position_only:
+        return solve_ik_position_only(model, target.position, seed)
+    return solve_ik(model, target, seed)
 
 
 class TestPoseError:
@@ -129,6 +137,23 @@ class TestSolve:
         assert info.value.bound == pytest.approx(bound)
         assert info.value.distance == pytest.approx(2.0 * bound)
 
+    @pytest.mark.parametrize("position_only", [False, True])
+    def test_nan_target_rejected_before_iterating(self, arm, position_only):
+        with pytest.raises(ValueError, match="NaN"):
+            _solve_pose(arm, top_down_pose(math.nan, 0.0, 0.1), arm.mid_config(), position_only)
+
+    @pytest.mark.parametrize("position_only", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_seed_rejected_before_iterating(self, arm, position_only, bad):
+        seed = JointConfig((bad,) + arm.mid_config().angles_deg[1:])
+        with pytest.raises(ValueError, match="seed"):
+            _solve_pose(arm, fk_pose(arm, arm.mid_config()), seed, position_only)
+
+    @pytest.mark.parametrize("position_only", [False, True])
+    def test_infinite_target_is_unreachable(self, arm, position_only):
+        with pytest.raises(UnreachableError):
+            _solve_pose(arm, top_down_pose(math.inf, 0.0, 0.1), arm.mid_config(), position_only)
+
     def test_no_convergence_reports_best_residual(self, arm):
         rng = np.random.default_rng(89)
         target = fk_pose(arm, random_config(rng, arm))
@@ -203,6 +228,58 @@ class TestStep:
             assert np.linalg.norm(e2) < np.linalg.norm(e)
 
 
+# Both signed zeros, where sine and cosine are exact, and the quarter and half
+# turns, where one of them is a zero or an ulp-sized residue of one.
+SPECIAL_DEG = (0.0, -0.0, 90.0, -90.0, 180.0, -180.0)
+
+
+def _kernel_configs(rng, model, count):
+    """``count`` radian configurations within the model's limits, in which
+    about half of the joints sit on a SPECIAL_DEG angle instead."""
+    lo, hi = model.limits_deg
+    deg = rng.uniform(lo, hi, (count, 6))
+    special = rng.random((count, 6)) < 0.5
+    deg[special] = rng.choice(SPECIAL_DEG, int(special.sum()))
+    return np.radians(deg)
+
+
+class TestKernelOracle:
+    """The solver's Jacobian, step and norm against numpy's general routines,
+    byte for byte: the kernel may only drop call overhead, never change a
+    float operation or its order."""
+
+    def test_jacobian_and_steps_match_oracle_bytes(self, arm, wide_arm):
+        # 1,200 configurations on each shipped arm, 100 on each random one.
+        rng = np.random.default_rng(211)
+        models = [arm, wide_arm] + [random_arm(rng) for _ in range(4)]
+        for model in models:
+            count = 1200 if model in (arm, wide_arm) else 100
+            for q in _kernel_configs(rng, model, count):
+                frames = _link_frames(model, q)
+                J = naive_jacobian(model, q)
+                assert _geometric_jacobian_rad(model, q).tobytes() == J.tobytes()
+                assert _geometric_jacobian_rad(model, q, frames).tobytes() == J.tobytes()
+                # Small errors take the plain step, large ones the limited one.
+                err = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 1.0), 6)
+                for e in (err, err[:3].copy()):
+                    assert _dls_step(model, q, e, frames).tobytes() == naive_dls_step(model, q, e).tobytes()
+
+    def test_zero_error_steps_match_oracle_bytes(self, arm):
+        q = np.radians(np.array(SPECIAL_DEG))
+        for e in (np.zeros(6), np.zeros(3), -np.zeros(6)):
+            assert _dls_step(arm, q, e).tobytes() == naive_dls_step(arm, q, e).tobytes()
+
+    def test_norm_matches_numpy_norm_bytes(self):
+        rng = np.random.default_rng(223)
+        # Scales up to 1e300 overflow the sum of squares to inf in both.
+        with np.errstate(over="ignore", under="ignore"):
+            for _ in range(3000):
+                v = rng.normal(0.0, 10.0 ** rng.uniform(-300.0, 300.0), int(rng.choice((3, 6))))
+                v[rng.random(v.size) < 0.2] = rng.choice(SPECIAL_DEG[:2])
+                assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+                assert _norm(v[:3]).hex() == float(np.linalg.norm(v[:3])).hex()
+
+
 def _criterion_2_target(arm, index):
     """The index-th target of the acceptance round trip: FK of the index-th
     configuration drawn uniformly within the limits from seed 2025."""
@@ -260,11 +337,7 @@ class TestPinnedBits:
         ],
     )
     def test_result_bits(self, arm, index, position_only, restart_index, sha256):
-        target = _criterion_2_target(arm, index)
-        if position_only:
-            result = solve_ik_position_only(arm, target.position, arm.mid_config())
-        else:
-            result = solve_ik(arm, target, arm.mid_config())
+        result = _solve_pose(arm, _criterion_2_target(arm, index), arm.mid_config(), position_only)
         assert result.restart_index == restart_index
         fields = (
             tuple(a.hex() for a in result.solution.angles_deg),

@@ -174,8 +174,10 @@ class TestInterpolation:
 
     def test_max_step_must_be_positive(self, arm):
         a = arm.mid_config()
-        with pytest.raises(ValueError, match="max_step"):
-            interpolate_trajectory(arm, [(a, GRIPPER_OPEN)], 0.0)
+        b = JointConfig(tuple(v + 10.0 for v in a.angles_deg))
+        for step in (0.0, math.nan):
+            with pytest.raises(ValueError, match="max_step_deg must be positive"):
+                interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_OPEN)], step)
 
 
 class TestPlanToTrajectory:
