@@ -58,7 +58,6 @@ from .simulator import (
     replay_frames,
     run_pick_cycle,
     settle,
-    sim_step,
 )
 from .vision import (
     BinaryMask,

@@ -3,6 +3,7 @@ projection, deterministic restarts, and a nearest-to-seed tie-break."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,10 +48,12 @@ class IkSettings:
         # Written as negated comparisons so NaN fails them too.
         if not (self.position_tolerance > 0.0 and self.orientation_tolerance > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("max_iterations", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

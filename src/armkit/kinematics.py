@@ -158,6 +158,8 @@ class Pose6D:
         raw = np.array([float(v) for v in self.quaternion])
         if raw.shape != (4,):
             raise ValueError("quaternion must be (w, x, y, z)")
+        if not np.isfinite(raw).all():
+            raise ValueError(f"quaternion must be finite, got {tuple(raw.tolist())}")
         q = _canonical_quat(raw)
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "quaternion", tuple(float(v) for v in q))

@@ -73,7 +73,7 @@ class SimState:
     headed, the gripper, and the workspace object (attached or free).
 
     ``grasp_rel`` is the object's pose in the tool frame (16 row-major floats)
-    while attached; it stays constant for the whole grasp.
+    while attached, None otherwise; it stays constant for the whole grasp.
     """
 
     current_deg: tuple[float, float, float, float, float, float]
@@ -81,9 +81,12 @@ class SimState:
     gripper: GripperState = GRIPPER_OPEN
     elapsed_s: float = 0.0
     object_pose: Pose6D | None = None
-    attached: bool = False
     grasp_rel: tuple[float, ...] | None = None
     last_seq: int = -1
+
+    @property
+    def attached(self) -> bool:
+        return self.grasp_rel is not None
 
 
 def initial_state(model: ArmModel, object_pose: Pose6D | None = None) -> SimState:
@@ -106,40 +109,23 @@ def parse_frame(line: str) -> ServoFrame:
     return ServoFrame(seq=seq, centidegrees=centi, gripper_closed=m.group(8) == "1")
 
 
-def _tool_transform(model: ArmModel, state: SimState) -> np.ndarray:
-    return forward_kinematics(model, JointConfig(state.current_deg))
-
-
 def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> SimState:
     """Instantaneous gripper transition with proximity capture / release."""
     if gripper == state.gripper:
         return state
     if gripper == GRIPPER_CLOSED:
         if state.object_pose is not None and not state.attached:
-            tool = _tool_transform(model, state)
+            tool = forward_kinematics(model, JointConfig(state.current_deg))
             obj = pose_to_matrix(state.object_pose)
             reach = float(np.linalg.norm(tool[:3, 3] - obj[:3, 3]))
             if reach <= CAPTURE_RADIUS_M:
                 rel = invert_transform(tool) @ obj
                 return replace(
-                    state,
-                    gripper=gripper,
-                    attached=True,
-                    grasp_rel=tuple(float(v) for v in rel.reshape(-1)),
+                    state, gripper=gripper, grasp_rel=tuple(float(v) for v in rel.reshape(-1))
                 )
         return replace(state, gripper=gripper)
     # Opening: release wherever the object currently is.
-    if state.attached:
-        tool = _tool_transform(model, state)
-        obj = tool @ np.array(state.grasp_rel).reshape(4, 4)
-        return replace(
-            state,
-            gripper=gripper,
-            attached=False,
-            grasp_rel=None,
-            object_pose=matrix_to_pose(obj),
-        )
-    return replace(state, gripper=gripper)
+    return replace(_carry(model, state), gripper=gripper, grasp_rel=None)
 
 
 def apply_frame(
@@ -175,46 +161,35 @@ def _carry(model: ArmModel, state: SimState) -> SimState:
     """Put an attached object where the tool holds it now."""
     if not state.attached:
         return state
-    tool = _tool_transform(model, state)
+    tool = forward_kinematics(model, JointConfig(state.current_deg))
     obj = tool @ np.array(state.grasp_rel).reshape(4, 4)
     return replace(state, object_pose=matrix_to_pose(obj))
 
 
-def _move_joints(state: SimState, dt: float, config: SimConfig) -> SimState:
-    """One tick of dt > 0: every joint slews toward its target at the rate
-    limit, arriving exactly (no overshoot)."""
-    max_move = config.rate_limit_deg_s * dt
-    current = []
-    for cur, tgt in zip(state.current_deg, state.target_deg):
-        gap = tgt - cur
-        if abs(gap) <= max_move:
-            current.append(tgt)
-        else:
-            current.append(cur + math.copysign(max_move, gap))
-    return replace(state, current_deg=tuple(current), elapsed_s=state.elapsed_s + dt)
-
-
-def sim_step(
-    model: ArmModel, state: SimState, dt: float, config: SimConfig = SimConfig()
-) -> SimState:
-    """Advance time by dt: every joint slews toward its target at the rate
-    limit, arriving exactly (no overshoot); an attached object follows the
-    tool frame."""
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    if dt == 0.0:
-        return replace(state, elapsed_s=state.elapsed_s + 0.0)
-    return _carry(model, _move_joints(state, dt, config))
-
-
 def _slew(state: SimState, config: SimConfig) -> tuple[SimState, bool]:
     """Tick until every joint sits exactly on its target, leaving the object
-    pose as it was; also tells whether any tick ran."""
-    ticked = False
-    while state.current_deg != state.target_deg:
-        state = _move_joints(state, config.tick_s, config)
-        ticked = True
-    return state, ticked
+    pose as it was; also tells whether any tick ran.
+
+    Each tick of ``tick_s`` moves every joint toward its target by at most
+    ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  The ticks
+    run on plain floats and build one state at the end.  Raises ValueError
+    when the simulated time is no longer finite.
+    """
+    current, target = state.current_deg, state.target_deg
+    if current == target:
+        return state, False
+    tick_s = config.tick_s
+    max_move = config.rate_limit_deg_s * tick_s
+    elapsed = state.elapsed_s
+    while current != target:
+        current = tuple([
+            tgt if abs(tgt - cur) <= max_move else cur + math.copysign(max_move, tgt - cur)
+            for cur, tgt in zip(current, target)
+        ])
+        elapsed += tick_s
+    if not math.isfinite(elapsed):
+        raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {state.last_seq}")
+    return replace(state, current_deg=current, elapsed_s=elapsed), True
 
 
 def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) -> SimState:
@@ -223,7 +198,8 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     An attached object is posed once, at the end, with the same bits as
     carrying it every tick.  A state that needs no tick comes back as it is,
     so an object captured on a zero-motion frame keeps its pose's exact bits
-    instead of passing through the tool transform and its inverse."""
+    instead of passing through the tool transform and its inverse.  Raises
+    ValueError when a tick takes the simulated time past the float range."""
     state, ticked = _slew(state, config)
     return _carry(model, state) if ticked else state
 
@@ -264,16 +240,12 @@ def _run_frames(
     An attached object is posed once, after the last frame, and only if a
     tick moved it since its capture: nothing reads its pose in between
     (release poses it from the tool), so the bits match settling each frame.
-    Raises ValueError once the simulated time is no longer finite.
     """
     carried = False
     count = 0
     for frame in frames:
-        state = apply_frame(model, state, frame, config)
-        state, ticked = _slew(state, config)
+        state, ticked = _slew(apply_frame(model, state, frame, config), config)
         carried = state.attached and (carried or ticked)
-        if not math.isfinite(state.elapsed_s):
-            raise ValueError(f"tick_s {config.tick_s} overflows the simulated time at frame {frame.seq}")
         count += 1
     return (_carry(model, state) if carried else state), count
 

@@ -5,17 +5,20 @@ library's array plumbing cannot hide in its own checker.  The finite-
 difference Jacobian checks the analytic one from the FK chain alone, and
 ``transform_is_valid`` checks that FK output is a rigid transform.  The blob
 oracle is a per-pixel flood fill, the straightforward counterpart of the
-library's run-based labeling.  ``naive_settle`` carries an attached object on
-every tick and ``naive_interpolate`` builds and clamps one knot at a time:
-the per-step forms of the simulator's and planner's batched code.
+library's run-based labeling.  ``naive_sim_step`` writes out the servo tick
+rule and carries an attached object on every tick, ``naive_settle`` repeats
+it, and ``naive_interpolate`` builds and clamps one knot at a time: the
+per-step forms of the simulator's and planner's batched code, sharing no
+arithmetic with ``armkit.simulator``.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
 with numpy's general routines (np.cross, diag_indices_from, np.max), which
 the library's kernel must match bit for bit."""
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from armkit import BinaryMask, Blob, JointConfig, SimConfig, Trajectory, TrajectoryKnot, sim_step
+from armkit import BinaryMask, Blob, JointConfig, Trajectory, TrajectoryKnot, forward_kinematics, matrix_to_pose
 from armkit.dh_model import JOINT_COUNT, clamp_to_limits
 from armkit.ik_solver import DLS_DAMPING, STEP_LIMIT_RAD
 from armkit.kinematics import _link_frames, rotation_log
@@ -153,11 +156,36 @@ def naive_largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
     return best
 
 
-def naive_settle(model, state, config=SimConfig()):
+def naive_sim_step(model, state, dt, config):
+    """Advance a simulator state by dt: every joint slews toward its target
+    by at most ``config.rate_limit_deg_s * dt``, arriving exactly (no
+    overshoot), and an attached object follows the tool frame.  A negative
+    dt raises ValueError; a zero dt changes nothing."""
+    if dt < 0.0:
+        raise ValueError("dt must be >= 0")
+    if dt == 0.0:
+        return replace(state, elapsed_s=state.elapsed_s + 0.0)
+    max_move = config.rate_limit_deg_s * dt
+    current = []
+    for cur, tgt in zip(state.current_deg, state.target_deg):
+        gap = tgt - cur
+        if abs(gap) <= max_move:
+            current.append(tgt)
+        else:
+            current.append(cur + math.copysign(max_move, gap))
+    state = replace(state, current_deg=tuple(current), elapsed_s=state.elapsed_s + dt)
+    if state.grasp_rel is None:
+        return state
+    tool = forward_kinematics(model, JointConfig(state.current_deg))
+    obj = tool @ np.array(state.grasp_rel).reshape(4, 4)
+    return replace(state, object_pose=matrix_to_pose(obj))
+
+
+def naive_settle(model, state, config):
     """Step until every joint sits exactly on its target, carrying an
     attached object along on each tick."""
     while state.current_deg != state.target_deg:
-        state = sim_step(model, state, config.tick_s, config)
+        state = naive_sim_step(model, state, config.tick_s, config)
     return state
 
 

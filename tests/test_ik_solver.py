@@ -80,10 +80,17 @@ class TestSettings:
             pytest.param({"restarts": 0}, id="kwargs3"),
             pytest.param({"position_tolerance": math.nan}, id="kwargs6"),
             pytest.param({"orientation_tolerance": math.nan}, id="kwargs7"),
+            pytest.param({"max_iterations": math.nan}, id="max_iterations_nan"),
+            pytest.param({"max_iterations": 2.5}, id="max_iterations_float"),
+            pytest.param({"max_iterations": True}, id="max_iterations_bool"),
+            pytest.param({"restarts": math.nan}, id="restarts_nan"),
+            pytest.param({"restarts": 2.5}, id="restarts_float"),
+            pytest.param({"restarts": True}, id="restarts_bool"),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # Each message names its field; the two tolerances share "tolerances".
+        with pytest.raises(ValueError, match=next(iter(kwargs)).split("_")[-1]):
             IkSettings(**kwargs)
 
 

@@ -183,6 +183,11 @@ class TestPoseConversions:
         assert pose.quaternion[0] >= 0.0
         assert pose.quaternion == pytest.approx((0.5, -0.5, -0.5, -0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quaternion_rejected(self, bad):
+        with pytest.raises(ValueError, match="quaternion must be finite"):
+            Pose6D((0.1, 0.0, 0.1), (bad, 0.0, 0.0, 0.0))
+
     def test_quarter_z_quaternion_matrix(self):
         s = math.sqrt(0.5)
         R = quat_to_matrix((s, 0.0, 0.0, s))

@@ -31,14 +31,13 @@ from armkit import (
     replay_frames,
     run_pick_cycle,
     settle,
-    sim_step,
     top_down_pose,
 )
 from armkit.kinematics import invert_transform, pose_to_matrix
 from armkit.simulator import PLACE_TOLERANCE_M, _run_frames
 
 from conftest import float_bits, mutate, random_config
-from naive_oracle import naive_settle
+from naive_oracle import naive_settle, naive_sim_step
 
 
 QUICK = IkSettings(restarts=3, max_iterations=150)
@@ -211,24 +210,27 @@ class TestSimConfig:
 
 
 class TestSimStep:
+    """The per-tick servo rule, on the oracle step that TestSettleOracle
+    holds the simulator to."""
+
     def test_rate_limited_motion(self, arm):
         state = initial_state(arm)
         frame = ServoFrame(0, (18000, 13500, 4500, 13500, 9000, 4500), False)
         state = apply_frame(arm, state, frame)  # joint 0: 90 -> 180, gap 90
-        state = sim_step(arm, state, 0.1, SimConfig(rate_limit_deg_s=300.0))
+        state = naive_sim_step(arm, state, 0.1, SimConfig(rate_limit_deg_s=300.0))
         assert state.current_deg[0] == pytest.approx(120.0, abs=1e-12)
         assert state.elapsed_s == pytest.approx(0.1)
 
     def test_zero_dt_only_advances_time(self, arm):
         state = initial_state(arm)
-        stepped = sim_step(arm, state, 0.0)
+        stepped = naive_sim_step(arm, state, 0.0, SimConfig())
         assert stepped == state
 
     def test_exact_arrival_without_overshoot(self, arm):
         state = initial_state(arm)
         frame = ServoFrame(0, (9100, 13500, 4500, 13500, 9000, 4500), False)
         state = apply_frame(arm, state, frame)  # gap 1 degree
-        state = sim_step(arm, state, 0.1, SimConfig(rate_limit_deg_s=300.0))
+        state = naive_sim_step(arm, state, 0.1, SimConfig(rate_limit_deg_s=300.0))
         assert state.current_deg[0] == 91.0
 
     def test_gap_never_grows(self, arm):
@@ -239,7 +241,7 @@ class TestSimStep:
         state = apply_frame(arm, state, encode_servo_frames(traj)[0])
         gaps = np.abs(np.array(state.target_deg) - np.array(state.current_deg))
         for _ in range(200):
-            state = sim_step(arm, state, 0.01)
+            state = naive_sim_step(arm, state, 0.01, SimConfig())
             new_gaps = np.abs(np.array(state.target_deg) - np.array(state.current_deg))
             assert np.all(new_gaps <= gaps + 1e-12)
             gaps = new_gaps
@@ -247,7 +249,7 @@ class TestSimStep:
 
     def test_negative_dt_rejected(self, arm):
         with pytest.raises(ValueError, match="dt"):
-            sim_step(arm, initial_state(arm), -0.01)
+            naive_sim_step(arm, initial_state(arm), -0.01, SimConfig())
 
     def test_limits_always_hold(self, arm):
         rng = np.random.default_rng(173)
@@ -260,9 +262,47 @@ class TestSimStep:
             frame = ServoFrame(seq, frame.centidegrees, frame.gripper_closed)
             state = apply_frame(arm, state, frame)
             for _ in range(int(rng.integers(1, 30))):
-                state = sim_step(arm, state, 0.01)
+                state = naive_sim_step(arm, state, 0.01, SimConfig())
                 assert np.all(np.array(state.current_deg) >= lo - 1e-12)
                 assert np.all(np.array(state.current_deg) <= hi + 1e-12)
+
+
+class TestSettle:
+    def test_clock_overflow_raises(self, arm):
+        # Every joint arrives in one 1e308-s tick; the second frame's tick
+        # takes the clock past the float range.
+        config = SimConfig(tick_s=1e308)
+        away = ServoFrame(0, (0, 18000, 0, 9000, 18000, 0), False)
+        back = ServoFrame(1, (9000, 13500, 4500, 13500, 9000, 4500), False)
+        state = settle(arm, apply_frame(arm, initial_state(arm), away), config)
+        assert state.elapsed_s == 1e308
+        with pytest.raises(ValueError, match="tick_s 1e[+]308 overflows the simulated time at frame 1"):
+            settle(arm, apply_frame(arm, state, back), config)
+
+    def test_one_state_per_settle(self, wide_arm, monkeypatch):
+        """The ticks run on plain floats: a 40-tick settle of a carried object
+        builds one state for the joints and one for the object's pose."""
+        import armkit.simulator
+
+        built = []
+        build = armkit.simulator.replace
+
+        def counting_replace(*args, **kwargs):
+            built.append(kwargs)
+            return build(*args, **kwargs)
+
+        start = wide_arm.mid_config()
+        state = initial_state(wide_arm, object_pose=fk_pose(wide_arm, start))
+        close = encode_servo_frames(Trajectory((TrajectoryKnot(start, GRIPPER_CLOSED),)))[0]
+        # Joint 0 moves 179.5 -> 299.5 degrees at 3 degrees per tick.
+        move = ServoFrame(1, (29950,) + close.centidegrees[1:], True)
+        state = apply_frame(wide_arm, apply_frame(wide_arm, state, close), move)
+        assert state.attached
+        monkeypatch.setattr(armkit.simulator, "replace", counting_replace)
+        settled = settle(wide_arm, state)
+        assert round((settled.elapsed_s - state.elapsed_s) / SimConfig().tick_s) == 40
+        assert settled.current_deg == settled.target_deg
+        assert len(built) <= 2
 
 
 class TestGrasping:
@@ -299,12 +339,12 @@ class TestGrasping:
         close = encode_servo_frames(Trajectory((TrajectoryKnot(start, GRIPPER_CLOSED),)))[0]
         state = apply_frame(arm, state, close)
         rel0 = np.array(state.grasp_rel).reshape(4, 4)
-        target = JointConfig((70.0, 120.0, 30.0, 120.0, 60.0, 30.0))
-        move = encode_servo_frames(Trajectory((TrajectoryKnot(target, GRIPPER_CLOSED),)))[0]
-        move = ServoFrame(1, move.centidegrees, move.gripper_closed)
-        state = apply_frame(arm, state, move)
-        for _ in range(50):
-            state = sim_step(arm, state, 0.01)
+        a = np.array(start.angles_deg)
+        b = np.array((70.0, 120.0, 30.0, 120.0, 60.0, 30.0))
+        for seq in range(1, 11):
+            target = JointConfig(tuple(a + (b - a) * (seq / 10)))
+            move = encode_servo_frames(Trajectory((TrajectoryKnot(target, GRIPPER_CLOSED),)))[0]
+            state = settle(arm, apply_frame(arm, state, ServoFrame(seq, move.centidegrees, True)))
             tool = forward_kinematics(arm, JointConfig(state.current_deg))
             rel = invert_transform(tool) @ pose_to_matrix(state.object_pose)
             assert np.max(np.abs(rel - rel0)) <= 1e-12
@@ -348,8 +388,7 @@ class TestSettleOracle:
                     tool = forward_kinematics(model, JointConfig(state.current_deg))
                     rel = invert_transform(tool) @ pose_to_matrix(obj)
                     state = replace(
-                        state, gripper=GRIPPER_CLOSED, attached=True,
-                        grasp_rel=tuple(float(v) for v in rel.reshape(-1)),
+                        state, gripper=GRIPPER_CLOSED, grasp_rel=tuple(float(v) for v in rel.reshape(-1))
                     )
                 config = random_sim_config(rng)
                 settled = settle(model, state, config)
@@ -408,7 +447,7 @@ class TestSettleOracle:
         frames = encode_servo_frames(plan_to_trajectory(wide_arm, plan_pick_place(wide_arm, obj, place)))
         state = initial_state(wide_arm, object_pose=obj)
         for frame in frames:
-            state = naive_settle(wide_arm, apply_frame(wide_arm, state, frame))
+            state = naive_settle(wide_arm, apply_frame(wide_arm, state, frame), SimConfig())
         assert report.success
         assert report.frames_sent == len(frames)
         assert float_bits(report.final_object_pose) == float_bits(state.object_pose)
