@@ -87,8 +87,10 @@ class ArmModel:
     """Immutable geometric identity of a six-joint arm: DH rows plus limits.
 
     Row and limit ``i`` both describe joint/motor ``i``.  The radian views
-    (``theta_offset_rad``, ``alpha_rad``, ``a``, ``d``) are derived once here
-    and shared by every kinematics routine.
+    (``theta_offset_rad``, ``alpha_rad``, ``a``, ``d``), the twists' cosines
+    and sines (``cos_alpha``, ``sin_alpha``) and the joint transforms'
+    constant rows (``dh_template``) are derived once here and shared by every
+    kinematics routine.
     """
 
     rows: tuple[DHRow, ...]
@@ -99,6 +101,9 @@ class ArmModel:
     alpha_rad: np.ndarray = field(init=False, repr=False, compare=False)
     a: np.ndarray = field(init=False, repr=False, compare=False)
     d: np.ndarray = field(init=False, repr=False, compare=False)
+    cos_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    sin_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    dh_template: np.ndarray = field(init=False, repr=False, compare=False)
     limits_deg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -132,6 +137,9 @@ class ArmModel:
         object.__setattr__(self, "alpha_rad", _frozen_array(math.radians(r.alpha_deg) for r in rows))
         object.__setattr__(self, "a", _frozen_array(r.a_m for r in rows))
         object.__setattr__(self, "d", _frozen_array(r.d_m for r in rows))
+        object.__setattr__(self, "cos_alpha", _frozen_array(np.cos(self.alpha_rad)))
+        object.__setattr__(self, "sin_alpha", _frozen_array(np.sin(self.alpha_rad)))
+        object.__setattr__(self, "dh_template", dh_template(self.cos_alpha, self.sin_alpha, self.d))
         lim_arr = np.array([[l.min_deg for l in limits], [l.max_deg for l in limits]], dtype=float)
         lim_arr.flags.writeable = False
         object.__setattr__(self, "limits_deg", lim_arr)
@@ -149,6 +157,19 @@ def _frozen_array(values: Any) -> np.ndarray:
     arr = np.array(list(values), dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def dh_template(cos_alpha: np.ndarray, sin_alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The joint-angle-free part of n DH joint transforms, shape (n, 4, 4),
+    read-only: row 2 is [0, sin(alpha), cos(alpha), d] and row 3 is
+    [0, 0, 0, 1]; rows 0 and 1 are zeros for the joint angle to fill."""
+    T = np.zeros((len(d), 4, 4))
+    T[:, 2, 1] = sin_alpha
+    T[:, 2, 2] = cos_alpha
+    T[:, 2, 3] = d
+    T[:, 3, 3] = 1.0
+    T.flags.writeable = False
+    return T
 
 
 @dataclass(frozen=True)

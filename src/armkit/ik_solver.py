@@ -46,8 +46,10 @@ class IkSettings:
 
     def __post_init__(self) -> None:
         # Written as negated comparisons so NaN fails them too.
-        if not (self.position_tolerance > 0.0 and self.orientation_tolerance > 0.0):
-            raise ValueError("tolerances must be positive")
+        for name in ("position_tolerance", "orientation_tolerance"):
+            value = getattr(self, name)
+            if not (value > 0.0):
+                raise ValueError(f"{name} must be positive, got {value!r}")
         for name in ("max_iterations", "restarts"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

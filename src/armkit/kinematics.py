@@ -11,27 +11,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .dh_model import JOINT_COUNT, ArmModel, DHRow, JointConfig
+from .dh_model import JOINT_COUNT, ArmModel, DHRow, JointConfig, dh_template
 
 
-def _dh_matrices(theta: np.ndarray, alpha: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _dh_matrices(
+    theta: np.ndarray, cos_alpha: np.ndarray, sin_alpha: np.ndarray, a: np.ndarray, template: np.ndarray
+) -> np.ndarray:
     """Joint transforms of n DH rows, shape (n, 4, 4); ``theta`` (radians)
-    already includes each row's offset."""
+    already includes each row's offset.  Rows 2 and 3 come from the rows'
+    ``dh_template``; only the eight entries that depend on theta are filled."""
     ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    T = np.zeros((len(ct), 4, 4))
+    T = template.copy()
     T[:, 0, 0] = ct
-    T[:, 0, 1] = -st * ca
-    T[:, 0, 2] = st * sa
+    T[:, 0, 1] = -st * cos_alpha
+    T[:, 0, 2] = st * sin_alpha
     T[:, 0, 3] = a * ct
     T[:, 1, 0] = st
-    T[:, 1, 1] = ct * ca
-    T[:, 1, 2] = -ct * sa
+    T[:, 1, 1] = ct * cos_alpha
+    T[:, 1, 2] = -ct * sin_alpha
     T[:, 1, 3] = a * st
-    T[:, 2, 1] = sa
-    T[:, 2, 2] = ca
-    T[:, 2, 3] = d
-    T[:, 3, 3] = 1.0
     return T
 
 
@@ -42,9 +40,10 @@ def dh_transform(row: DHRow, joint_angle: float) -> np.ndarray:
     and offset come from the row.
     """
     theta = joint_angle + math.radians(row.theta_offset_deg)
-    return _dh_matrices(
-        np.array([theta]), np.array([math.radians(row.alpha_deg)]), np.array([row.a_m]), np.array([row.d_m])
-    )[0]
+    alpha = np.array([math.radians(row.alpha_deg)])
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    template = dh_template(ca, sa, np.array([row.d_m]))
+    return _dh_matrices(np.array([theta]), ca, sa, np.array([row.a_m]), template)[0]
 
 
 _IDENTITY4 = np.eye(4)
@@ -53,7 +52,9 @@ _IDENTITY4.flags.writeable = False
 
 def _link_frames(model: ArmModel, q_rad: np.ndarray) -> np.ndarray:
     """Cumulative base->joint transforms, shape (7, 4, 4); frames[0] = I."""
-    steps = _dh_matrices(q_rad + model.theta_offset_rad, model.alpha_rad, model.a, model.d)
+    steps = _dh_matrices(
+        q_rad + model.theta_offset_rad, model.cos_alpha, model.sin_alpha, model.a, model.dh_template
+    )
     frames = np.empty((JOINT_COUNT + 1, 4, 4))
     frames[0] = _IDENTITY4
     for i in range(JOINT_COUNT):

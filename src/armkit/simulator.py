@@ -125,7 +125,32 @@ def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> Sim
                 )
         return replace(state, gripper=gripper)
     # Opening: release wherever the object currently is.
-    return replace(_carry(model, state), gripper=gripper, grasp_rel=None)
+    pose = _held_pose(model, state) if state.attached else state.object_pose
+    return replace(state, gripper=gripper, object_pose=pose, grasp_rel=None)
+
+
+def _frame_target(model: ArmModel, last_seq: int, frame: ServoFrame) -> tuple[float, ...]:
+    """The joint targets of a frame that follows frame ``last_seq``, in
+    degrees; raises FrameError when the frame is out of order, has the wrong
+    number of angles, or asks for a target beyond float range or outside the
+    joint limits."""
+    if frame.seq <= last_seq:
+        raise FrameError(
+            f"frame sequence {frame.seq} not greater than last applied {last_seq}"
+        )
+    if len(frame.centidegrees) != JOINT_COUNT:
+        raise FrameError(f"frame {frame.seq}: expected {JOINT_COUNT} angles")
+    try:
+        target = tuple([c / 100.0 for c in frame.centidegrees])
+    except OverflowError as exc:
+        raise FrameError(f"frame {frame.seq}: target beyond float range") from exc
+    for i, (angle, lim) in enumerate(zip(target, model.limits)):
+        if not lim.contains(angle):
+            raise FrameError(
+                f"frame {frame.seq}: joint {i} target {angle} outside "
+                f"[{lim.min_deg}, {lim.max_deg}]"
+            )
+    return target
 
 
 def apply_frame(
@@ -136,51 +161,35 @@ def apply_frame(
     Frames must arrive with strictly increasing sequence numbers and targets
     inside the joint limits.  ``config`` is unused; it matches settle's.
     """
-    if frame.seq <= state.last_seq:
-        raise FrameError(
-            f"frame sequence {frame.seq} not greater than last applied {state.last_seq}"
-        )
-    if len(frame.centidegrees) != JOINT_COUNT:
-        raise FrameError(f"frame {frame.seq}: expected {JOINT_COUNT} angles")
-    try:
-        target = tuple(c / 100.0 for c in frame.centidegrees)
-    except OverflowError as exc:
-        raise FrameError(f"frame {frame.seq}: target beyond float range") from exc
-    for i, (angle, lim) in enumerate(zip(target, model.limits)):
-        if not lim.contains(angle):
-            raise FrameError(
-                f"frame {frame.seq}: joint {i} target {angle} outside "
-                f"[{lim.min_deg}, {lim.max_deg}]"
-            )
+    target = _frame_target(model, state.last_seq, frame)
     new = replace(state, target_deg=target, last_seq=frame.seq)
-    gripper = GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN
-    return _set_gripper(model, new, gripper)
+    return _set_gripper(model, new, GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN)
+
+
+def _held_pose(model: ArmModel, state: SimState) -> Pose6D:
+    """Where the tool holds an attached object now."""
+    tool = forward_kinematics(model, JointConfig(state.current_deg))
+    return matrix_to_pose(tool @ np.array(state.grasp_rel).reshape(4, 4))
 
 
 def _carry(model: ArmModel, state: SimState) -> SimState:
     """Put an attached object where the tool holds it now."""
-    if not state.attached:
-        return state
-    tool = forward_kinematics(model, JointConfig(state.current_deg))
-    obj = tool @ np.array(state.grasp_rel).reshape(4, 4)
-    return replace(state, object_pose=matrix_to_pose(obj))
+    return replace(state, object_pose=_held_pose(model, state)) if state.attached else state
 
 
-def _slew(state: SimState, config: SimConfig) -> tuple[SimState, bool]:
-    """Tick until every joint sits exactly on its target, leaving the object
-    pose as it was; also tells whether any tick ran.
+def _tick(
+    current: tuple[float, ...], target: tuple[float, ...], elapsed: float, config: SimConfig, seq: int
+) -> tuple[tuple[float, ...], float]:
+    """Tick until every joint sits exactly on its target; returns the joint
+    angles and the simulated time.
 
     Each tick of ``tick_s`` moves every joint toward its target by at most
-    ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  The ticks
-    run on plain floats and build one state at the end.  Raises ValueError
-    when the simulated time is no longer finite.
+    ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  Raises
+    ValueError when the simulated time is no longer finite; ``seq`` names
+    the frame in that message.
     """
-    current, target = state.current_deg, state.target_deg
-    if current == target:
-        return state, False
     tick_s = config.tick_s
     max_move = config.rate_limit_deg_s * tick_s
-    elapsed = state.elapsed_s
     while current != target:
         current = tuple([
             tgt if abs(tgt - cur) <= max_move else cur + math.copysign(max_move, tgt - cur)
@@ -188,8 +197,8 @@ def _slew(state: SimState, config: SimConfig) -> tuple[SimState, bool]:
         ])
         elapsed += tick_s
     if not math.isfinite(elapsed):
-        raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {state.last_seq}")
-    return replace(state, current_deg=current, elapsed_s=elapsed), True
+        raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
+    return current, elapsed
 
 
 def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) -> SimState:
@@ -200,8 +209,10 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     so an object captured on a zero-motion frame keeps its pose's exact bits
     instead of passing through the tool transform and its inverse.  Raises
     ValueError when a tick takes the simulated time past the float range."""
-    state, ticked = _slew(state, config)
-    return _carry(model, state) if ticked else state
+    if state.current_deg == state.target_deg:
+        return state
+    current, elapsed = _tick(state.current_deg, state.target_deg, state.elapsed_s, config, state.last_seq)
+    return _carry(model, replace(state, current_deg=current, elapsed_s=elapsed))
 
 
 @dataclass(frozen=True)
@@ -237,16 +248,31 @@ def _run_frames(
     """Apply and settle each frame in turn; returns the final state and the
     number of frames.
 
-    An attached object is posed once, after the last frame, and only if a
-    tick moved it since its capture: nothing reads its pose in between
-    (release poses it from the tool), so the bits match settling each frame.
+    The joints, targets, clock and sequence number stay plain floats and
+    ints between frames: a state is built only where a frame changes the
+    gripper, for the capture or release, and once after the last frame.  An
+    attached object is posed once, after the last frame, and only if a tick
+    moved it since its capture: nothing reads its pose in between (release
+    poses it from the tool), so the bits match applying and settling each
+    frame.
     """
+    current, target = state.current_deg, state.target_deg
+    elapsed, last_seq = state.elapsed_s, state.last_seq
     carried = False
     count = 0
     for frame in frames:
-        state, ticked = _slew(apply_frame(model, state, frame, config), config)
+        target = _frame_target(model, last_seq, frame)
+        last_seq = frame.seq
+        gripper = GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN
+        if gripper != state.gripper:
+            state = replace(state, current_deg=current, target_deg=target, elapsed_s=elapsed, last_seq=last_seq)
+            state = _set_gripper(model, state, gripper)
+        ticked = current != target
+        if ticked:
+            current, elapsed = _tick(current, target, elapsed, config, last_seq)
         carried = state.attached and (carried or ticked)
         count += 1
+    state = replace(state, current_deg=current, target_deg=target, elapsed_s=elapsed, last_seq=last_seq)
     return (_carry(model, state) if carried else state), count
 
 

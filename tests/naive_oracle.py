@@ -11,8 +11,9 @@ it, and ``naive_interpolate`` builds and clamps one knot at a time: the
 per-step forms of the simulator's and planner's batched code, sharing no
 arithmetic with ``armkit.simulator``.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
-with numpy's general routines (np.cross, diag_indices_from, np.max), which
-the library's kernel must match bit for bit."""
+with numpy's general routines (np.cross, diag_indices_from, np.max), and
+``naive_dh_matrices`` builds the DH joint transforms from scratch on every
+call; the library's kernel must match each bit for bit."""
 import math
 from dataclasses import replace
 
@@ -38,6 +39,28 @@ def naive_dh_matrix(theta_offset_deg, alpha_deg, a_m, d_m, joint_rad):
         [0.0, sa, ca, d_m],
         [0.0, 0.0, 0.0, 1.0],
     ]
+
+
+def naive_dh_matrices(theta, alpha, a, d):
+    """Joint transforms of n DH rows, shape (n, 4, 4), with the cosines and
+    sines of the twists taken on every call and every entry written into a
+    zeroed array; ``theta`` (radians) already includes each row's offset."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    T = np.zeros((len(ct), 4, 4))
+    T[:, 0, 0] = ct
+    T[:, 0, 1] = -st * ca
+    T[:, 0, 2] = st * sa
+    T[:, 0, 3] = a * ct
+    T[:, 1, 0] = st
+    T[:, 1, 1] = ct * ca
+    T[:, 1, 2] = -ct * sa
+    T[:, 1, 3] = a * st
+    T[:, 2, 1] = sa
+    T[:, 2, 2] = ca
+    T[:, 2, 3] = d
+    T[:, 3, 3] = 1.0
+    return T
 
 
 def matmul4(A, B):

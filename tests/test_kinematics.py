@@ -15,6 +15,7 @@ from armkit import (
     pose_to_matrix,
 )
 from armkit.kinematics import (
+    _dh_matrices,
     euler_zyx_to_matrix,
     invert_transform,
     matrix_to_quat,
@@ -23,7 +24,7 @@ from armkit.kinematics import (
 )
 
 from conftest import make_arm, random_arm, random_config
-from naive_oracle import naive_fk, numeric_jacobian, planar_2r_jacobian_linear, transform_is_valid
+from naive_oracle import naive_dh_matrices, naive_fk, numeric_jacobian, planar_2r_jacobian_linear, transform_is_valid
 
 
 def random_rotation(rng):
@@ -90,6 +91,43 @@ class TestDhTransform:
             R = T[:3, :3]
             assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-12
             assert abs(np.linalg.det(R) - 1.0) <= 1e-12
+
+
+class TestDhMatricesOracle:
+    """The DH builder, which fills only the joint-angle entries of each
+    model's constant template, against the form that computes every entry on
+    every call, byte for byte."""
+
+    SPECIAL_RAD = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+
+    def test_model_transforms_match_oracle_bytes(self, arm, wide_arm):
+        rng = np.random.default_rng(227)
+        quarter_twists = make_arm(alpha_deg=(90.0, -90.0, 180.0, 0.0, 90.0, -90.0), a=(0.1,) * 6, d=(-0.2,) * 6)
+        models = [arm, wide_arm, quarter_twists] + [random_arm(rng) for _ in range(5)]
+        for model in models:
+            assert not model.dh_template.flags.writeable
+            for _ in range(400):
+                q = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 6)
+                special = rng.random(6) < 0.3
+                q[special] = rng.choice(self.SPECIAL_RAD, int(special.sum()))
+                theta = q + model.theta_offset_rad
+                got = _dh_matrices(theta, model.cos_alpha, model.sin_alpha, model.a, model.dh_template)
+                want = naive_dh_matrices(theta, model.alpha_rad, model.a, model.d)
+                assert got.tobytes() == want.tobytes()
+
+    def test_dh_transform_matches_oracle_bytes(self):
+        rng = np.random.default_rng(229)
+        for _ in range(300):
+            row = DHRow(
+                theta_offset_deg=float(rng.choice((0.0, 90.0, float(rng.uniform(-179, 180))))),
+                alpha_deg=float(rng.choice((0.0, 90.0, -90.0, 180.0, float(rng.uniform(-179, 180))))),
+                a_m=float(rng.uniform(0, 0.5)),
+                d_m=float(rng.uniform(-0.5, 0.5)),
+            )
+            angle = float(rng.choice(self.SPECIAL_RAD + (float(rng.uniform(-7.0, 7.0)),)))
+            theta = np.array([angle + math.radians(row.theta_offset_deg)])
+            want = naive_dh_matrices(theta, np.array([math.radians(row.alpha_deg)]), row.a_m, row.d_m)[0]
+            assert dh_transform(row, angle).tobytes() == want.tobytes()
 
 
 class TestForwardKinematics:

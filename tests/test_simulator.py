@@ -161,10 +161,37 @@ class TestApplyFrame:
             apply_frame(arm, initial_state(arm), frame)
 
 
+def frame_by_frame(model, text, config):
+    """What replay_frames must report for ``text``: the frame count and the
+    clock's bits after parsing, applying and settling each line in turn."""
+    state = initial_state(model)
+    count = 0
+    for line in text.splitlines():
+        if line.strip():
+            state = settle(model, apply_frame(model, state, parse_frame(line), config), config)
+            count += 1
+    return count, state.elapsed_s.hex()
+
+
+def replayed(model, text, config):
+    report = replay_frames(model, text, config)
+    return report.frames_sent, report.sim_time_s.hex()
+
+
+def outcome(run, *args):
+    """The result of ``run``, or the type and message of the ValueError
+    (FrameError included) that it raised."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestFrameFuzz:
     """Mutated wire frames either parse and apply to finite targets within
     the limits, or raise FrameError; any other exception, or a hang, fails
-    the suite."""
+    the suite.  Mutated streams replay exactly as the per-frame loop runs
+    them: the same error, or the same frame count and clock bits."""
 
     def test_parse_and_apply_frame(self, arm):
         rng = np.random.default_rng(6363)
@@ -191,6 +218,48 @@ class TestFrameFuzz:
             assert np.isfinite(target).all() and np.all(lo <= target) and np.all(target <= hi)
             assert math.isfinite(state.elapsed_s)
         assert accepted > 0 and refused > 0
+
+    def test_replay_matches_frame_by_frame(self, arm):
+        rng = np.random.default_rng(6367)
+        refused = 0
+        for _ in range(1500):
+            text = grasp_stream(rng, arm, int(rng.integers(2, 20)))
+            text = mutate(rng, text.encode()).decode("latin-1")
+            config = random_sim_config(rng)
+            expected = outcome(frame_by_frame, arm, text, config)
+            assert outcome(replayed, arm, text, config) == expected
+            refused += expected[0] is FrameError
+        assert 0 < refused < 1500
+
+    @pytest.mark.parametrize(
+        "frame_3, tick_s, message",
+        [
+            pytest.param(
+                "F 1 9000 13500 4500 13500 9000 4500 G 0", 0.01,
+                "frame sequence 1 not greater than last applied 2", id="seq_backwards",
+            ),
+            pytest.param(
+                "F 3 9000 13500 4500 13500 9000 9100 G 0", 0.01,
+                "frame 3: joint 5 target 91.0 outside [0.0, 90.0]", id="joint5_out_of_limits",
+            ),
+            pytest.param(
+                f"F 3 9000 13500 {'9' * 400} 13500 9000 4500 G 0", 0.01,
+                "frame 3: target beyond float range", id="angle_400_digits",
+            ),
+            pytest.param(
+                "F 3 9000 13500 4500 13500 9000 4500 G 0", 1e308,
+                "tick_s 1e+308 overflows the simulated time at frame 1", id="clock_overflow",
+            ),
+        ],
+    )
+    def test_replay_raises_as_frame_by_frame(self, arm, frame_3, tick_s, message):
+        away, back = "0 18000 0 9000 18000 0", "9000 13500 4500 13500 9000 4500"
+        lines = [f"F 0 {away} G 0", f"F 1 {back} G 0", f"F 2 {away} G 0", frame_3, f"F 4 {away} G 0"]
+        text = "\n".join(lines)
+        config = SimConfig(tick_s=tick_s)
+        expected = outcome(frame_by_frame, arm, text, config)
+        assert outcome(replayed, arm, text, config) == expected
+        assert expected == (ValueError if tick_s > 1.0 else FrameError, message)
 
 
 class TestSimConfig:
@@ -522,6 +591,34 @@ class TestPickCycle:
         place = top_down_pose(-0.05, 0.12, 0.02)
         assert run_pick_cycle(wide_arm, obj, place).success
         assert len(calls) <= 2
+
+    def test_states_built_per_cycle(self, wide_arm, monkeypatch):
+        """The frame loop runs on plain floats: a cycle builds its initial
+        and final state and at most 2 states per gripper change (the one
+        handed to the capture or release, and its result)."""
+        import armkit.simulator
+
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        place = top_down_pose(-0.05, 0.12, 0.02)
+        frames = encode_servo_frames(plan_to_trajectory(wide_arm, plan_pick_place(wide_arm, obj, place)))
+        closed = [False] + [frame.gripper_closed for frame in frames]
+        changes = sum(a != b for a, b in zip(closed, closed[1:]))
+        assert changes == 2
+
+        built = []
+
+        def counting(build):
+            def count(*args, **kwargs):
+                built.append(kwargs)
+                return build(*args, **kwargs)
+            return count
+
+        monkeypatch.setattr(armkit.simulator, "replace", counting(armkit.simulator.replace))
+        monkeypatch.setattr(armkit.simulator, "SimState", counting(armkit.simulator.SimState))
+        report = run_pick_cycle(wide_arm, obj, place)
+        assert report.success
+        assert report.frames_sent == len(frames) > 100
+        assert len(built) <= 2 * changes + 2
 
     def test_dls_steps_per_cycle_are_pinned(self, wide_arm, monkeypatch):
         """The planner's IK takes 33 damped-least-squares steps on this cycle;
