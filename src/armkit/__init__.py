@@ -38,7 +38,6 @@ from .planner import (
     GraspPlan,
     ServoFrame,
     Trajectory,
-    TrajectoryKnot,
     Waypoint,
     encode_servo_frames,
     frames_to_text,

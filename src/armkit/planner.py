@@ -14,7 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 # clamp_to_limits stays a module global for perfbench/tracing.py to rebind.
-from .dh_model import ArmModel, JointConfig, clamp_to_limits  # noqa: F401
+from .dh_model import JOINT_COUNT, ArmModel, JointConfig, clamp_to_limits  # noqa: F401
 from .ik_solver import IkSettings, NoConvergenceError, UnreachableError, solve_ik
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
 
@@ -47,17 +47,28 @@ class GraspPlan:
     waypoints: tuple[Waypoint, ...]
 
 
-@dataclass(frozen=True)
-class TrajectoryKnot:
-    config: JointConfig
-    gripper: GripperState
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered joint waypoints; gripper changes sit on zero-motion knots."""
+    """Time-ordered joint knots: ``knots`` is a read-only (N, 6) float64 array
+    of angles in degrees, N >= 1, and ``grippers`` the gripper state at each
+    knot.  Gripper changes sit on zero-motion knots."""
 
-    knots: tuple[TrajectoryKnot, ...]
+    knots: np.ndarray
+    grippers: tuple[GripperState, ...]
+
+    def __post_init__(self) -> None:
+        knots = np.array(self.knots, dtype=np.float64)
+        if knots.ndim != 2 or knots.shape[0] < 1 or knots.shape[1] != JOINT_COUNT:
+            raise ValueError(f"knots must have shape (N, {JOINT_COUNT}) with N >= 1, got {knots.shape}")
+        finite = np.isfinite(knots).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"knot {int(np.argmin(finite))} has a non-finite angle")
+        grippers = tuple(self.grippers)
+        if len(grippers) != len(knots):
+            raise ValueError(f"grippers has {len(grippers)} entries for {len(knots)} knots")
+        knots.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "grippers", grippers)
 
 
 @dataclass(frozen=True)
@@ -89,11 +100,11 @@ def _raised(pose: Pose6D, dz: float) -> Pose6D:
 def _solve_waypoint(
     model: ArmModel, name: str, pose: Pose6D, seed: JointConfig, ik_settings: IkSettings
 ) -> JointConfig:
-    """IK for one waypoint; solver errors are re-raised naming the waypoint."""
+    """IK for one waypoint; a NoConvergenceError is re-raised naming the
+    waypoint.  The solver's own reach check cannot fire here: plan_pick_place
+    has already checked every waypoint against the same workspace bound."""
     try:
         return solve_ik(model, pose, seed, ik_settings).solution
-    except UnreachableError as exc:
-        raise UnreachableError(exc.distance, exc.bound, waypoint=name) from exc
     except NoConvergenceError as exc:
         raise NoConvergenceError(
             exc.best_position_error, exc.best_orientation_error, exc.attempts, waypoint=name
@@ -153,15 +164,20 @@ def interpolate_trajectory(
 
     Between consecutive configurations, ceil(max |dq| / max_step) - 1
     intermediate knots are inserted; a gripper change contributes one extra
-    zero-motion knot at the arrival configuration.
+    zero-motion knot at the arrival configuration.  A waypoint with a
+    non-finite angle raises ValueError naming its index.
     """
     if not (max_step_deg > 0.0):  # negated so NaN fails too
         raise ValueError("max_step_deg must be positive")
     if not waypoints:
         raise ValueError("at least one waypoint required")
+    for index, (config, _) in enumerate(waypoints):
+        if not all(math.isfinite(a) for a in config.angles_deg):
+            raise ValueError(f"waypoint {index} has a non-finite angle: {config.angles_deg}")
     lo, hi = model.limits_deg
     first_config, first_gripper = waypoints[0]
-    knots = [TrajectoryKnot(first_config, first_gripper)]
+    segments = [np.array([first_config.angles_deg])]
+    grippers = [first_gripper]
     for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
         a = np.array(prev_config.angles_deg)
         b = np.array(next_config.angles_deg)
@@ -172,10 +188,12 @@ def interpolate_trajectory(
         # JointLimit.clamp's comparisons: np.clip would turn -0.0 into 0.0.
         q = np.where(q < lo, lo, q)
         q = np.where(q > hi, hi, q)
-        knots.extend(TrajectoryKnot(JointConfig(tuple(row)), prev_gripper) for row in q.tolist())
+        segments.append(q)
+        grippers.extend([prev_gripper] * steps)
         if next_gripper != prev_gripper:
-            knots.append(TrajectoryKnot(next_config, next_gripper))
-    return Trajectory(tuple(knots))
+            segments.append(b[None, :])
+            grippers.append(next_gripper)
+    return Trajectory(np.concatenate(segments), tuple(grippers))
 
 
 def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:
@@ -184,20 +202,16 @@ def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:
     return interpolate_trajectory(model, [(wp.config, wp.gripper) for wp in plan.waypoints], MAX_STEP_DEG)
 
 
-def _round_half_up_centideg(angle_deg: float) -> int:
-    return math.floor(angle_deg * 100.0 + 0.5)
-
-
 def encode_servo_frames(trajectory: Trajectory) -> list[ServoFrame]:
     """One frame per knot, angles rounded half-up to centidegrees, sequence
     numbers counting from 0."""
+    centi = np.floor(trajectory.knots * 100.0 + 0.5)
+    beyond = np.abs(centi) >= 2.0**63
+    if beyond.any():
+        raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
     return [
-        ServoFrame(
-            seq=seq,
-            centidegrees=tuple(_round_half_up_centideg(a) for a in knot.config.angles_deg),
-            gripper_closed=knot.gripper == GRIPPER_CLOSED,
-        )
-        for seq, knot in enumerate(trajectory.knots)
+        ServoFrame(seq=seq, centidegrees=tuple(row), gripper_closed=gripper == GRIPPER_CLOSED)
+        for seq, (row, gripper) in enumerate(zip(centi.astype(np.int64).tolist(), trajectory.grippers))
     ]
 
 

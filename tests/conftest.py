@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from armkit import ArmModel, DHRow, JointLimit, default_arm
+from armkit import ArmModel, DHRow, JointLimit, Trajectory, default_arm
 
 WIDE_LIMITS = tuple(JointLimit(0.0, 359.0) for _ in range(6))
 
@@ -44,6 +44,11 @@ def random_config(rng: np.random.Generator, model: ArmModel):
 
     lo, hi = model.limits_deg
     return JointConfig(tuple(rng.uniform(lo, hi)))
+
+
+def make_trajectory(*knots):
+    """A Trajectory through the given (JointConfig, gripper) knots."""
+    return Trajectory(np.array([q.angles_deg for q, _ in knots]), tuple(g for _, g in knots))
 
 
 # Replacement tokens for the fuzzers: numbers out of range, non-finite

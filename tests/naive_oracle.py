@@ -7,9 +7,10 @@ difference Jacobian checks the analytic one from the FK chain alone, and
 oracle is a per-pixel flood fill, the straightforward counterpart of the
 library's run-based labeling.  ``naive_sim_step`` writes out the servo tick
 rule and carries an attached object on every tick, ``naive_settle`` repeats
-it, and ``naive_interpolate`` builds and clamps one knot at a time: the
-per-step forms of the simulator's and planner's batched code, sharing no
-arithmetic with ``armkit.simulator``.
+it, ``naive_interpolate`` builds and clamps one knot at a time, and
+``naive_encode`` rounds one angle at a time: the per-step forms of the
+simulator's and planner's batched code, sharing no arithmetic with
+``armkit.simulator``.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
 with numpy's general routines (np.cross, diag_indices_from, np.max), and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
@@ -19,7 +20,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from armkit import BinaryMask, Blob, JointConfig, Trajectory, TrajectoryKnot, forward_kinematics, matrix_to_pose
+from armkit import (
+    GRIPPER_CLOSED,
+    BinaryMask,
+    Blob,
+    JointConfig,
+    ServoFrame,
+    Trajectory,
+    forward_kinematics,
+    matrix_to_pose,
+)
 from armkit.dh_model import JOINT_COUNT, clamp_to_limits
 from armkit.ik_solver import DLS_DAMPING, STEP_LIMIT_RAD
 from armkit.kinematics import _link_frames, rotation_log
@@ -216,7 +226,7 @@ def naive_interpolate(model, waypoints, max_step_deg):
     """Linear joint-space interpolation, one clamped knot at a time, with a
     zero-motion knot at each gripper change."""
     first_config, first_gripper = waypoints[0]
-    knots = [TrajectoryKnot(first_config, first_gripper)]
+    knots, grippers = [first_config.angles_deg], [first_gripper]
     for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
         a = np.array(prev_config.angles_deg)
         b = np.array(next_config.angles_deg)
@@ -225,7 +235,18 @@ def naive_interpolate(model, waypoints, max_step_deg):
         for k in range(1, steps + 1):
             t = k / steps
             config = clamp_to_limits(model, JointConfig(tuple((1.0 - t) * a + t * b)))
-            knots.append(TrajectoryKnot(config, prev_gripper))
+            knots.append(config.angles_deg)
+            grippers.append(prev_gripper)
         if next_gripper != prev_gripper:
-            knots.append(TrajectoryKnot(next_config, next_gripper))
-    return Trajectory(tuple(knots))
+            knots.append(next_config.angles_deg)
+            grippers.append(next_gripper)
+    return Trajectory(np.array(knots), tuple(grippers))
+
+
+def naive_encode(trajectory):
+    """One frame per knot, each angle rounded half-up to centidegrees on its
+    own with math.floor."""
+    return [
+        ServoFrame(seq, tuple(math.floor(float(a) * 100.0 + 0.5) for a in knot), gripper == GRIPPER_CLOSED)
+        for seq, (knot, gripper) in enumerate(zip(trajectory.knots, trajectory.grippers))
+    ]

@@ -16,8 +16,6 @@ from armkit import (
     JointConfig,
     NoConvergenceError,
     Pose6D,
-    Trajectory,
-    TrajectoryKnot,
     UnreachableError,
     apply_frame,
     check_limits,
@@ -44,7 +42,7 @@ from armkit import (
 from armkit.kinematics import quat_to_matrix
 from armkit.planner import GRIPPER_CLOSED, GRIPPER_OPEN
 
-from conftest import make_arm, random_arm, random_config
+from conftest import make_arm, make_trajectory, random_arm, random_config
 from naive_oracle import naive_fk, numeric_jacobian
 
 DEFAULT_ARM = default_arm()
@@ -248,22 +246,22 @@ def test_criterion_7_wire_grammar_round_trip():
     rng = np.random.default_rng(707)
     lo, hi = DEFAULT_ARM.limits_deg
     for _ in range(1000):
-        knots = tuple(
-            TrajectoryKnot(
+        knots = [
+            (
                 JointConfig(tuple(rng.uniform(lo, hi))),
                 GRIPPER_CLOSED if rng.integers(0, 2) else GRIPPER_OPEN,
             )
             for _ in range(int(rng.integers(1, 5)))
-        )
-        frames = encode_servo_frames(Trajectory(knots))
+        ]
+        frames = encode_servo_frames(make_trajectory(*knots))
         state = initial_state(DEFAULT_ARM)
-        for frame, knot in zip(frames, knots):
+        for frame, (config, _) in zip(frames, knots):
             decoded = parse_frame(frame.encode())
             assert decoded == frame
             state = apply_frame(DEFAULT_ARM, state, decoded)
             expected = tuple(c / 100.0 for c in frame.centidegrees)
             assert state.target_deg == expected
-            for target, angle in zip(state.target_deg, knot.config.angles_deg):
+            for target, angle in zip(state.target_deg, config.angles_deg):
                 assert target == math.floor(angle * 100.0 + 0.5) / 100.0
     elapsed = time.perf_counter() - start
     _report(7, "encode -> parse -> apply recovered 1000 random trajectories bit-exactly at centidegree resolution", elapsed)

@@ -1,8 +1,11 @@
 """perfbench/run.py's ``--trace 0`` counter digest hashes the records of each
 gated workload's warm-up ops: frames sent, simulated time and where the object
-ended, bit for bit.  Pinning the digests here makes tier-1 fail when a change
-alters what the benchmark's ops return, without running the benchmark.
-perfbench/ is only read."""
+ended, bit for bit.  Its ``--trace 1`` digest adds each op's work counters,
+read off the calls that perfbench/tracing.py wraps: solver outcomes, knots,
+ticks and foreground pixels.  Pinning both digests here makes tier-1 fail when
+a change alters what the benchmark's ops return, or breaks a traced name or
+the counters read through it, without running the benchmark.  perfbench/ is
+only read."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -33,3 +36,16 @@ def test_warm_up_records_are_pinned(run, workload, digest):
     warm = run.run_pass(bench, count=bench.warmup_ops)
     assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
     assert run.digest(warm.records) == digest
+
+
+@pytest.mark.parametrize(
+    "workload, digest", [("pick_table", "000bb094b775f6b2"), ("sim_replay", "41228d684af42589")]
+)
+def test_traced_warm_up_counters_are_pinned(run, workload, digest):
+    bench = run.WORKLOADS[workload](run.Env(), 8088)
+    tracer = run.Tracer()
+    with tracer.installed():
+        warm = run.run_pass(bench, count=bench.warmup_ops, tracer=tracer)
+    assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
+    counters = run.op_counters(tracer.spans)
+    assert run.digest((warm.records[i], counters.get(i)) for i in range(bench.warmup_ops)) == digest

@@ -11,7 +11,6 @@ from armkit import (
     NoConvergenceError,
     ServoFrame,
     Trajectory,
-    TrajectoryKnot,
     UnreachableError,
     check_limits,
     encode_servo_frames,
@@ -26,8 +25,8 @@ from armkit import (
 )
 from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
 
-from conftest import float_bits, random_config
-from naive_oracle import naive_interpolate
+from conftest import make_trajectory, random_config
+from naive_oracle import naive_encode, naive_interpolate
 
 
 QUICK = IkSettings(restarts=3, max_iterations=150)
@@ -117,8 +116,8 @@ class TestInterpolation:
         b = JointConfig((a.angles_deg[0] + 10.0,) + a.angles_deg[1:])
         traj = interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_OPEN)], 2.0)
         assert len(traj.knots) == 6
-        assert traj.knots[0].config == a
-        assert traj.knots[-1].config == b
+        assert tuple(traj.knots[0].tolist()) == a.angles_deg
+        assert tuple(traj.knots[-1].tolist()) == b.angles_deg
 
     def test_identical_waypoints_insert_nothing(self, arm):
         a = arm.mid_config()
@@ -129,29 +128,30 @@ class TestInterpolation:
         a = arm.mid_config()
         b = JointConfig((a.angles_deg[0] + 5.0,) + a.angles_deg[1:])
         traj = interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_CLOSED)], 2.0)
+        knots = traj.knots.tolist()
         changes = [
-            (k1, k2)
-            for k1, k2 in zip(traj.knots, traj.knots[1:])
-            if k1.gripper != k2.gripper
+            (knots[i], knots[i + 1])
+            for i in range(len(knots) - 1)
+            if traj.grippers[i] != traj.grippers[i + 1]
         ]
         assert len(changes) == 1
         before, after = changes[0]
-        assert before.config == after.config
+        assert before == after
 
     def test_steps_never_exceed_max_step(self, arm):
         rng = np.random.default_rng(137)
         waypoints = [(random_config(rng, arm), GRIPPER_OPEN) for _ in range(5)]
         traj = interpolate_trajectory(arm, waypoints, 3.0)
         for k1, k2 in zip(traj.knots, traj.knots[1:]):
-            deltas = np.abs(np.array(k2.config.angles_deg) - np.array(k1.config.angles_deg))
+            deltas = np.abs(k2 - k1)
             assert float(np.max(deltas)) <= 3.0 + 1e-9
 
     def test_every_knot_is_within_limits(self, arm):
         rng = np.random.default_rng(139)
         waypoints = [(random_config(rng, arm), GRIPPER_OPEN) for _ in range(4)]
         traj = interpolate_trajectory(arm, waypoints, 2.0)
-        for knot in traj.knots:
-            assert check_limits(arm, knot.config) == []
+        for knot in traj.knots.tolist():
+            assert check_limits(arm, JointConfig(tuple(knot))) == []
 
     def test_matches_per_knot_oracle_bit_for_bit(self, arm, wide_arm):
         rng = np.random.default_rng(149)
@@ -170,7 +170,21 @@ class TestInterpolation:
                     waypoints.append((JointConfig(tuple(q)), gripper))
                 step = float(rng.uniform(0.5, 10.0))
                 got = interpolate_trajectory(model, waypoints, step)
-                assert float_bits(got) == float_bits(naive_interpolate(model, waypoints, step))
+                want = naive_interpolate(model, waypoints, step)
+                assert got.knots.tobytes() == want.knots.tobytes()
+                assert got.grippers == want.grippers
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waypoint_is_named(self, arm, index, bad):
+        a = arm.mid_config()
+        b = JointConfig(tuple(v + 10.0 for v in a.angles_deg))
+        waypoints = [(a, GRIPPER_OPEN), (b, GRIPPER_CLOSED), (a, GRIPPER_OPEN)]
+        angles = list(waypoints[index][0].angles_deg)
+        angles[3] = bad
+        waypoints[index] = (JointConfig(tuple(angles)), GRIPPER_OPEN)
+        with pytest.raises(ValueError, match=f"waypoint {index} has a non-finite angle"):
+            interpolate_trajectory(arm, waypoints, 2.0)
 
     def test_max_step_must_be_positive(self, arm):
         a = arm.mid_config()
@@ -180,6 +194,38 @@ class TestInterpolation:
                 interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_OPEN)], step)
 
 
+class TestTrajectory:
+    def test_knots_are_a_read_only_copy(self, arm):
+        mid = arm.mid_config().angles_deg
+        source = np.array([mid, mid])
+        traj = Trajectory(source, (GRIPPER_OPEN, GRIPPER_CLOSED))
+        source[0, 0] = 0.0
+        assert traj.knots.dtype == np.float64
+        assert tuple(traj.knots[0].tolist()) == mid
+        with pytest.raises(ValueError):
+            traj.knots[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "shape, bad, grippers, message",
+        [
+            ((3, 6), (1, 4, math.nan), 3, "knot 1 has a non-finite angle"),
+            ((3, 6), (2, 0, -math.inf), 3, "knot 2 has a non-finite angle"),
+            ((3, 5), None, 3, r"knots must have shape \(N, 6\) with N >= 1, got \(3, 5\)"),
+            ((6,), None, 1, r"knots must have shape \(N, 6\)"),
+            ((0, 6), None, 0, r"knots must have shape \(N, 6\) with N >= 1, got \(0, 6\)"),
+            ((3, 6), None, 2, "grippers has 2 entries for 3 knots"),
+        ],
+        ids=["nan", "minus_inf", "five_angles", "one_dimensional", "empty", "grippers_short"],
+    )
+    def test_invalid_trajectory_rejected(self, shape, bad, grippers, message):
+        knots = np.full(shape, 90.0)
+        if bad is not None:
+            row, col, value = bad
+            knots[row, col] = value
+        with pytest.raises(ValueError, match=message):
+            Trajectory(knots, (GRIPPER_OPEN,) * grippers)
+
+
 class TestPlanToTrajectory:
     def test_full_plan_yields_limit_respecting_trajectory(self, arm):
         rng = np.random.default_rng(149)
@@ -187,9 +233,9 @@ class TestPlanToTrajectory:
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
         traj = plan_to_trajectory(arm, plan)
         assert len(traj.knots) > len(plan.waypoints)
-        for knot in traj.knots:
-            assert check_limits(arm, knot.config) == []
-        grippers = [k.gripper for k in traj.knots]
+        for knot in traj.knots.tolist():
+            assert check_limits(arm, JointConfig(tuple(knot))) == []
+        grippers = list(traj.grippers)
         transitions = [(a, b) for a, b in zip(grippers, grippers[1:]) if a != b]
         assert transitions == [("open", "closed"), ("closed", "open")]
 
@@ -199,35 +245,60 @@ class TestPlanToTrajectory:
         plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
         traj = plan_to_trajectory(arm, plan)
         bound = math.radians(MAX_STEP_DEG) * arm.workspace_bound() + 1e-4
-        positions = [forward_kinematics(arm, k.config)[:3, 3] for k in traj.knots]
+        positions = [forward_kinematics(arm, JointConfig(tuple(k)))[:3, 3] for k in traj.knots.tolist()]
         for p1, p2 in zip(positions, positions[1:]):
             assert float(np.linalg.norm(p2 - p1)) <= bound
 
 
 class TestEncoding:
     def test_mid_range_frame_line(self, arm):
-        traj = Trajectory((TrajectoryKnot(arm.mid_config(), GRIPPER_OPEN),))
+        traj = make_trajectory((arm.mid_config(), GRIPPER_OPEN))
         frames = encode_servo_frames(traj)
         assert len(frames) == 1
         assert frames[0].encode() == "F 0 9000 13500 4500 13500 9000 4500 G 0\n"
 
     def test_closed_gripper_bit(self, arm):
-        traj = Trajectory((TrajectoryKnot(arm.mid_config(), GRIPPER_CLOSED),))
+        traj = make_trajectory((arm.mid_config(), GRIPPER_CLOSED))
         assert encode_servo_frames(traj)[0].encode().endswith("G 1\n")
 
     def test_rounding_is_half_up(self, arm):
         q = JointConfig((90.005, 135.0, 45.0, 135.0, 90.0, 45.0))
-        traj = Trajectory((TrajectoryKnot(q, GRIPPER_OPEN),))
+        traj = make_trajectory((q, GRIPPER_OPEN))
         assert encode_servo_frames(traj)[0].centidegrees[0] == 9001
 
+    def test_matches_per_knot_oracle_byte_for_byte(self, arm):
+        rng = np.random.default_rng(157)
+        lo, hi = arm.limits_deg
+        # Odd multiples of 1/8 make angle * 100 + 0.5 an exact integer; the
+        # decimal .xx5 values are the nearest doubles to such ties.
+        exact_ties = (2 * rng.integers(-2880, 2880, 300) + 1) / 8.0
+        decimal_ties = (rng.integers(-72000, 72000, 300) + 0.5) / 100.0
+        ties = np.concatenate([exact_ties, decimal_ties])
+        pool = np.concatenate(
+            [rng.uniform(-720.0, 720.0, 300), ties, np.nextafter(ties, np.inf),
+             np.nextafter(ties, -np.inf), lo, hi, [0.0, -0.0]]
+        )
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            grippers = tuple(GRIPPER_CLOSED if g else GRIPPER_OPEN for g in rng.integers(0, 2, n))
+            traj = Trajectory(rng.choice(pool, (n, 6)), grippers)
+            got, want = encode_servo_frames(traj), naive_encode(traj)
+            assert frames_to_text(got) == frames_to_text(want)
+            assert got == want
+            assert all(type(c) is int for frame in got for c in frame.centidegrees)
+
+    def test_angle_beyond_int64_centidegrees_rejected(self, arm):
+        knots = np.array([arm.mid_config().angles_deg] * 2)
+        knots[1, 2] = -1e17
+        with pytest.raises(ValueError, match="knot 1 has an angle beyond 64-bit centidegrees"):
+            encode_servo_frames(Trajectory(knots, (GRIPPER_OPEN,) * 2))
+
     def test_sequence_numbers_count_from_zero(self, arm):
-        knots = tuple(TrajectoryKnot(arm.mid_config(), GRIPPER_OPEN) for _ in range(4))
-        frames = encode_servo_frames(Trajectory(knots))
+        frames = encode_servo_frames(make_trajectory(*[(arm.mid_config(), GRIPPER_OPEN)] * 4))
         assert [f.seq for f in frames] == [0, 1, 2, 3]
 
     def test_frames_to_text_joins_lines(self, arm):
-        knots = tuple(TrajectoryKnot(arm.mid_config(), GRIPPER_OPEN) for _ in range(2))
-        text = frames_to_text(encode_servo_frames(Trajectory(knots)))
+        text = frames_to_text(encode_servo_frames(make_trajectory(*[(arm.mid_config(), GRIPPER_OPEN)] * 2)))
         assert text.count("\n") == 2
         assert text.startswith("F 0 ")
 

@@ -16,8 +16,6 @@ from armkit import (
     ServoFrame,
     SimConfig,
     SimState,
-    Trajectory,
-    TrajectoryKnot,
     UnreachableError,
     apply_frame,
     encode_servo_frames,
@@ -36,7 +34,7 @@ from armkit import (
 from armkit.kinematics import invert_transform, pose_to_matrix
 from armkit.simulator import PLACE_TOLERANCE_M, _run_frames
 
-from conftest import float_bits, mutate, random_config
+from conftest import float_bits, make_trajectory, mutate, random_config
 from naive_oracle import naive_settle, naive_sim_step
 
 
@@ -149,7 +147,7 @@ class TestApplyFrame:
         rng = np.random.default_rng(163)
         for _ in range(50):
             q = random_config(rng, arm)
-            traj = Trajectory((TrajectoryKnot(q, GRIPPER_OPEN),))
+            traj = make_trajectory((q, GRIPPER_OPEN))
             frame = encode_servo_frames(traj)[0]
             state = apply_frame(arm, initial_state(arm), parse_frame(frame.encode()))
             expected = tuple(c / 100.0 for c in frame.centidegrees)
@@ -306,7 +304,7 @@ class TestSimStep:
         rng = np.random.default_rng(167)
         state = initial_state(arm)
         q = random_config(rng, arm)
-        traj = Trajectory((TrajectoryKnot(q, GRIPPER_OPEN),))
+        traj = make_trajectory((q, GRIPPER_OPEN))
         state = apply_frame(arm, state, encode_servo_frames(traj)[0])
         gaps = np.abs(np.array(state.target_deg) - np.array(state.current_deg))
         for _ in range(200):
@@ -326,7 +324,7 @@ class TestSimStep:
         lo, hi = arm.limits_deg
         for seq in range(20):
             q = random_config(rng, arm)
-            traj = Trajectory((TrajectoryKnot(q, GRIPPER_OPEN),))
+            traj = make_trajectory((q, GRIPPER_OPEN))
             frame = encode_servo_frames(traj)[0]
             frame = ServoFrame(seq, frame.centidegrees, frame.gripper_closed)
             state = apply_frame(arm, state, frame)
@@ -362,7 +360,7 @@ class TestSettle:
 
         start = wide_arm.mid_config()
         state = initial_state(wide_arm, object_pose=fk_pose(wide_arm, start))
-        close = encode_servo_frames(Trajectory((TrajectoryKnot(start, GRIPPER_CLOSED),)))[0]
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
         # Joint 0 moves 179.5 -> 299.5 degrees at 3 degrees per tick.
         move = ServoFrame(1, (29950,) + close.centidegrees[1:], True)
         state = apply_frame(wide_arm, apply_frame(wide_arm, state, close), move)
@@ -379,15 +377,13 @@ class TestGrasping:
         start = arm.mid_config()
         state = initial_state(arm, object_pose=fk_pose(arm, start))
         # close at the object: capture
-        close = encode_servo_frames(
-            Trajectory((TrajectoryKnot(start, GRIPPER_CLOSED),))
-        )[0]
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
         state = apply_frame(arm, state, close)
         assert state.attached
         rel_before = state.grasp_rel
         # drive elsewhere and settle; the object must ride along
         target = JointConfig((80.0, 130.0, 40.0, 130.0, 85.0, 40.0))
-        move = encode_servo_frames(Trajectory((TrajectoryKnot(target, GRIPPER_CLOSED),)))[0]
+        move = encode_servo_frames(make_trajectory((target, GRIPPER_CLOSED)))[0]
         move = ServoFrame(1, move.centidegrees, move.gripper_closed)
         state = settle(arm, apply_frame(arm, state, move))
         assert state.grasp_rel == rel_before
@@ -405,14 +401,14 @@ class TestGrasping:
     def test_relative_pose_constant_while_attached(self, arm):
         start = arm.mid_config()
         state = initial_state(arm, object_pose=fk_pose(arm, start))
-        close = encode_servo_frames(Trajectory((TrajectoryKnot(start, GRIPPER_CLOSED),)))[0]
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
         state = apply_frame(arm, state, close)
         rel0 = np.array(state.grasp_rel).reshape(4, 4)
         a = np.array(start.angles_deg)
         b = np.array((70.0, 120.0, 30.0, 120.0, 60.0, 30.0))
         for seq in range(1, 11):
             target = JointConfig(tuple(a + (b - a) * (seq / 10)))
-            move = encode_servo_frames(Trajectory((TrajectoryKnot(target, GRIPPER_CLOSED),)))[0]
+            move = encode_servo_frames(make_trajectory((target, GRIPPER_CLOSED)))[0]
             state = settle(arm, apply_frame(arm, state, ServoFrame(seq, move.centidegrees, True)))
             tool = forward_kinematics(arm, JointConfig(state.current_deg))
             rel = invert_transform(tool) @ pose_to_matrix(state.object_pose)
@@ -426,7 +422,7 @@ class TestGrasping:
             far_pose.quaternion,
         )
         state = initial_state(arm, object_pose=shifted)
-        close = encode_servo_frames(Trajectory((TrajectoryKnot(start, GRIPPER_CLOSED),)))[0]
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
         state = apply_frame(arm, state, close)
         assert not state.attached
         assert state.gripper == GRIPPER_CLOSED
@@ -471,7 +467,7 @@ class TestSettleOracle:
         tool = fk_pose(arm, arm.mid_config())
         obj = Pose6D(tuple(np.add(tool.position, (0.003, -0.002, 0.001))), tool.quaternion)
         state = initial_state(arm, object_pose=obj)
-        close = encode_servo_frames(Trajectory((TrajectoryKnot(arm.mid_config(), GRIPPER_CLOSED),)))[0]
+        close = encode_servo_frames(make_trajectory((arm.mid_config(), GRIPPER_CLOSED)))[0]
         state = apply_frame(arm, state, close)
         assert state.attached
         assert float_bits(settle(arm, state)) == float_bits(state)
@@ -619,6 +615,25 @@ class TestPickCycle:
         assert report.success
         assert report.frames_sent == len(frames) > 100
         assert len(built) <= 2 * changes + 2
+
+    def test_knots_build_no_joint_configs(self, wide_arm, monkeypatch):
+        """The cycle of test_states_built_per_cycle keeps its knots in one
+        array from interpolation to frames: plan_to_trajectory and
+        encode_servo_frames build no JointConfig."""
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        place = top_down_pose(-0.05, 0.12, 0.02)
+        plan = plan_pick_place(wide_arm, obj, place)
+        built = []
+        check = JointConfig.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(JointConfig, "__post_init__", counting)
+        frames = encode_servo_frames(plan_to_trajectory(wide_arm, plan))
+        assert len(frames) > 100
+        assert len(built) == 0
 
     def test_dls_steps_per_cycle_are_pinned(self, wide_arm, monkeypatch):
         """The planner's IK takes 33 damped-least-squares steps on this cycle;
