@@ -164,8 +164,9 @@ def interpolate_trajectory(
 
     Between consecutive configurations, ceil(max |dq| / max_step) - 1
     intermediate knots are inserted; a gripper change contributes one extra
-    zero-motion knot at the arrival configuration.  A waypoint with a
-    non-finite angle raises ValueError naming its index.
+    zero-motion knot at the arrival configuration.  Every knot, the first
+    and the gripper-change ones included, is clamped to the joint limits.  A
+    waypoint with a non-finite angle raises ValueError naming its index.
     """
     if not (max_step_deg > 0.0):  # negated so NaN fails too
         raise ValueError("max_step_deg must be positive")
@@ -174,7 +175,6 @@ def interpolate_trajectory(
     for index, (config, _) in enumerate(waypoints):
         if not all(math.isfinite(a) for a in config.angles_deg):
             raise ValueError(f"waypoint {index} has a non-finite angle: {config.angles_deg}")
-    lo, hi = model.limits_deg
     first_config, first_gripper = waypoints[0]
     segments = [np.array([first_config.angles_deg])]
     grippers = [first_gripper]
@@ -184,16 +184,17 @@ def interpolate_trajectory(
         gap = float(np.max(np.abs(b - a)))
         steps = math.ceil(gap / max_step_deg)
         t = np.arange(1, steps + 1)[:, None] / steps
-        q = (1.0 - t) * a + t * b
-        # JointLimit.clamp's comparisons: np.clip would turn -0.0 into 0.0.
-        q = np.where(q < lo, lo, q)
-        q = np.where(q > hi, hi, q)
-        segments.append(q)
+        segments.append((1.0 - t) * a + t * b)
         grippers.extend([prev_gripper] * steps)
         if next_gripper != prev_gripper:
             segments.append(b[None, :])
             grippers.append(next_gripper)
-    return Trajectory(np.concatenate(segments), tuple(grippers))
+    knots = np.concatenate(segments)
+    # JointLimit.clamp's comparisons: np.clip would turn -0.0 into 0.0.
+    lo, hi = model.limits_deg
+    knots = np.where(knots < lo, lo, knots)
+    knots = np.where(knots > hi, hi, knots)
+    return Trajectory(knots, tuple(grippers))
 
 
 def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:

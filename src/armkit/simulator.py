@@ -184,18 +184,39 @@ def _tick(
     angles and the simulated time.
 
     Each tick of ``tick_s`` moves every joint toward its target by at most
-    ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  Raises
-    ValueError when the simulated time is no longer finite; ``seq`` names
-    the frame in that message.
+    ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  The
+    joints move independently, so each one's ticks are counted on its own:
+    steps of exactly ``cur ± max_move`` while its gap exceeds ``max_move``,
+    then one arrival tick unless a step landed on the target.  The frame
+    takes the largest count, N, and the clock adds ``tick_s`` N times in
+    order, the same bits as ticking all joints together.  After N > 0 ticks
+    every joint holds its target's bits: a step never lands on a zero, so
+    one that lands on the target equals it bit for bit.  The angles must be
+    finite.  Raises ValueError when the simulated time is no longer finite;
+    ``seq`` names the frame in that message.
     """
     tick_s = config.tick_s
     max_move = config.rate_limit_deg_s * tick_s
-    while current != target:
-        current = tuple([
-            tgt if abs(tgt - cur) <= max_move else cur + math.copysign(max_move, tgt - cur)
-            for cur, tgt in zip(current, target)
-        ])
+    ticks = 0
+    for cur, tgt in zip(current, target):
+        # No step overshoots, so the gap keeps its sign: cur + copysign(max_move, gap).
+        count = 0
+        if cur < tgt:
+            while tgt - cur > max_move:
+                cur += max_move
+                count += 1
+        else:
+            while cur - tgt > max_move:
+                cur -= max_move
+                count += 1
+        if cur != tgt:
+            count += 1
+        if count > ticks:
+            ticks = count
+    for _ in range(ticks):
         elapsed += tick_s
+    if ticks:
+        current = target
     if not math.isfinite(elapsed):
         raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
     return current, elapsed
@@ -208,7 +229,12 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     carrying it every tick.  A state that needs no tick comes back as it is,
     so an object captured on a zero-motion frame keeps its pose's exact bits
     instead of passing through the tool transform and its inverse.  Raises
-    ValueError when a tick takes the simulated time past the float range."""
+    ValueError, before any tick, when a current or target angle is not
+    finite, and when a tick takes the simulated time past the float range."""
+    for field, angles in (("current_deg", state.current_deg), ("target_deg", state.target_deg)):
+        for joint, angle in enumerate(angles):
+            if not math.isfinite(angle):
+                raise ValueError(f"{field} joint {joint} is not finite: {angle}")
     if state.current_deg == state.target_deg:
         return state
     current, elapsed = _tick(state.current_deg, state.target_deg, state.elapsed_s, config, state.last_seq)

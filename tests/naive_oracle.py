@@ -7,7 +7,8 @@ difference Jacobian checks the analytic one from the FK chain alone, and
 oracle is a per-pixel flood fill, the straightforward counterpart of the
 library's run-based labeling.  ``naive_sim_step`` writes out the servo tick
 rule and carries an attached object on every tick, ``naive_settle`` repeats
-it, ``naive_interpolate`` builds and clamps one knot at a time, and
+it, ``naive_tick`` is the simulator's tick kernel one six-joint tick at a
+time, ``naive_interpolate`` builds and clamps one knot at a time, and
 ``naive_encode`` rounds one angle at a time: the per-step forms of the
 simulator's and planner's batched code, sharing no arithmetic with
 ``armkit.simulator``.
@@ -222,11 +223,30 @@ def naive_settle(model, state, config):
     return state
 
 
+def naive_tick(current, target, elapsed, config, seq):
+    """The simulator's tick kernel one tick at a time: all six joints step
+    together until the tuple of angles equals the target, and the clock
+    adds ``tick_s`` per tick.  Raises ValueError, naming frame ``seq``, when
+    the clock is no longer finite."""
+    tick_s = config.tick_s
+    max_move = config.rate_limit_deg_s * tick_s
+    while current != target:
+        current = tuple([
+            tgt if abs(tgt - cur) <= max_move else cur + math.copysign(max_move, tgt - cur)
+            for cur, tgt in zip(current, target)
+        ])
+        elapsed += tick_s
+    if not math.isfinite(elapsed):
+        raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
+    return current, elapsed
+
+
 def naive_interpolate(model, waypoints, max_step_deg):
     """Linear joint-space interpolation, one clamped knot at a time, with a
-    zero-motion knot at each gripper change."""
+    zero-motion knot at each gripper change; the first knot and the
+    gripper-change knots are clamped too."""
     first_config, first_gripper = waypoints[0]
-    knots, grippers = [first_config.angles_deg], [first_gripper]
+    knots, grippers = [clamp_to_limits(model, first_config).angles_deg], [first_gripper]
     for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
         a = np.array(prev_config.angles_deg)
         b = np.array(next_config.angles_deg)
@@ -238,7 +258,7 @@ def naive_interpolate(model, waypoints, max_step_deg):
             knots.append(config.angles_deg)
             grippers.append(prev_gripper)
         if next_gripper != prev_gripper:
-            knots.append(next_config.angles_deg)
+            knots.append(clamp_to_limits(model, next_config).angles_deg)
             grippers.append(next_gripper)
     return Trajectory(np.array(knots), tuple(grippers))
 

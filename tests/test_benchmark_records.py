@@ -1,8 +1,8 @@
 """perfbench/run.py's ``--trace 0`` counter digest hashes the records of each
-gated workload's warm-up ops: frames sent, simulated time and where the object
-ended, bit for bit.  Its ``--trace 1`` digest adds each op's work counters,
-read off the calls that perfbench/tracing.py wraps: solver outcomes, knots,
-ticks and foreground pixels.  Pinning both digests here makes tier-1 fail when
+workload's warm-up ops, bit for bit: frames sent, simulated time and where the
+object ended, or an IK solve's outcome.  Its ``--trace 1`` digest adds each
+op's work counters, read off the calls that perfbench/tracing.py wraps:
+solver outcomes, knots, ticks and foreground pixels.  Pinning both digests here makes tier-1 fail when
 a change alters what the benchmark's ops return, or breaks a traced name or
 the counters read through it, without running the benchmark.  perfbench/ is
 only read."""
@@ -28,11 +28,18 @@ def run():
     return module
 
 
+def build(run, workload):
+    """The workload with its own default seed: ik_cold loads its reference
+    restart indexes only for that seed."""
+    return run.WORKLOADS[workload](run.Env(), run.WORKLOADS[workload].default_seed)
+
+
 @pytest.mark.parametrize(
-    "workload, digest", [("pick_table", "8cd3f7a9068ed5e0"), ("sim_replay", "9821092664310ce9")]
+    "workload, digest",
+    [("pick_table", "8cd3f7a9068ed5e0"), ("sim_replay", "9821092664310ce9"), ("ik_cold", "aeeedffc94cd0e86")],
 )
 def test_warm_up_records_are_pinned(run, workload, digest):
-    bench = run.WORKLOADS[workload](run.Env(), 8088)
+    bench = build(run, workload)
     warm = run.run_pass(bench, count=bench.warmup_ops)
     assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
     assert run.digest(warm.records) == digest
@@ -42,7 +49,7 @@ def test_warm_up_records_are_pinned(run, workload, digest):
     "workload, digest", [("pick_table", "000bb094b775f6b2"), ("sim_replay", "41228d684af42589")]
 )
 def test_traced_warm_up_counters_are_pinned(run, workload, digest):
-    bench = run.WORKLOADS[workload](run.Env(), 8088)
+    bench = build(run, workload)
     tracer = run.Tracer()
     with tracer.installed():
         warm = run.run_pass(bench, count=bench.warmup_ops, tracer=tracer)

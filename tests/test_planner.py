@@ -21,6 +21,7 @@ from armkit import (
     plan_pick_place,
     plan_to_trajectory,
     pose_to_matrix,
+    replay_frames,
     top_down_pose,
 )
 from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
@@ -152,6 +153,24 @@ class TestInterpolation:
         traj = interpolate_trajectory(arm, waypoints, 2.0)
         for knot in traj.knots.tolist():
             assert check_limits(arm, JointConfig(tuple(knot))) == []
+
+    def test_first_and_gripper_change_knots_are_clamped(self, arm):
+        # Joint 0 goes 170 -> 185 degrees against a 180-degree limit, and the
+        # gripper closes on arrival: the zero-motion knot sits on the limit
+        # too, so the encoded stream replays.
+        mid = arm.mid_config().angles_deg
+        inside = JointConfig((170.0,) + mid[1:])
+        beyond = JointConfig((185.0,) + mid[1:])
+        waypoints = [(beyond, GRIPPER_OPEN), (inside, GRIPPER_OPEN), (beyond, GRIPPER_CLOSED)]
+        traj = interpolate_trajectory(arm, waypoints, 2.0)
+        assert traj.knots[0, 0] == 180.0
+        assert traj.knots[-2:, 0].tolist() == [180.0, 180.0]
+        assert traj.grippers[-2:] == (GRIPPER_OPEN, GRIPPER_CLOSED)
+        for knot in traj.knots.tolist():
+            assert check_limits(arm, JointConfig(tuple(knot))) == []
+        frames = encode_servo_frames(traj)
+        report = replay_frames(arm, frames_to_text(frames))
+        assert report.frames_sent == len(frames)
 
     def test_matches_per_knot_oracle_bit_for_bit(self, arm, wide_arm):
         rng = np.random.default_rng(149)

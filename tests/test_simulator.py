@@ -32,10 +32,10 @@ from armkit import (
     top_down_pose,
 )
 from armkit.kinematics import invert_transform, pose_to_matrix
-from armkit.simulator import PLACE_TOLERANCE_M, _run_frames
+from armkit.simulator import MIN_MOVE_PER_TICK_DEG, PLACE_TOLERANCE_M, _run_frames, _tick
 
 from conftest import float_bits, make_trajectory, mutate, random_config
-from naive_oracle import naive_settle, naive_sim_step
+from naive_oracle import naive_settle, naive_sim_step, naive_tick
 
 
 QUICK = IkSettings(restarts=3, max_iterations=150)
@@ -370,6 +370,112 @@ class TestSettle:
         assert round((settled.elapsed_s - state.elapsed_s) / SimConfig().tick_s) == 40
         assert settled.current_deg == settled.target_deg
         assert len(built) <= 2
+
+    @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_named(self, arm, field, bad):
+        state = initial_state(arm)
+        angles = list(getattr(state, field))
+        angles[2] = bad
+        state = replace(state, **{field: tuple(angles)})
+        with pytest.raises(ValueError, match=f"{field} joint 2 is not finite: {bad}"):
+            settle(arm, state)
+
+
+class TestTickKernel:
+    """_tick counts each joint's ticks on its own; naive_tick steps all six
+    joints together, tick by tick.  Angles and clock must agree bit for bit,
+    the sign of zero included."""
+
+    @staticmethod
+    def assert_matches(current, target, elapsed, config):
+        got = _tick(tuple(current), tuple(target), elapsed, config, 7)
+        want = naive_tick(tuple(current), tuple(target), elapsed, config, 7)
+        assert [a.hex() for a in got[0]] == [a.hex() for a in want[0]]
+        assert got[1].hex() == want[1].hex()
+
+    def test_random_moves_within_limits(self, arm, wide_arm):
+        rng = np.random.default_rng(227)
+        for model in (arm, wide_arm):
+            lo, hi = model.limits_deg
+            for _ in range(300):
+                current, target = rng.uniform(lo, hi), rng.uniform(lo, hi)
+                target = np.where(rng.random(6) < 0.2, current, target)
+                config = random_sim_config(rng) if rng.random() < 0.9 else SimConfig(rate_limit_deg_s=math.inf)
+                self.assert_matches(current.tolist(), target.tolist(), float(rng.uniform(0.0, 50.0)), config)
+
+    def test_signed_zeros(self, wide_arm):
+        rng = np.random.default_rng(229)
+        lo, hi = wide_arm.limits_deg
+        zeros = (0.0, -0.0)
+        for _ in range(300):
+            current, target = rng.uniform(lo, hi).tolist(), rng.uniform(lo, hi).tolist()
+            for joint in range(6):
+                if rng.random() < 0.4:
+                    current[joint] = zeros[int(rng.integers(2))]
+                if rng.random() < 0.4:
+                    target[joint] = zeros[int(rng.integers(2))]
+            self.assert_matches(current, target, 0.0, random_sim_config(rng))
+
+    def test_gaps_at_multiples_of_the_move_and_one_ulp_off(self, wide_arm):
+        rng = np.random.default_rng(233)
+        lo, hi = wide_arm.limits_deg
+        for _ in range(300):
+            config = random_sim_config(rng)
+            max_move = config.rate_limit_deg_s * config.tick_s
+            # Near the lower limit, the gap of a target a few steps up has a
+            # smaller exponent than the target; elsewhere the same exponent.
+            near_zero = rng.random(6) < 0.5
+            current = np.where(near_zero, rng.uniform(0.0, 1.0, 6), rng.uniform(lo + 60.0, hi - 60.0)).tolist()
+            target = []
+            for cur, low in zip(current, near_zero):
+                # Repeated steps land where the kernel's own steps land; the
+                # product lands a rounding away from them or on them.
+                steps = int(rng.integers(1, 4)) if low else int(rng.integers(-12, 13))
+                tgt = cur + steps * max_move
+                if rng.random() < 0.5:
+                    tgt = cur
+                    for _ in range(abs(steps)):
+                        tgt += math.copysign(max_move, steps)
+                target.append(float(np.nextafter(tgt, (-math.inf, tgt, math.inf)[int(rng.integers(3))])))
+            self.assert_matches(current, target, float(rng.uniform(0.0, 5.0)), config)
+
+    @pytest.mark.parametrize(
+        "current, target, move", [(0.557, 1.9070000000000003, 1.35), (3.227, 1.107, 2.12)]
+    )
+    def test_gap_that_rounds_to_the_move(self, current, target, move):
+        # The gap rounds to exactly one move, but a step from the current
+        # angle would round to a neighbour of the target: one arrival tick.
+        assert abs(target - current) == move and current + math.copysign(move, target - current) != target
+        config = SimConfig(rate_limit_deg_s=move, tick_s=1.0)
+        self.assert_matches((current,) * 6, (target,) * 6, 0.0, config)
+        assert _tick((current,) * 6, (target,) * 6, 0.0, config, 0)[1] == 1.0
+
+    def test_smallest_move_per_tick(self):
+        config = SimConfig(rate_limit_deg_s=1.0, tick_s=0.001)
+        assert config.rate_limit_deg_s * config.tick_s == MIN_MOVE_PER_TICK_DEG
+        rng = np.random.default_rng(239)
+        for _ in range(20):
+            current = rng.uniform(100.0, 110.0, 6)
+            self.assert_matches(current.tolist(), (current + rng.uniform(-0.5, 0.5, 6)).tolist(), 0.0, config)
+
+    def test_full_range_at_the_smallest_move(self):
+        # wide_arm's 0 -> 359 degrees at 0.001 degrees per tick: 359,000
+        # steps, and an arrival tick for what the repeated additions fall
+        # short.
+        config = SimConfig(rate_limit_deg_s=1.0, tick_s=0.001)
+        current = (0.0, 10.0, 359.0, 180.0, 0.0, 0.0)
+        target = (359.0, 10.0, 0.0, 180.5, 0.0, -0.0)
+        self.assert_matches(current, target, 0.0, config)
+        assert round(_tick(current, target, 0.0, config, 0)[1] / config.tick_s) == 359_001
+
+    def test_clock_overflow(self):
+        config = SimConfig(tick_s=1e307)
+        current, target = (90.0,) * 6, (91.0,) + (90.0,) * 5
+        self.assert_matches(current, target, 1e308, SimConfig())
+        for kernel in (_tick, naive_tick):
+            with pytest.raises(ValueError, match="tick_s 1e[+]307 overflows the simulated time at frame 7"):
+                kernel(current, target, 1.79e308, config, 7)
 
 
 class TestGrasping:
