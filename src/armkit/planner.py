@@ -123,10 +123,12 @@ def plan_pick_place(
 
     The gripper closes exactly once (at grasp) and opens exactly once (at
     place); pre/post waypoints sit ``clearance`` meters above their targets
-    along world +z.  Each waypoint's IK is seeded with the previous solution,
-    starting from ``mid_config()``, so the whole plan stays on one branch.
-    Raises UnreachableError or NoConvergenceError naming the first offending
-    waypoint.
+    along world +z.  Each distinct pose is solved once: a waypoint whose pose
+    equals an earlier one's (lift, retreat, and more at zero clearance) takes
+    that waypoint's configuration.  Every other waypoint's IK is seeded with
+    the previous waypoint's configuration, starting from ``mid_config()``, so
+    the whole plan stays on one branch.  Raises UnreachableError or
+    NoConvergenceError naming the first offending waypoint.
     """
     if not (clearance >= 0.0):  # negated so NaN fails too
         raise ValueError("clearance must be >= 0")
@@ -147,10 +149,15 @@ def plan_pick_place(
         if distance > bound:
             raise UnreachableError(distance, bound, waypoint=name)
     config = model.mid_config()
+    solved: dict[Pose6D, JointConfig] = {}
     waypoints = []
     for name in WAYPOINT_ORDER:
         pose, gripper = targets[name]
-        config = _solve_waypoint(model, name, pose, config, ik_settings)
+        # A pose reaches the solver at its first waypoint, so a NaN one
+        # still raises there.
+        if pose not in solved:
+            solved[pose] = _solve_waypoint(model, name, pose, config, ik_settings)
+        config = solved[pose]
         waypoints.append(Waypoint(name, pose, gripper, config))
     return GraspPlan(tuple(waypoints))
 
@@ -203,16 +210,21 @@ def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:
     return interpolate_trajectory(model, [(wp.config, wp.gripper) for wp in plan.waypoints], MAX_STEP_DEG)
 
 
-def encode_servo_frames(trajectory: Trajectory) -> list[ServoFrame]:
-    """One frame per knot, angles rounded half-up to centidegrees, sequence
-    numbers counting from 0."""
+def _centidegree_rows(trajectory: Trajectory) -> list[list[int]]:
+    """Each knot's angles rounded half-up to integer centidegrees."""
     centi = np.floor(trajectory.knots * 100.0 + 0.5)
     beyond = np.abs(centi) >= 2.0**63
     if beyond.any():
         raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
+    return centi.astype(np.int64).tolist()
+
+
+def encode_servo_frames(trajectory: Trajectory) -> list[ServoFrame]:
+    """One frame per knot, angles rounded half-up to centidegrees, sequence
+    numbers counting from 0."""
     return [
         ServoFrame(seq=seq, centidegrees=tuple(row), gripper_closed=gripper == GRIPPER_CLOSED)
-        for seq, (row, gripper) in enumerate(zip(centi.astype(np.int64).tolist(), trajectory.grippers))
+        for seq, (row, gripper) in enumerate(zip(_centidegree_rows(trajectory), trajectory.grippers))
     ]
 
 

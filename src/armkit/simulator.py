@@ -11,18 +11,20 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dh_model import JOINT_COUNT, ArmModel, JointConfig
 from .kinematics import Pose6D, forward_kinematics, invert_transform, matrix_to_pose, pose_to_matrix
-from .planner import (
+# encode_servo_frames stays a module global for perfbench/tracing.py to rebind.
+from .planner import (  # noqa: F401
     DEFAULT_CLEARANCE_M,
     GRIPPER_CLOSED,
     GRIPPER_OPEN,
     GripperState,
     ServoFrame,
+    _centidegree_rows,
     encode_servo_frames,
     plan_pick_place,
     plan_to_trajectory,
@@ -37,6 +39,10 @@ CAPTURE_RADIUS_M = 0.01
 # Smallest joint move per tick, degrees: a tenth of the wire's 0.01-degree
 # step, so no frame (at most 360 degrees of travel) needs over 360,000 ticks.
 MIN_MOVE_PER_TICK_DEG = 1e-3
+# Largest angle magnitude settle accepts, degrees.  Joint limits lie in
+# [0, 360), so every step still moves a joint and no settle needs over
+# 1,440,000 ticks.
+MAX_SETTLE_ANGLE_DEG = 720.0
 
 _INT = r"(?:0|[1-9]\d*)"
 _FRAME_RE = re.compile(
@@ -129,25 +135,25 @@ def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> Sim
     return replace(state, gripper=gripper, object_pose=pose, grasp_rel=None)
 
 
-def _frame_target(model: ArmModel, last_seq: int, frame: ServoFrame) -> tuple[float, ...]:
-    """The joint targets of a frame that follows frame ``last_seq``, in
-    degrees; raises FrameError when the frame is out of order, has the wrong
-    number of angles, or asks for a target beyond float range or outside the
-    joint limits."""
-    if frame.seq <= last_seq:
+def _frame_target(model: ArmModel, last_seq: int, seq: int, centidegrees: Sequence[int]) -> tuple[float, ...]:
+    """The joint targets of frame ``seq`` with angles ``centidegrees``,
+    following frame ``last_seq``, in degrees; raises FrameError when the
+    frame is out of order, has the wrong number of angles, or asks for a
+    target beyond float range or outside the joint limits."""
+    if seq <= last_seq:
         raise FrameError(
-            f"frame sequence {frame.seq} not greater than last applied {last_seq}"
+            f"frame sequence {seq} not greater than last applied {last_seq}"
         )
-    if len(frame.centidegrees) != JOINT_COUNT:
-        raise FrameError(f"frame {frame.seq}: expected {JOINT_COUNT} angles")
+    if len(centidegrees) != JOINT_COUNT:
+        raise FrameError(f"frame {seq}: expected {JOINT_COUNT} angles")
     try:
-        target = tuple([c / 100.0 for c in frame.centidegrees])
+        target = tuple([c / 100.0 for c in centidegrees])
     except OverflowError as exc:
-        raise FrameError(f"frame {frame.seq}: target beyond float range") from exc
+        raise FrameError(f"frame {seq}: target beyond float range") from exc
     for i, (angle, lim) in enumerate(zip(target, model.limits)):
         if not lim.contains(angle):
             raise FrameError(
-                f"frame {frame.seq}: joint {i} target {angle} outside "
+                f"frame {seq}: joint {i} target {angle} outside "
                 f"[{lim.min_deg}, {lim.max_deg}]"
             )
     return target
@@ -161,7 +167,7 @@ def apply_frame(
     Frames must arrive with strictly increasing sequence numbers and targets
     inside the joint limits.  ``config`` is unused; it matches settle's.
     """
-    target = _frame_target(model, state.last_seq, frame)
+    target = _frame_target(model, state.last_seq, frame.seq, frame.centidegrees)
     new = replace(state, target_deg=target, last_seq=frame.seq)
     return _set_gripper(model, new, GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN)
 
@@ -230,11 +236,15 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     so an object captured on a zero-motion frame keeps its pose's exact bits
     instead of passing through the tool transform and its inverse.  Raises
     ValueError, before any tick, when a current or target angle is not
-    finite, and when a tick takes the simulated time past the float range."""
+    finite or has a magnitude over MAX_SETTLE_ANGLE_DEG (where a step of a
+    huge angle would no longer move it), and when a tick takes the simulated
+    time past the float range."""
     for field, angles in (("current_deg", state.current_deg), ("target_deg", state.target_deg)):
         for joint, angle in enumerate(angles):
-            if not math.isfinite(angle):
-                raise ValueError(f"{field} joint {joint} is not finite: {angle}")
+            if not (abs(angle) <= MAX_SETTLE_ANGLE_DEG):  # negated so NaN fails too
+                if not math.isfinite(angle):
+                    raise ValueError(f"{field} joint {joint} is not finite: {angle}")
+                raise ValueError(f"{field} joint {joint} has magnitude over {MAX_SETTLE_ANGLE_DEG} degrees: {angle}")
     if state.current_deg == state.target_deg:
         return state
     current, elapsed = _tick(state.current_deg, state.target_deg, state.elapsed_s, config, state.last_seq)
@@ -269,9 +279,10 @@ class CycleReport:
 
 
 def _run_frames(
-    model: ArmModel, state: SimState, frames: Iterable[ServoFrame], config: SimConfig
+    model: ArmModel, state: SimState, frames: Iterable[tuple[int, Sequence[int], bool]], config: SimConfig
 ) -> tuple[SimState, int]:
-    """Apply and settle each frame in turn; returns the final state and the
+    """Apply and settle each frame, given as a ``(seq, centidegrees,
+    gripper_closed)`` triple, in turn; returns the final state and the
     number of frames.
 
     The joints, targets, clock and sequence number stay plain floats and
@@ -286,10 +297,10 @@ def _run_frames(
     elapsed, last_seq = state.elapsed_s, state.last_seq
     carried = False
     count = 0
-    for frame in frames:
-        target = _frame_target(model, last_seq, frame)
-        last_seq = frame.seq
-        gripper = GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN
+    for seq, centidegrees, gripper_closed in frames:
+        target = _frame_target(model, last_seq, seq, centidegrees)
+        last_seq = seq
+        gripper = GRIPPER_CLOSED if gripper_closed else GRIPPER_OPEN
         if gripper != state.gripper:
             state = replace(state, current_deg=current, target_deg=target, elapsed_s=elapsed, last_seq=last_seq)
             state = _set_gripper(model, state, gripper)
@@ -317,8 +328,9 @@ def run_pick_cycle(
     """
     plan = plan_pick_place(model, object_pose, place_pose, clearance=clearance)
     trajectory = plan_to_trajectory(model, plan)
-    frames = encode_servo_frames(trajectory)
-    state, _ = _run_frames(model, initial_state(model, object_pose=object_pose), frames, SimConfig())
+    closed = [gripper == GRIPPER_CLOSED for gripper in trajectory.grippers]
+    frames = zip(range(len(closed)), _centidegree_rows(trajectory), closed)
+    state, count = _run_frames(model, initial_state(model, object_pose=object_pose), frames, SimConfig())
     final = state.object_pose
     success = final is not None and (
         float(np.linalg.norm(np.array(final.position) - np.array(place_pose.position)))
@@ -327,7 +339,7 @@ def run_pick_cycle(
     return CycleReport(
         success=success,
         final_object_pose=final,
-        frames_sent=len(frames),
+        frames_sent=count,
         sim_time_s=state.elapsed_s,
     )
 
@@ -335,7 +347,8 @@ def run_pick_cycle(
 def replay_frames(model: ArmModel, text: str, config: SimConfig = SimConfig()) -> CycleReport:
     """Execute a frame stream (one frame per line) with no workspace object;
     used to replay recorded plans byte-for-byte."""
-    frames = (parse_frame(line) for line in text.splitlines() if line.strip())
+    parsed = (parse_frame(line) for line in text.splitlines() if line.strip())
+    frames = ((frame.seq, frame.centidegrees, frame.gripper_closed) for frame in parsed)
     state, count = _run_frames(model, initial_state(model), frames, config)
     return CycleReport(
         success=True, final_object_pose=None, frames_sent=count, sim_time_s=state.elapsed_s

@@ -104,8 +104,12 @@ def subtract_images(background: GrayImage, frame: GrayImage, threshold: float) -
         )
     if not 0 <= threshold <= 255:
         raise ValueError(f"threshold must lie in [0, 255], got {threshold}")
-    diff = np.abs(frame.pixels.astype(np.int16) - background.pixels.astype(np.int16))
-    return BinaryMask(background.width, background.height, diff > threshold)
+    # uint8 throughout: an integer difference d exceeds t exactly when it
+    # exceeds floor(t).
+    a, b = frame.pixels, background.pixels
+    diff = np.maximum(a, b)
+    diff -= np.minimum(a, b)
+    return BinaryMask(background.width, background.height, diff > math.floor(threshold))
 
 
 def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
@@ -128,12 +132,12 @@ def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
     if rows.size == 0:
         return None
     width = bits.shape[1]
-    # +1 where a run starts, -1 one past where it ends; nonzeros alternate.
-    row_bits = bits[rows].view(np.int8)
-    edges = np.zeros((rows.size, width + 1), dtype=np.int8)
-    edges[:, :width] = row_bits
-    edges[:, 1:] -= row_bits
-    flat = np.flatnonzero(edges)
+    # Rows padded with a False column on each side: padded columns k and
+    # k + 1 differ at k = start and k = end of each [start, end) run, so the
+    # nonzeros alternate.
+    padded = np.zeros((rows.size, width + 2), dtype=bool)
+    padded[:, 1:-1] = bits[rows]
+    flat = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
     run_row = rows[flat[0::2] // (width + 1)]
     start = flat[0::2] % (width + 1)
     end = flat[1::2] % (width + 1)
@@ -326,12 +330,11 @@ def parse_pgm(data: bytes) -> GrayImage:
     if width < 1 or height < 1:
         raise ValueError(f"invalid PGM dimensions {width}x{height}")
     pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height]
-    if len(payload) != width * height:
-        raise ValueError(
-            f"PGM payload holds {len(payload)} bytes, expected {width * height}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    held = max(0, min(len(data) - pos, width * height))
+    if held != width * height:
+        raise ValueError(f"PGM payload holds {held} bytes, expected {width * height}")
+    # A view into data; GrayImage copies it.
+    pixels = np.frombuffer(data, dtype=np.uint8, count=held, offset=pos).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
 
 

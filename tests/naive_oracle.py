@@ -5,7 +5,9 @@ library's array plumbing cannot hide in its own checker.  The finite-
 difference Jacobian checks the analytic one from the FK chain alone, and
 ``transform_is_valid`` checks that FK output is a rigid transform.  The blob
 oracle is a per-pixel flood fill, the straightforward counterpart of the
-library's run-based labeling.  ``naive_sim_step`` writes out the servo tick
+library's run-based labeling, and ``naive_subtract`` compares a signed
+int16 difference with the float threshold, where the library stays in
+uint8.  ``naive_sim_step`` writes out the servo tick
 rule and carries an attached object on every tick, ``naive_settle`` repeats
 it, ``naive_tick`` is the simulator's tick kernel one six-joint tick at a
 time, ``naive_interpolate`` builds and clamps one knot at a time, and
@@ -25,6 +27,7 @@ from armkit import (
     GRIPPER_CLOSED,
     BinaryMask,
     Blob,
+    GrayImage,
     JointConfig,
     ServoFrame,
     Trajectory,
@@ -158,6 +161,13 @@ def planar_2r_jacobian_linear(q1_rad, q2_rad, a1=1.0, a2=1.0):
     col1 = (-a1 * s1 - a2 * s12, a1 * c1 + a2 * c12, 0.0)
     col2 = (-a2 * s12, a2 * c12, 0.0)
     return col1, col2
+
+
+def naive_subtract(background: GrayImage, frame: GrayImage, threshold: float) -> np.ndarray:
+    """Foreground bits |frame - background| > threshold, with the difference
+    taken in int16 and compared with the threshold as given."""
+    diff = np.abs(frame.pixels.astype(np.int16) - background.pixels.astype(np.int16))
+    return diff > threshold
 
 
 def naive_largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:

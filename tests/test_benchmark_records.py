@@ -46,7 +46,7 @@ def test_warm_up_records_are_pinned(run, workload, digest):
 
 
 @pytest.mark.parametrize(
-    "workload, digest", [("pick_table", "000bb094b775f6b2"), ("sim_replay", "41228d684af42589")]
+    "workload, digest", [("pick_table", "a8f6f6f6c579747b"), ("sim_replay", "41228d684af42589")]
 )
 def test_traced_warm_up_counters_are_pinned(run, workload, digest):
     bench = build(run, workload)

@@ -243,9 +243,9 @@ class TestPlanAndSim:
         "object_pos, place_pos, frame_count, sha256",
         [
             # every waypoint solved from the caller's seed chain
-            ("0.12,0.05,0.02", "-0.05,0.12,0.02", 151, "8c6997f0a805f9241afc9ddc7f539ace7284c53fa751c5ff3d3b525027720b77"),
+            ("0.12,0.05,0.02", "-0.05,0.12,0.02", 151, "8ad3263b3f5ac2c5f90a2d618fec91164b08985177bd630fe3edb19604e63fb2"),
             # pre_place is solved by restart 8
-            ("0.17,0.0,0.02", "0.0,-0.12,0.02", 242, "d3dfedf8004a3b9a7978f39de808aa83bf050e9cb7580ac2d05a44b26345b380"),
+            ("0.17,0.0,0.02", "0.0,-0.12,0.02", 242, "6e508b41056a0c4ebe2c5c243b15874753fee824e114808d438ccd3625cf3749"),
         ],
     )
     def test_plan_output_is_pinned(self, wide_config_path, capsys, object_pos, place_pos, frame_count, sha256):

@@ -366,15 +366,16 @@ class TestPinnedBits:
     @pytest.mark.parametrize(
         "pair, sha256",
         [
-            (0, "13c683c3d6c5e197311b7c2c7c1cfe00d11cf470ed78fd10775324702d5e6009"),
-            (1, "5c9787b2b14ca5966e59dd4f94c59d98eee577f8909c623d4fad71b762ced2b2"),
-            (2, "a4dfec66b06f5b34804cd7151afcfa505f2f4b8cf4996bda0d321d494ee81d55"),
-            (3, "748d07ea3021ea311f6d2cf68f2771e690f87a330d6adf6037335751bc64a267"),
+            (0, "2bd9a4f70088b51c54c254eac253a9f98d1a8e49ef243ee2ec46d53af2bb2f8e"),
+            (1, "4a7f79e53f36a9dded9b714feaa04d01451a450cbbf76f4b82e0439738ecb288"),
+            (2, "b8daa82c85632c31c1bbd181752bda80f84aff71fa4e06056e82e156868f0dfa"),
+            (3, "4df2232c0824fe8d3094db00b6922e8502ba1a94dabe18bdbd0a2a14c04b634d"),
         ],
     )
     def test_pick_path_waypoint_bits(self, pick_table, pair, sha256):
         """Every angle of the seven waypoint configurations that
-        plan_pick_place solves for a pick_table pair on the wide arm."""
+        plan_pick_place returns for a pick_table pair on the wide arm (five
+        solved, lift and retreat reused)."""
         arm, pairs = pick_table
         plan = plan_pick_place(arm, *pairs[pair])
         fields = tuple(a.hex() for wp in plan.waypoints for a in wp.config.angles_deg)

@@ -9,6 +9,7 @@ from armkit import (
     IkSettings,
     JointConfig,
     NoConvergenceError,
+    Pose6D,
     ServoFrame,
     Trajectory,
     UnreachableError,
@@ -80,6 +81,30 @@ class TestPlan:
         plan = plan_pick_place(arm, obj, place, clearance=0.0, ik_settings=QUICK)
         waypoints = {wp.name: wp for wp in plan.waypoints}
         assert waypoints["pre_grasp"].pose == waypoints["grasp"].pose
+
+    def test_repeated_poses_reuse_their_configurations(self, arm):
+        rng = np.random.default_rng(131)
+        obj, place = feasible_pair(arm, rng, 0.02)
+        plan = plan_pick_place(arm, obj, place, clearance=0.02, ik_settings=QUICK)
+        waypoints = {wp.name: wp for wp in plan.waypoints}
+        assert waypoints["lift"].pose == waypoints["pre_grasp"].pose
+        assert waypoints["lift"].config == waypoints["pre_grasp"].config
+        assert waypoints["retreat"].pose == waypoints["pre_place"].pose
+        assert waypoints["retreat"].config == waypoints["pre_place"].config
+        flat = plan_pick_place(arm, obj, place, clearance=0.0, ik_settings=QUICK)
+        waypoints = {wp.name: wp for wp in flat.waypoints}
+        for name, source in (("pre_grasp", "grasp"), ("lift", "grasp"), ("pre_place", "place"), ("retreat", "place")):
+            assert waypoints[name].config == waypoints[source].config
+
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_nan_pose_still_reaches_the_solver(self, arm, axis):
+        obj, place = feasible_pair(arm, np.random.default_rng(137), 0.02)
+        for name, pose in (("object", obj), ("place", place)):
+            position = list(pose.position)
+            position[axis] = math.nan
+            poses = {"object": obj, "place": place, name: Pose6D(position, pose.quaternion)}
+            with pytest.raises(ValueError, match="target position must not be NaN"):
+                plan_pick_place(arm, poses["object"], poses["place"], clearance=0.02, ik_settings=QUICK)
 
     def test_object_outside_workspace_names_grasp(self, arm):
         far = top_down_pose(2.0 * arm.workspace_bound(), 0.0, 0.0)

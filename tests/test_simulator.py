@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from armkit import (
     top_down_pose,
 )
 from armkit.kinematics import invert_transform, pose_to_matrix
-from armkit.simulator import MIN_MOVE_PER_TICK_DEG, PLACE_TOLERANCE_M, _run_frames, _tick
+from armkit.simulator import MAX_SETTLE_ANGLE_DEG, MIN_MOVE_PER_TICK_DEG, PLACE_TOLERANCE_M, _run_frames, _tick
 
 from conftest import float_bits, make_trajectory, mutate, random_config
 from naive_oracle import naive_settle, naive_sim_step, naive_tick
@@ -60,6 +61,11 @@ def random_sim_config(rng):
     return SimConfig(
         rate_limit_deg_s=float(rng.uniform(100.0, 400.0)), tick_s=float(rng.uniform(0.002, 0.02))
     )
+
+
+def triples(frames):
+    """Frames in the (seq, centidegrees, gripper_closed) form _run_frames takes."""
+    return [(frame.seq, frame.centidegrees, frame.gripper_closed) for frame in frames]
 
 
 def grasp_stream(rng, model, length):
@@ -381,6 +387,24 @@ class TestSettle:
         with pytest.raises(ValueError, match=f"{field} joint 2 is not finite: {bad}"):
             settle(arm, state)
 
+    @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
+    @pytest.mark.parametrize("bad", [1e17, 720.0001, -720.0001])
+    def test_huge_angle_is_named(self, arm, field, bad):
+        """At 1e17 degrees a 3-degree step no longer changes the angle, so
+        ticking would never end; settle refuses such a state up front."""
+        state = initial_state(arm)
+        angles = list(getattr(state, field))
+        angles[0] = bad
+        state = replace(state, **{field: tuple(angles)})
+        with pytest.raises(ValueError, match=re.escape(f"{field} joint 0 has magnitude over 720.0 degrees: {bad}")):
+            settle(arm, state)
+
+    @pytest.mark.parametrize("angle", [MAX_SETTLE_ANGLE_DEG, -MAX_SETTLE_ANGLE_DEG, 45.0])
+    def test_angles_within_the_bound_settle(self, arm, angle):
+        state = initial_state(arm)
+        state = replace(state, current_deg=(angle,) + state.current_deg[1:])
+        assert settle(arm, state).current_deg == state.target_deg
+
 
 class TestTickKernel:
     """_tick counts each joint's ticks on its own; naive_tick steps all six
@@ -577,7 +601,7 @@ class TestSettleOracle:
         state = apply_frame(arm, state, close)
         assert state.attached
         assert float_bits(settle(arm, state)) == float_bits(state)
-        final, count = _run_frames(arm, initial_state(arm, object_pose=obj), [close], SimConfig())
+        final, count = _run_frames(arm, initial_state(arm, object_pose=obj), triples([close]), SimConfig())
         assert count == 1
         assert float_bits(final) == float_bits(state)
         assert float_bits(final.object_pose) == float_bits(obj)
@@ -600,7 +624,7 @@ class TestSettleOracle:
                     assert float_bits(per_settle) == float_bits(naive)
                     captures += per_settle.attached and not was_attached
                 regrasps += captures > 1
-                final, count = _run_frames(model, initial_state(model, object_pose=obj), frames, config)
+                final, count = _run_frames(model, initial_state(model, object_pose=obj), triples(frames), config)
                 assert float_bits(final) == float_bits(naive)
                 assert count == len(frames)
                 replayed = replay_frames(model, "\n" + text + "\n", config)
@@ -661,7 +685,10 @@ class TestPickCycle:
         second = run_pick_cycle(arm, obj, place, clearance=0.02)
         assert first == second
 
-    def test_each_waypoint_is_solved_once(self, wide_arm, monkeypatch):
+    @pytest.mark.parametrize("clearance, solves", [(0.05, 5), (0.0, 3)])
+    def test_each_distinct_pose_is_solved_once(self, wide_arm, monkeypatch, clearance, solves):
+        """lift and retreat repeat pre_grasp's and pre_place's poses; at zero
+        clearance pre_grasp and pre_place repeat grasp and place as well."""
         import armkit.planner
 
         calls = []
@@ -675,8 +702,31 @@ class TestPickCycle:
         monkeypatch.setattr(armkit.planner, "solve_ik", counting_solve)
         obj = top_down_pose(0.12, 0.05, 0.02)
         place = top_down_pose(-0.05, 0.12, 0.02)
-        assert run_pick_cycle(wide_arm, obj, place).success
-        assert calls == [0] * 7
+        assert run_pick_cycle(wide_arm, obj, place, clearance=clearance).success
+        assert calls == [0] * solves
+
+    def test_cycle_builds_no_servo_frames(self, wide_arm, monkeypatch):
+        """run_pick_cycle feeds the frame loop centidegree rows: neither the
+        planner nor the simulator builds a ServoFrame for it."""
+        import armkit.planner
+        import armkit.simulator
+
+        built = []
+
+        def counting_frame(*args, **kwargs):
+            built.append(kwargs)
+            return ServoFrame(*args, **kwargs)
+
+        monkeypatch.setattr(armkit.planner, "ServoFrame", counting_frame)
+        monkeypatch.setattr(armkit.simulator, "ServoFrame", counting_frame)
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        place = top_down_pose(-0.05, 0.12, 0.02)
+        report = run_pick_cycle(wide_arm, obj, place)
+        assert report.success
+        assert report.frames_sent > 100
+        assert built == []
+        encode_servo_frames(plan_to_trajectory(wide_arm, plan_pick_place(wide_arm, obj, place)))
+        assert len(built) == report.frames_sent
 
     def test_forward_kinematics_runs_at_capture_and_release_only(self, wide_arm, monkeypatch):
         import armkit.simulator
@@ -742,8 +792,9 @@ class TestPickCycle:
         assert len(built) == 0
 
     def test_dls_steps_per_cycle_are_pinned(self, wide_arm, monkeypatch):
-        """The planner's IK takes 33 damped-least-squares steps on this cycle;
-        a faster solver must do the same steps, each of them cheaper."""
+        """The planner's IK takes 27 damped-least-squares steps on this cycle
+        (lift and retreat reuse solved configurations); a faster solver must
+        do the same steps, each of them cheaper."""
         import armkit.ik_solver
 
         calls = []
@@ -757,7 +808,7 @@ class TestPickCycle:
         obj = top_down_pose(0.12, 0.05, 0.02)
         place = top_down_pose(-0.05, 0.12, 0.02)
         assert run_pick_cycle(wide_arm, obj, place).success
-        assert len(calls) == 33
+        assert len(calls) == 27
 
     def test_report_serializes_to_json(self, arm):
         rng = np.random.default_rng(193)

@@ -21,7 +21,7 @@ from armkit import (
 )
 
 from conftest import mutate
-from naive_oracle import naive_largest_blob
+from naive_oracle import naive_largest_blob, naive_subtract
 
 
 def image(height, width, value=0):
@@ -77,6 +77,24 @@ class TestSubtract:
         b = GrayImage.from_array(rng.integers(0, 256, (24, 24), dtype=np.uint8))
         counts = [subtract_images(a, b, t).count() for t in range(0, 256, 15)]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("threshold", [0, 0.5, 39.999, 40, 40.5, 254.5, 255])
+    def test_matches_int16_oracle(self, threshold):
+        """The uint8 difference compared with floor(threshold) sets the same
+        bits as the signed difference compared with the threshold itself."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            shape = tuple(int(v) for v in rng.integers(1, 40, 2))
+            a = GrayImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
+            # Half the frames differ from the background by little, so many
+            # differences sit at the threshold.
+            if rng.random() < 0.5:
+                b = GrayImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
+            else:
+                step = rng.integers(-int(threshold) - 2, int(threshold) + 3, shape)
+                b = GrayImage.from_array(np.clip(a.pixels.astype(int) + step, 0, 255))
+            for bg, fg in ((a, b), (b, a)):
+                assert np.array_equal(subtract_images(bg, fg, threshold).bits, naive_subtract(bg, fg, threshold))
 
 
 class TestBlobs:
@@ -379,8 +397,22 @@ class TestPgm:
             parse_pgm(b"P5\n2 2\n65535\n" + bytes(8))
 
     def test_truncated_payload_rejected(self):
-        with pytest.raises(ValueError, match="payload"):
+        with pytest.raises(ValueError, match="^PGM payload holds 7 bytes, expected 16$"):
             parse_pgm(b"P5\n4 4\n255\n" + bytes(7))
+        with pytest.raises(ValueError, match="^PGM payload holds 0 bytes, expected 16$"):
+            parse_pgm(b"P5\n4 4\n255")
+
+    def test_trailing_bytes_are_ignored(self):
+        payload = bytes(range(6))
+        img = parse_pgm(b"P5\n3 2\n255\n" + payload + b"trailing")
+        assert img.pixels.tobytes() == payload
+
+    def test_image_does_not_share_a_mutable_input(self):
+        data = bytearray(b"P5\n3 2\n255\n" + bytes(range(6)))
+        img = parse_pgm(data)
+        data[-6:] = bytes(6)
+        assert img.pixels.tobytes() == bytes(range(6))
+        assert not img.pixels.flags.writeable
 
     @pytest.mark.parametrize(
         "header",
