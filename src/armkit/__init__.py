@@ -36,11 +36,8 @@ from .planner import (
     GRIPPER_CLOSED,
     GRIPPER_OPEN,
     GraspPlan,
-    ServoFrame,
     Trajectory,
     Waypoint,
-    encode_servo_frames,
-    frames_to_text,
     interpolate_trajectory,
     plan_pick_place,
     plan_to_trajectory,
@@ -49,9 +46,12 @@ from .planner import (
 from .simulator import (
     CycleReport,
     FrameError,
+    ServoFrame,
     SimConfig,
     SimState,
     apply_frame,
+    encode_servo_frames,
+    frames_to_text,
     initial_state,
     parse_frame,
     replay_frames,

@@ -16,8 +16,8 @@ import numpy as np
 from .dh_model import ArmConfigError, ArmModel, JointConfig, load_arm_config
 from .ik_solver import IkResult, NoConvergenceError, UnreachableError, solve_ik, solve_ik_position_only
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
-from .planner import encode_servo_frames, frames_to_text, plan_pick_place, plan_to_trajectory, top_down_pose, DEFAULT_CLEARANCE_M
-from .simulator import SimConfig, replay_frames, run_pick_cycle
+from .planner import DEFAULT_CLEARANCE_M, plan_pick_place, plan_to_trajectory, top_down_pose
+from .simulator import SimConfig, encode_servo_frames, frames_to_text, replay_frames, run_pick_cycle
 from .vision import Detection, detect_object, estimate_homography, load_calibration, read_pgm
 
 EXIT_OK = 0

@@ -1,10 +1,4 @@
-"""Pick-and-place planning: grasp waypoint schema, joint-space interpolation,
-and the servo frame wire encoding.
-
-Wire format, one frame per line, newline terminated, single spaces:
-``F <seq> <a0> <a1> <a2> <a3> <a4> <a5> G <g>`` with seq a decimal >= 0,
-angles signed decimal centidegrees, and g 0 (open) or 1 (closed).
-"""
+"""Pick-and-place planning: grasp waypoint schema and joint-space interpolation."""
 from __future__ import annotations
 
 import math
@@ -69,21 +63,6 @@ class Trajectory:
         knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "grippers", grippers)
-
-
-@dataclass(frozen=True)
-class ServoFrame:
-    """One controller command: monotone sequence number, six target angles in
-    integer centidegrees, and the gripper bit."""
-
-    seq: int
-    centidegrees: tuple[int, int, int, int, int, int]
-    gripper_closed: bool
-
-    def encode(self) -> str:
-        a = self.centidegrees
-        g = 1 if self.gripper_closed else 0
-        return f"F {self.seq} {a[0]} {a[1]} {a[2]} {a[3]} {a[4]} {a[5]} G {g}\n"
 
 
 def top_down_pose(x: float, y: float, z: float) -> Pose6D:
@@ -208,25 +187,3 @@ def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:
     """Interpolate the plan's solved waypoint configurations in joint space,
     at most MAX_STEP_DEG per joint between knots."""
     return interpolate_trajectory(model, [(wp.config, wp.gripper) for wp in plan.waypoints], MAX_STEP_DEG)
-
-
-def _centidegree_rows(trajectory: Trajectory) -> list[list[int]]:
-    """Each knot's angles rounded half-up to integer centidegrees."""
-    centi = np.floor(trajectory.knots * 100.0 + 0.5)
-    beyond = np.abs(centi) >= 2.0**63
-    if beyond.any():
-        raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
-    return centi.astype(np.int64).tolist()
-
-
-def encode_servo_frames(trajectory: Trajectory) -> list[ServoFrame]:
-    """One frame per knot, angles rounded half-up to centidegrees, sequence
-    numbers counting from 0."""
-    return [
-        ServoFrame(seq=seq, centidegrees=tuple(row), gripper_closed=gripper == GRIPPER_CLOSED)
-        for seq, (row, gripper) in enumerate(zip(_centidegree_rows(trajectory), trajectory.grippers))
-    ]
-
-
-def frames_to_text(frames: Sequence[ServoFrame]) -> str:
-    return "".join(frame.encode() for frame in frames)

@@ -1,5 +1,10 @@
 """Deterministic servo-bus simulator: rate-limited virtual servos consuming
-the planner's wire frames, with proximity-capture grasping.
+the servo wire frames, with proximity-capture grasping.
+
+Wire format, one frame per line, newline terminated, single spaces:
+``F <seq> <a0> <a1> <a2> <a3> <a4> <a5> G <g>`` with seq a decimal >= 0,
+angles signed decimal centidegrees, both in ASCII digits, and g 0 (open) or
+1 (closed).
 
 Execution discipline is settle-then-send: a frame is applied, the joints slew
 to their targets, and only then is the next frame applied.  This removes
@@ -11,21 +16,18 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dh_model import JOINT_COUNT, ArmModel, JointConfig
 from .kinematics import Pose6D, forward_kinematics, invert_transform, matrix_to_pose, pose_to_matrix
-# encode_servo_frames stays a module global for perfbench/tracing.py to rebind.
-from .planner import (  # noqa: F401
+from .planner import (
     DEFAULT_CLEARANCE_M,
     GRIPPER_CLOSED,
     GRIPPER_OPEN,
     GripperState,
-    ServoFrame,
-    _centidegree_rows,
-    encode_servo_frames,
+    Trajectory,
     plan_pick_place,
     plan_to_trajectory,
 )
@@ -46,14 +48,51 @@ MAX_SETTLE_ANGLE_DEG = 720.0
 
 _INT = r"(?:0|[1-9]\d*)"
 _FRAME_RE = re.compile(
-    rf"^F ({_INT})"
+    rf"F ({_INT})"
     rf" (-?{_INT}) (-?{_INT}) (-?{_INT}) (-?{_INT}) (-?{_INT}) (-?{_INT})"
-    rf" G ([01])$"
+    rf" G ([01])",
+    re.ASCII,
 )
 
 
 class FrameError(ValueError):
     """A servo frame is malformed, out of order, or violates joint limits."""
+
+
+class ServoFrame(NamedTuple):
+    """One controller command: monotone sequence number, six target angles in
+    integer centidegrees, and the gripper bit; the row the frame loop takes."""
+
+    seq: int
+    centidegrees: tuple[int, int, int, int, int, int]
+    gripper_closed: bool
+
+    def encode(self) -> str:
+        a = self.centidegrees
+        g = 1 if self.gripper_closed else 0
+        return f"F {self.seq} {a[0]} {a[1]} {a[2]} {a[3]} {a[4]} {a[5]} G {g}\n"
+
+
+def _centidegree_rows(trajectory: Trajectory) -> list[list[int]]:
+    """Each knot's angles rounded half-up to integer centidegrees."""
+    centi = np.floor(trajectory.knots * 100.0 + 0.5)
+    beyond = np.abs(centi) >= 2.0**63
+    if beyond.any():
+        raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
+    return centi.astype(np.int64).tolist()
+
+
+def encode_servo_frames(trajectory: Trajectory) -> list[ServoFrame]:
+    """One frame per knot, angles rounded half-up to centidegrees, sequence
+    numbers counting from 0."""
+    return [
+        ServoFrame(seq, tuple(row), gripper == GRIPPER_CLOSED)
+        for seq, (row, gripper) in enumerate(zip(_centidegree_rows(trajectory), trajectory.grippers))
+    ]
+
+
+def frames_to_text(frames: Sequence[ServoFrame]) -> str:
+    return "".join(frame.encode() for frame in frames)
 
 
 @dataclass(frozen=True)
@@ -104,7 +143,7 @@ def initial_state(model: ArmModel, object_pose: Pose6D | None = None) -> SimStat
 def parse_frame(line: str) -> ServoFrame:
     """Parse one wire-format line; the exact inverse of ServoFrame.encode."""
     body = line[:-1] if line.endswith("\n") else line
-    m = _FRAME_RE.match(body)
+    m = _FRAME_RE.fullmatch(body)
     if m is None:
         raise FrameError(f"malformed servo frame: {line!r}")
     try:
@@ -112,7 +151,7 @@ def parse_frame(line: str) -> ServoFrame:
         centi = tuple(int(m.group(i)) for i in range(2, 8))
     except ValueError as exc:  # more digits than int() converts
         raise FrameError(f"malformed servo frame: a number has too many digits: {line[:40]!r}...") from exc
-    return ServoFrame(seq=seq, centidegrees=centi, gripper_closed=m.group(8) == "1")
+    return ServoFrame(seq, centi, m.group(8) == "1")
 
 
 def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> SimState:
@@ -279,11 +318,10 @@ class CycleReport:
 
 
 def _run_frames(
-    model: ArmModel, state: SimState, frames: Iterable[tuple[int, Sequence[int], bool]], config: SimConfig
+    model: ArmModel, state: SimState, frames: Iterable[ServoFrame], config: SimConfig
 ) -> tuple[SimState, int]:
-    """Apply and settle each frame, given as a ``(seq, centidegrees,
-    gripper_closed)`` triple, in turn; returns the final state and the
-    number of frames.
+    """Apply and settle each frame in turn, a ServoFrame or any row of its
+    three fields; returns the final state and the number of frames.
 
     The joints, targets, clock and sequence number stay plain floats and
     ints between frames: a state is built only where a frame changes the
@@ -347,8 +385,7 @@ def run_pick_cycle(
 def replay_frames(model: ArmModel, text: str, config: SimConfig = SimConfig()) -> CycleReport:
     """Execute a frame stream (one frame per line) with no workspace object;
     used to replay recorded plans byte-for-byte."""
-    parsed = (parse_frame(line) for line in text.splitlines() if line.strip())
-    frames = ((frame.seq, frame.centidegrees, frame.gripper_closed) for frame in parsed)
+    frames = (parse_frame(line) for line in text.splitlines() if line.strip())
     state, count = _run_frames(model, initial_state(model), frames, config)
     return CycleReport(
         success=True, final_object_pose=None, frames_sent=count, sim_time_s=state.elapsed_s

@@ -225,10 +225,10 @@ def estimate_homography(pixel_points, world_points) -> Homography:
     if n < 4:
         raise HomographyError(f"at least 4 correspondences required, got {n}")
     for label, pts in (("pixel", px), ("world", wd)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
-                    raise HomographyError(f"duplicate {label} points at indices {i} and {j}")
+        for i in range(n - 1):
+            close = np.flatnonzero(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1) < 1e-12)
+            if close.size:
+                raise HomographyError(f"duplicate {label} points at indices {i} and {i + 1 + int(close[0])}")
     Tp = _normalization(px)
     Tw = _normalization(wd)
     px_n = (Tp @ np.column_stack([px, np.ones(n)]).T).T
@@ -239,7 +239,8 @@ def estimate_homography(pixel_points, world_points) -> Homography:
         u, v = wd_n[i, 0], wd_n[i, 1]
         A[2 * i] = [x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y, -u]
         A[2 * i + 1] = [0.0, 0.0, 0.0, x, y, 1.0, -v * x, -v * y, -v]
-    _, s, Vt = np.linalg.svd(A)
+    # A thin SVD of the 8 x 9 system of four points would drop the null vector.
+    _, s, Vt = np.linalg.svd(A, full_matrices=2 * n < 9)
     if s[7] <= 1e-10 * s[0]:
         raise HomographyError("degenerate correspondence configuration (collinear points?)")
     Hn = Vt[-1].reshape(3, 3)

@@ -8,9 +8,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from armkit import ArmModel, DHRow, JointLimit, Trajectory, default_arm
+from armkit import (
+    ArmModel,
+    DHRow,
+    IkSettings,
+    JointLimit,
+    NoConvergenceError,
+    Trajectory,
+    UnreachableError,
+    default_arm,
+    forward_kinematics,
+    matrix_to_pose,
+    plan_pick_place,
+)
 
 WIDE_LIMITS = tuple(JointLimit(0.0, 359.0) for _ in range(6))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Fewer restarts and iterations than the defaults, for planning many cases.
+QUICK = IkSettings(restarts=3, max_iterations=150)
 
 
 def make_arm(
@@ -44,6 +59,23 @@ def random_config(rng: np.random.Generator, model: ArmModel):
 
     lo, hi = model.limits_deg
     return JointConfig(tuple(rng.uniform(lo, hi)))
+
+
+def fk_pose(model, q):
+    return matrix_to_pose(forward_kinematics(model, q))
+
+
+def feasible_pair(model, rng, clearance=0.02):
+    """Random object and place poses, drawn until ``model`` can plan the
+    cycle between them with QUICK settings."""
+    while True:
+        obj = fk_pose(model, random_config(rng, model))
+        place = fk_pose(model, random_config(rng, model))
+        try:
+            plan_pick_place(model, obj, place, clearance=clearance, ik_settings=QUICK)
+            return obj, place
+        except (UnreachableError, NoConvergenceError):
+            continue
 
 
 def make_trajectory(*knots):

@@ -8,11 +8,10 @@ the counters read through it, without running the benchmark.  perfbench/ is
 only read."""
 import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH
 
 
 @pytest.fixture(scope="module")

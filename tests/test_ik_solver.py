@@ -3,7 +3,6 @@ import importlib.util
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +27,8 @@ from armkit import (
 from armkit.ik_solver import _dls_step, _norm
 from armkit.kinematics import _geometric_jacobian_rad, _link_frames, euler_zyx_to_matrix
 
-from conftest import random_arm, random_config
+from conftest import PERFBENCH, fk_pose, random_arm, random_config
 from naive_oracle import naive_dls_step, naive_jacobian
-
-
-def fk_pose(model, q):
-    return matrix_to_pose(forward_kinematics(model, q))
 
 
 def _solve_pose(model, target, seed, position_only):
@@ -298,9 +293,6 @@ def _criterion_2_target(arm, index):
 
 def _sha256(fields) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _pick_table():

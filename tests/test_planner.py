@@ -18,7 +18,6 @@ from armkit import (
     forward_kinematics,
     frames_to_text,
     interpolate_trajectory,
-    matrix_to_pose,
     plan_pick_place,
     plan_to_trajectory,
     pose_to_matrix,
@@ -27,26 +26,8 @@ from armkit import (
 )
 from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
 
-from conftest import make_trajectory, random_config
+from conftest import QUICK, feasible_pair, fk_pose, make_trajectory, random_config
 from naive_oracle import naive_encode, naive_interpolate
-
-
-QUICK = IkSettings(restarts=3, max_iterations=150)
-
-
-def fk_pose(model, q):
-    return matrix_to_pose(forward_kinematics(model, q))
-
-
-def feasible_pair(model, rng, clearance):
-    while True:
-        obj = fk_pose(model, random_config(rng, model))
-        place = fk_pose(model, random_config(rng, model))
-        try:
-            plan_pick_place(model, obj, place, clearance=clearance, ik_settings=QUICK)
-            return obj, place
-        except (UnreachableError, NoConvergenceError):
-            continue
 
 
 class TestPlan:

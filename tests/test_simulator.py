@@ -10,9 +10,7 @@ from armkit import (
     GRIPPER_CLOSED,
     GRIPPER_OPEN,
     FrameError,
-    IkSettings,
     JointConfig,
-    NoConvergenceError,
     Pose6D,
     ServoFrame,
     SimConfig,
@@ -23,7 +21,6 @@ from armkit import (
     forward_kinematics,
     frames_to_text,
     initial_state,
-    matrix_to_pose,
     parse_frame,
     plan_pick_place,
     plan_to_trajectory,
@@ -35,37 +32,14 @@ from armkit import (
 from armkit.kinematics import invert_transform, pose_to_matrix
 from armkit.simulator import MAX_SETTLE_ANGLE_DEG, MIN_MOVE_PER_TICK_DEG, PLACE_TOLERANCE_M, _run_frames, _tick
 
-from conftest import float_bits, make_trajectory, mutate, random_config
+from conftest import QUICK, feasible_pair, fk_pose, float_bits, make_trajectory, mutate, random_config
 from naive_oracle import naive_settle, naive_sim_step, naive_tick
-
-
-QUICK = IkSettings(restarts=3, max_iterations=150)
-
-
-def fk_pose(model, q):
-    return matrix_to_pose(forward_kinematics(model, q))
-
-
-def feasible_pair(model, rng, clearance=0.02):
-    while True:
-        obj = fk_pose(model, random_config(rng, model))
-        place = fk_pose(model, random_config(rng, model))
-        try:
-            plan_pick_place(model, obj, place, clearance=clearance, ik_settings=QUICK)
-            return obj, place
-        except (UnreachableError, NoConvergenceError):
-            continue
 
 
 def random_sim_config(rng):
     return SimConfig(
         rate_limit_deg_s=float(rng.uniform(100.0, 400.0)), tick_s=float(rng.uniform(0.002, 0.02))
     )
-
-
-def triples(frames):
-    """Frames in the (seq, centidegrees, gripper_closed) form _run_frames takes."""
-    return [(frame.seq, frame.centidegrees, frame.gripper_closed) for frame in frames]
 
 
 def grasp_stream(rng, model, length):
@@ -127,6 +101,8 @@ class TestWireGrammar:
             "G 0 F 0 1 2 3 4 5 6",
             "F -1 1 2 3 4 5 6 G 0",  # negative sequence
             "F 0 1.5 2 3 4 5 6 G 0",  # non-integer angle
+            "F 1٣ 9000 13500 4500 13500 9000 4500 G 1",  # non-ASCII digit
+            "F 0 9000 13500 4500 13500 9000 4500 G 1\n\n",  # two newlines
         ],
     )
     def test_malformed_lines_rejected(self, line):
@@ -601,7 +577,7 @@ class TestSettleOracle:
         state = apply_frame(arm, state, close)
         assert state.attached
         assert float_bits(settle(arm, state)) == float_bits(state)
-        final, count = _run_frames(arm, initial_state(arm, object_pose=obj), triples([close]), SimConfig())
+        final, count = _run_frames(arm, initial_state(arm, object_pose=obj), [close], SimConfig())
         assert count == 1
         assert float_bits(final) == float_bits(state)
         assert float_bits(final.object_pose) == float_bits(obj)
@@ -624,7 +600,7 @@ class TestSettleOracle:
                     assert float_bits(per_settle) == float_bits(naive)
                     captures += per_settle.attached and not was_attached
                 regrasps += captures > 1
-                final, count = _run_frames(model, initial_state(model, object_pose=obj), triples(frames), config)
+                final, count = _run_frames(model, initial_state(model, object_pose=obj), frames, config)
                 assert float_bits(final) == float_bits(naive)
                 assert count == len(frames)
                 replayed = replay_frames(model, "\n" + text + "\n", config)
@@ -706,9 +682,8 @@ class TestPickCycle:
         assert calls == [0] * solves
 
     def test_cycle_builds_no_servo_frames(self, wide_arm, monkeypatch):
-        """run_pick_cycle feeds the frame loop centidegree rows: neither the
-        planner nor the simulator builds a ServoFrame for it."""
-        import armkit.planner
+        """run_pick_cycle feeds the frame loop centidegree rows: it builds no
+        ServoFrame."""
         import armkit.simulator
 
         built = []
@@ -717,7 +692,6 @@ class TestPickCycle:
             built.append(kwargs)
             return ServoFrame(*args, **kwargs)
 
-        monkeypatch.setattr(armkit.planner, "ServoFrame", counting_frame)
         monkeypatch.setattr(armkit.simulator, "ServoFrame", counting_frame)
         obj = top_down_pose(0.12, 0.05, 0.02)
         place = top_down_pose(-0.05, 0.12, 0.02)

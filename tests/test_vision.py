@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -274,8 +275,31 @@ class TestHomography:
 
     def test_duplicate_points_rejected(self):
         px = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(HomographyError, match="duplicate"):
+        with pytest.raises(HomographyError, match="^duplicate pixel points at indices 0 and 1$"):
             estimate_homography(px, self.UNIT_SQUARE)
+        # On a large set the first pair in (i, j) order is named, pixels first.
+        grid = np.array([[x, y] for x in range(50) for y in range(40)], dtype=float)
+        px, world = grid.copy(), 0.01 * grid
+        world[1717] = world[1500]
+        with pytest.raises(HomographyError, match="^duplicate world points at indices 1500 and 1717$"):
+            estimate_homography(px, world)
+        px[900] = px[800]
+        px[1900] = px[300]
+        px[1200] = px[300] + [5e-13, 0.0]
+        with pytest.raises(HomographyError, match="^duplicate pixel points at indices 300 and 1200$"):
+            estimate_homography(px, world)
+
+    def test_large_calibration_set_fits_quickly(self):
+        rng = np.random.default_rng(11)
+        px = rng.uniform(0, 640, (2000, 2))
+        H_true = np.array([[0.001, 0.0002, -0.3], [-0.0001, 0.0012, -0.2], [1e-5, 2e-5, 1.0]])
+        world = (H_true @ np.column_stack([px, np.ones(2000)]).T).T
+        world = world[:, :2] / world[:, 2:3]
+        start = time.perf_counter()
+        h = estimate_homography(px, world)
+        assert time.perf_counter() - start < 5.0
+        for p, w in zip(px[::100], world[::100]):
+            assert np.linalg.norm(pixel_to_world(h, p, 0.0)[:2] - w) <= 1e-9
 
     def test_exact_correspondences_reproject_within_tolerance(self):
         rng = np.random.default_rng(7)
