@@ -79,22 +79,25 @@ def invert_transform(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _canonical_quat(q: np.ndarray) -> np.ndarray:
+def _canonical_quat(q: Sequence[float]) -> tuple[float, float, float, float]:
     """Unit quaternion with w >= 0; ties at w == 0 make the first nonzero
-    component positive so equal rotations compare equal."""
-    n = float(np.linalg.norm(q))
+    component positive so equal rotations compare equal.
+
+    The norm is np.linalg.norm's own sum and root; the division and the sign
+    flip are the same IEEE operations on Python floats as on an array."""
+    a = np.array(q, dtype=float)
+    n = math.sqrt(a.dot(a))
     if n == 0.0:
         raise ValueError("zero quaternion")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0:
-        for v in q[1:]:
+    w, x, y, z = q
+    w, x, y, z = w / n, x / n, y / n, z / n
+    flip = w < 0.0
+    if w == 0.0:
+        for v in (x, y, z):
             if v != 0.0:
-                if v < 0.0:
-                    q = -q
+                flip = v < 0.0
                 break
-    return q
+    return (-w, -x, -y, -z) if flip else (w, x, y, z)
 
 
 def quat_to_matrix(q: Sequence[float]) -> np.ndarray:
@@ -112,32 +115,25 @@ def quat_to_matrix(q: Sequence[float]) -> np.ndarray:
 def matrix_to_quat(R: np.ndarray) -> tuple[float, float, float, float]:
     """Canonical unit quaternion (w, x, y, z) of a rotation matrix.
 
-    Branches on the largest of trace/diagonal for numerical stability.
+    Branches on the largest of trace/diagonal for numerical stability.  The
+    arithmetic runs on the matrix's entries as Python floats, the same IEEE
+    operations as on numpy scalars.
     """
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float)[:3, :3].tolist()
+    tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 >= r11 and r00 >= r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 >= r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    w, x, y, z = _canonical_quat(q)
-    return (float(w), float(x), float(y), float(z))
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    return _canonical_quat(q)
 
 
 @dataclass(frozen=True)
@@ -153,17 +149,16 @@ class Pose6D:
     quaternion: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        p = tuple(float(v) for v in self.position)
+        p = tuple(map(float, self.position))
         if len(p) != 3:
             raise ValueError(f"position must have 3 components, got {len(p)}")
-        raw = np.array([float(v) for v in self.quaternion])
-        if raw.shape != (4,):
+        raw = tuple(map(float, self.quaternion))
+        if len(raw) != 4:
             raise ValueError("quaternion must be (w, x, y, z)")
-        if not np.isfinite(raw).all():
-            raise ValueError(f"quaternion must be finite, got {tuple(raw.tolist())}")
-        q = _canonical_quat(raw)
+        if not all(map(math.isfinite, raw)):
+            raise ValueError(f"quaternion must be finite, got {raw}")
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "quaternion", tuple(float(v) for v in q))
+        object.__setattr__(self, "quaternion", _canonical_quat(raw))
 
     @classmethod
     def from_position_euler_zyx(
@@ -218,7 +213,7 @@ def _matrix_to_euler_zyx_deg(R: np.ndarray) -> tuple[float, float, float]:
 def matrix_to_pose(T: np.ndarray) -> Pose6D:
     """Pose of a rigid transform; position copied exactly."""
     T = np.asarray(T, dtype=float)
-    return Pose6D(tuple(T[:3, 3]), matrix_to_quat(T[:3, :3]))
+    return Pose6D(tuple(T[:3, 3].tolist()), matrix_to_quat(T[:3, :3]))
 
 
 def pose_to_matrix(pose: Pose6D) -> np.ndarray:

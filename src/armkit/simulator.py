@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dh_model import JOINT_COUNT, ArmModel, JointConfig
-from .kinematics import Pose6D, forward_kinematics, invert_transform, matrix_to_pose, pose_to_matrix
+from .dh_model import JOINT_COUNT, ArmModel
+from .kinematics import Pose6D, _link_frames, invert_transform, matrix_to_pose, pose_to_matrix
 from .planner import (
     DEFAULT_CLEARANCE_M,
     GRIPPER_CLOSED,
@@ -50,7 +50,7 @@ _INT = r"(?:0|[1-9]\d*)"
 _FRAME_RE = re.compile(
     rf"F ({_INT})"
     rf" (-?{_INT}) (-?{_INT}) (-?{_INT}) (-?{_INT}) (-?{_INT}) (-?{_INT})"
-    rf" G ([01])",
+    rf" G ([01])\n?",
     re.ASCII,
 )
 
@@ -142,16 +142,14 @@ def initial_state(model: ArmModel, object_pose: Pose6D | None = None) -> SimStat
 
 def parse_frame(line: str) -> ServoFrame:
     """Parse one wire-format line; the exact inverse of ServoFrame.encode."""
-    body = line[:-1] if line.endswith("\n") else line
-    m = _FRAME_RE.fullmatch(body)
+    m = _FRAME_RE.fullmatch(line)
     if m is None:
         raise FrameError(f"malformed servo frame: {line!r}")
+    seq, a0, a1, a2, a3, a4, a5, g = m.groups()
     try:
-        seq = int(m.group(1))
-        centi = tuple(int(m.group(i)) for i in range(2, 8))
+        return ServoFrame(int(seq), (int(a0), int(a1), int(a2), int(a3), int(a4), int(a5)), g == "1")
     except ValueError as exc:  # more digits than int() converts
         raise FrameError(f"malformed servo frame: a number has too many digits: {line[:40]!r}...") from exc
-    return ServoFrame(seq, centi, m.group(8) == "1")
 
 
 def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> SimState:
@@ -159,19 +157,19 @@ def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> Sim
     if gripper == state.gripper:
         return state
     if gripper == GRIPPER_CLOSED:
-        if state.object_pose is not None and not state.attached:
-            tool = forward_kinematics(model, JointConfig(state.current_deg))
+        grasp_rel = state.grasp_rel
+        if state.object_pose is not None and grasp_rel is None:
+            tool = _link_frames(model, np.radians(state.current_deg))[-1]
             obj = pose_to_matrix(state.object_pose)
             reach = float(np.linalg.norm(tool[:3, 3] - obj[:3, 3]))
             if reach <= CAPTURE_RADIUS_M:
-                rel = invert_transform(tool) @ obj
-                return replace(
-                    state, gripper=gripper, grasp_rel=tuple(float(v) for v in rel.reshape(-1))
-                )
-        return replace(state, gripper=gripper)
+                grasp_rel = tuple((invert_transform(tool) @ obj).reshape(-1).tolist())
+        return SimState(
+            state.current_deg, state.target_deg, gripper, state.elapsed_s, state.object_pose, grasp_rel, state.last_seq
+        )
     # Opening: release wherever the object currently is.
-    pose = _held_pose(model, state) if state.attached else state.object_pose
-    return replace(state, gripper=gripper, object_pose=pose, grasp_rel=None)
+    pose = state.object_pose if state.grasp_rel is None else _held_pose(model, state.current_deg, state.grasp_rel)
+    return SimState(state.current_deg, state.target_deg, gripper, state.elapsed_s, pose, None, state.last_seq)
 
 
 def _frame_target(model: ArmModel, last_seq: int, seq: int, centidegrees: Sequence[int]) -> tuple[float, ...]:
@@ -190,7 +188,7 @@ def _frame_target(model: ArmModel, last_seq: int, seq: int, centidegrees: Sequen
     except OverflowError as exc:
         raise FrameError(f"frame {seq}: target beyond float range") from exc
     for i, (angle, lim) in enumerate(zip(target, model.limits)):
-        if not lim.contains(angle):
+        if not (lim.min_deg <= angle <= lim.max_deg):
             raise FrameError(
                 f"frame {seq}: joint {i} target {angle} outside "
                 f"[{lim.min_deg}, {lim.max_deg}]"
@@ -207,19 +205,33 @@ def apply_frame(
     inside the joint limits.  ``config`` is unused; it matches settle's.
     """
     target = _frame_target(model, state.last_seq, frame.seq, frame.centidegrees)
-    new = replace(state, target_deg=target, last_seq=frame.seq)
+    new = SimState(
+        state.current_deg, target, state.gripper, state.elapsed_s, state.object_pose, state.grasp_rel, frame.seq
+    )
     return _set_gripper(model, new, GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN)
 
 
-def _held_pose(model: ArmModel, state: SimState) -> Pose6D:
-    """Where the tool holds an attached object now."""
-    tool = forward_kinematics(model, JointConfig(state.current_deg))
-    return matrix_to_pose(tool @ np.array(state.grasp_rel).reshape(4, 4))
+def _held_pose(model: ArmModel, current_deg: tuple[float, ...], grasp_rel: tuple[float, ...]) -> Pose6D:
+    """Where the tool at joint angles ``current_deg`` holds an object at
+    ``grasp_rel`` in the tool frame."""
+    tool = _link_frames(model, np.radians(current_deg))[-1]
+    return matrix_to_pose(tool @ np.array(grasp_rel).reshape(4, 4))
 
 
-def _carry(model: ArmModel, state: SimState) -> SimState:
-    """Put an attached object where the tool holds it now."""
-    return replace(state, object_pose=_held_pose(model, state)) if state.attached else state
+def _carry(
+    model: ArmModel,
+    state: SimState,
+    current: tuple[float, ...],
+    target: tuple[float, ...],
+    elapsed: float,
+    last_seq: int,
+) -> SimState:
+    """``state`` moved to joint angles ``current``, targets ``target``, clock
+    ``elapsed`` and frame ``last_seq``, an attached object put where the tool
+    holds it now."""
+    grasp_rel = state.grasp_rel
+    pose = state.object_pose if grasp_rel is None else _held_pose(model, current, grasp_rel)
+    return SimState(current, target, state.gripper, elapsed, pose, grasp_rel, last_seq)
 
 
 def _tick(
@@ -287,7 +299,7 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     if state.current_deg == state.target_deg:
         return state
     current, elapsed = _tick(state.current_deg, state.target_deg, state.elapsed_s, config, state.last_seq)
-    return _carry(model, replace(state, current_deg=current, elapsed_s=elapsed))
+    return _carry(model, state, current, state.target_deg, elapsed, state.last_seq)
 
 
 @dataclass(frozen=True)
@@ -340,15 +352,16 @@ def _run_frames(
         last_seq = seq
         gripper = GRIPPER_CLOSED if gripper_closed else GRIPPER_OPEN
         if gripper != state.gripper:
-            state = replace(state, current_deg=current, target_deg=target, elapsed_s=elapsed, last_seq=last_seq)
+            state = SimState(current, target, state.gripper, elapsed, state.object_pose, state.grasp_rel, last_seq)
             state = _set_gripper(model, state, gripper)
         ticked = current != target
         if ticked:
             current, elapsed = _tick(current, target, elapsed, config, last_seq)
         carried = state.attached and (carried or ticked)
         count += 1
-    state = replace(state, current_deg=current, target_deg=target, elapsed_s=elapsed, last_seq=last_seq)
-    return (_carry(model, state) if carried else state), count
+    if carried:
+        return _carry(model, state, current, target, elapsed, last_seq), count
+    return SimState(current, target, state.gripper, elapsed, state.object_pose, state.grasp_rel, last_seq), count
 
 
 def run_pick_cycle(
@@ -383,9 +396,15 @@ def run_pick_cycle(
 
 
 def replay_frames(model: ArmModel, text: str, config: SimConfig = SimConfig()) -> CycleReport:
-    """Execute a frame stream (one frame per line) with no workspace object;
-    used to replay recorded plans byte-for-byte."""
-    frames = (parse_frame(line) for line in text.splitlines() if line.strip())
+    r"""Execute a frame stream (one frame per line) with no workspace object;
+    used to replay recorded plans byte-for-byte.
+
+    Lines end at ``"\n"`` only, and one ``"\r"`` at the end of a line is
+    dropped, so CRLF text replays too.  Blank lines are skipped.  Any other
+    line break, such as a lone ``"\r"``, ``"\x85"`` or ``"\u2028"``, stays
+    inside its line, which then fails to parse."""
+    lines = (line[:-1] if line.endswith("\r") else line for line in text.split("\n"))
+    frames = (parse_frame(line) for line in lines if line.strip())
     state, count = _run_frames(model, initial_state(model), frames, config)
     return CycleReport(
         success=True, final_object_pose=None, frames_sent=count, sim_time_s=state.elapsed_s

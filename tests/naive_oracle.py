@@ -13,7 +13,9 @@ it, ``naive_tick`` is the simulator's tick kernel one six-joint tick at a
 time, ``naive_interpolate`` builds and clamps one knot at a time, and
 ``naive_encode`` rounds one angle at a time: the per-step forms of the
 simulator's and planner's batched code, sharing no arithmetic with
-``armkit.simulator``.
+``armkit.simulator``.  ``naive_matrix_to_pose`` and ``naive_pose_quaternion``
+build a pose's position and quaternion on numpy arrays and scalars, where
+``matrix_to_pose`` and ``Pose6D`` read Python floats.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
 with numpy's general routines (np.cross, diag_indices_from, np.max), and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
@@ -280,3 +282,66 @@ def naive_encode(trajectory):
         ServoFrame(seq, tuple(math.floor(float(a) * 100.0 + 0.5) for a in knot), gripper == GRIPPER_CLOSED)
         for seq, (knot, gripper) in enumerate(zip(trajectory.knots, trajectory.grippers))
     ]
+
+
+def naive_canonical_quat(q):
+    """Unit quaternion with w >= 0, the first nonzero component positive at
+    w == 0, normalized by np.linalg.norm on an array."""
+    n = float(np.linalg.norm(q))
+    if n == 0.0:
+        raise ValueError("zero quaternion")
+    q = q / n
+    if q[0] < 0.0:
+        q = -q
+    elif q[0] == 0.0:
+        for v in q[1:]:
+            if v != 0.0:
+                if v < 0.0:
+                    q = -q
+                break
+    return q
+
+
+def naive_matrix_to_quat(R):
+    """Canonical quaternion of a rotation matrix from numpy scalars."""
+    R = np.asarray(R, dtype=float)
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    w, x, y, z = naive_canonical_quat(q)
+    return (float(w), float(x), float(y), float(z))
+
+
+def naive_pose_quaternion(quaternion):
+    """The quaternion a pose stores: checked finite, then canonicalized."""
+    raw = np.array([float(v) for v in quaternion])
+    if raw.shape != (4,):
+        raise ValueError("quaternion must be (w, x, y, z)")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"quaternion must be finite, got {tuple(raw.tolist())}")
+    return tuple(float(v) for v in naive_canonical_quat(raw))
+
+
+def naive_matrix_to_pose(T):
+    """(position, quaternion) of the pose of a rigid transform."""
+    T = np.asarray(T, dtype=float)
+    position = tuple(float(v) for v in T[:3, 3])
+    return position, naive_pose_quaternion(naive_matrix_to_quat(T[:3, :3]))

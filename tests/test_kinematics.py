@@ -24,7 +24,16 @@ from armkit.kinematics import (
 )
 
 from conftest import make_arm, random_arm, random_config
-from naive_oracle import naive_dh_matrices, naive_fk, numeric_jacobian, planar_2r_jacobian_linear, transform_is_valid
+from naive_oracle import (
+    naive_dh_matrices,
+    naive_fk,
+    naive_matrix_to_pose,
+    naive_matrix_to_quat,
+    naive_pose_quaternion,
+    numeric_jacobian,
+    planar_2r_jacobian_linear,
+    transform_is_valid,
+)
 
 
 def random_rotation(rng):
@@ -258,6 +267,116 @@ class TestPoseConversions:
         for _ in range(100):
             T = random_transform(rng)
             assert np.allclose(invert_transform(T) @ T, np.eye(4), atol=1e-12)
+
+
+def bits_or_error(run, *args):
+    """``run(*args)`` with every float as its ``float.hex``, or the type and
+    message of the ValueError it raised."""
+    try:
+        result = run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(tuple(v.hex() for v in part) for part in result)
+
+
+def pose_fields(T):
+    pose = matrix_to_pose(T)
+    return pose.position, pose.quaternion
+
+
+def quaternion_field(q):
+    return (Pose6D((0.0, 0.0, 0.0), q).quaternion,)
+
+
+def signed_zeros(rng, M):
+    """``M`` with each zero entry given a random sign."""
+    M = np.array(M, dtype=float)
+    zeros = M == 0.0
+    M[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return M
+
+
+def half_turn(u):
+    """Rotation by pi about unit axis ``u``: 2 u u^T - I, exactly symmetric,
+    so the quaternion's w is 0."""
+    u = np.asarray(u, dtype=float)
+    return 2.0 * np.outer(u, u) - np.eye(3)
+
+
+class TestPoseOracle:
+    """matrix_to_pose and the Pose6D constructor read Python floats; they
+    must give the oracle's numpy-scalar results bit for bit, errors
+    included."""
+
+    def rotations(self, rng):
+        """Yield (label, 3x3 matrix) cases covering all four branches of
+        matrix_to_quat, the w == 0 sign ties and signed zeros."""
+        for _ in range(3000):
+            yield "random", random_rotation(rng)
+        for _ in range(3000):
+            # Near half-turns: the diagonal decides the branch.
+            u = rng.normal(size=3)
+            R = half_turn(u / np.linalg.norm(u))
+            if rng.random() < 0.5:
+                R = R @ quat_to_matrix(np.r_[1.0, rng.normal(scale=1e-3, size=3)] / 1.0000005)
+            yield "half_turn", R
+        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0.6, 0.8), (0.6, 0, 0.8), (0.6, 0.8, 0), (0, 1, 1), (1, 1, 1)]
+        for _ in range(300):
+            for axis in axes:
+                u = np.array(axis, dtype=float) * np.where(rng.random(3) < 0.5, -1.0, 1.0)
+                yield "axis_half_turn", signed_zeros(rng, half_turn(u / np.linalg.norm(u)))
+        diagonals = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+        for _ in range(300):
+            for d in diagonals:
+                yield "diagonal", signed_zeros(rng, np.diag(d))
+            P = np.eye(3)[rng.permutation(3)] * np.where(rng.random(3) < 0.5, -1.0, 1.0)
+            yield "signed_permutation", signed_zeros(rng, P)
+        for _ in range(1000):
+            yield "general", rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+
+    def test_matrix_to_pose_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4099)
+        branches = {"trace": 0, "x": 0, "y": 0, "z": 0}
+        ties = negative_zeros = 0
+        for label, R in self.rotations(rng):
+            T = np.eye(4)
+            T[:3, :3] = R
+            T[:3, 3] = signed_zeros(rng, rng.uniform(-1.0, 1.0, 3) * (rng.random(3) < 0.8))
+            got = bits_or_error(pose_fields, T)
+            assert got == bits_or_error(naive_matrix_to_pose, T), label
+            quat = bits_or_error(lambda R: (matrix_to_quat(R),), R)
+            assert quat == bits_or_error(lambda R: (naive_matrix_to_quat(R),), R), label
+            tr = R[0, 0] + R[1, 1] + R[2, 2]
+            if tr > 0.0:
+                branches["trace"] += 1
+            elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+                branches["x"] += 1
+            elif R[1, 1] >= R[2, 2]:
+                branches["y"] += 1
+            else:
+                branches["z"] += 1
+            quaternion = matrix_to_pose(T).quaternion
+            ties += quaternion[0] == 0.0
+            negative_zeros += any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in quaternion)
+        assert min(branches.values()) > 1000, branches
+        assert ties > 1000
+        assert negative_zeros > 100
+
+    def test_pose_quaternion_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4111)
+        ties = errors = 0
+        for _ in range(5000):
+            q = rng.normal(size=4) * 10.0 ** rng.uniform(-150, 150)
+            q[rng.random(4) < 0.3] = 0.0
+            if rng.random() < 0.05:
+                q[int(rng.integers(4))] = [math.nan, math.inf, -math.inf][int(rng.integers(3))]
+            q = tuple(signed_zeros(rng, q).tolist())
+            got = bits_or_error(quaternion_field, q)
+            assert got == bits_or_error(lambda q: (naive_pose_quaternion(q),), q)
+            ties += q[0] == 0.0
+            errors += got[0] is ValueError
+        assert ties > 1000
+        assert errors > 100
 
 
 class TestRotationLog:

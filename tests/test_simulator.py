@@ -141,12 +141,24 @@ class TestApplyFrame:
             apply_frame(arm, initial_state(arm), frame)
 
 
+def counting(function, calls):
+    """``function`` with each call's arguments appended to ``calls``."""
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    return count
+
+
 def frame_by_frame(model, text, config):
-    """What replay_frames must report for ``text``: the frame count and the
-    clock's bits after parsing, applying and settling each line in turn."""
+    r"""What replay_frames must report for ``text``: the frame count and the
+    clock's bits after parsing, applying and settling each line in turn.  A
+    line ends at "\n", and one "\r" at its end is dropped."""
     state = initial_state(model)
     count = 0
-    for line in text.splitlines():
+    for line in re.split(r"\n", text):
+        line = re.sub(r"\r\Z", "", line)
         if line.strip():
             state = settle(model, apply_frame(model, state, parse_frame(line), config), config)
             count += 1
@@ -329,29 +341,27 @@ class TestSettle:
             settle(arm, apply_frame(arm, state, back), config)
 
     def test_one_state_per_settle(self, wide_arm, monkeypatch):
-        """The ticks run on plain floats: a 40-tick settle of a carried object
-        builds one state for the joints and one for the object's pose."""
+        """A frame that keeps the gripper builds one state; the ticks run on
+        plain floats, so a 40-tick settle of a carried object builds one state
+        and runs the FK chain once, for the object's pose."""
         import armkit.simulator
-
-        built = []
-        build = armkit.simulator.replace
-
-        def counting_replace(*args, **kwargs):
-            built.append(kwargs)
-            return build(*args, **kwargs)
 
         start = wide_arm.mid_config()
         state = initial_state(wide_arm, object_pose=fk_pose(wide_arm, start))
         close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
         # Joint 0 moves 179.5 -> 299.5 degrees at 3 degrees per tick.
         move = ServoFrame(1, (29950,) + close.centidegrees[1:], True)
-        state = apply_frame(wide_arm, apply_frame(wide_arm, state, close), move)
+        state = apply_frame(wide_arm, state, close)
         assert state.attached
-        monkeypatch.setattr(armkit.simulator, "replace", counting_replace)
+        built, fk = [], []
+        monkeypatch.setattr(armkit.simulator, "SimState", counting(SimState, built))
+        monkeypatch.setattr(armkit.simulator, "_link_frames", counting(armkit.simulator._link_frames, fk))
+        state = apply_frame(wide_arm, state, move)
+        assert (len(built), len(fk)) == (1, 0)
         settled = settle(wide_arm, state)
         assert round((settled.elapsed_s - state.elapsed_s) / SimConfig().tick_s) == 40
         assert settled.current_deg == settled.target_deg
-        assert len(built) <= 2
+        assert (len(built), len(fk)) == (2, 1)
 
     @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -703,24 +713,20 @@ class TestPickCycle:
         assert len(built) == report.frames_sent
 
     def test_forward_kinematics_runs_at_capture_and_release_only(self, wide_arm, monkeypatch):
+        """The simulator runs the FK chain (_link_frames) once to capture the
+        object and once to release it."""
         import armkit.simulator
 
         calls = []
-        fk = armkit.simulator.forward_kinematics
-
-        def counting_fk(*args, **kwargs):
-            calls.append(args)
-            return fk(*args, **kwargs)
-
-        monkeypatch.setattr(armkit.simulator, "forward_kinematics", counting_fk)
+        monkeypatch.setattr(armkit.simulator, "_link_frames", counting(armkit.simulator._link_frames, calls))
         obj = top_down_pose(0.12, 0.05, 0.02)
         place = top_down_pose(-0.05, 0.12, 0.02)
         assert run_pick_cycle(wide_arm, obj, place).success
-        assert len(calls) <= 2
+        assert len(calls) == 2
 
     def test_states_built_per_cycle(self, wide_arm, monkeypatch):
         """The frame loop runs on plain floats: a cycle builds its initial
-        and final state and at most 2 states per gripper change (the one
+        and final state and 2 states per gripper change (the one
         handed to the capture or release, and its result)."""
         import armkit.simulator
 
@@ -732,19 +738,11 @@ class TestPickCycle:
         assert changes == 2
 
         built = []
-
-        def counting(build):
-            def count(*args, **kwargs):
-                built.append(kwargs)
-                return build(*args, **kwargs)
-            return count
-
-        monkeypatch.setattr(armkit.simulator, "replace", counting(armkit.simulator.replace))
-        monkeypatch.setattr(armkit.simulator, "SimState", counting(armkit.simulator.SimState))
+        monkeypatch.setattr(armkit.simulator, "SimState", counting(SimState, built))
         report = run_pick_cycle(wide_arm, obj, place)
         assert report.success
         assert report.frames_sent == len(frames) > 100
-        assert len(built) <= 2 * changes + 2
+        assert len(built) == 2 * changes + 2
 
     def test_knots_build_no_joint_configs(self, wide_arm, monkeypatch):
         """The cycle of test_states_built_per_cycle keeps its knots in one
@@ -809,3 +807,24 @@ class TestReplay:
     def test_blank_lines_are_skipped(self, arm):
         report = replay_frames(arm, "\n\n")
         assert report.frames_sent == 0
+
+    AWAY = "F 0 0 18000 0 9000 18000 0 G 0"
+    BACK = "F 1 9000 13500 4500 13500 9000 4500 G 0"
+
+    @pytest.mark.parametrize(
+        "separator",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"],
+        ids=["vt", "ff", "fs", "gs", "rs", "nel", "line_sep", "paragraph_sep", "lone_cr"],
+    )
+    def test_only_a_newline_ends_a_frame(self, arm, separator):
+        """str.splitlines would break at each of these; the wire does not."""
+        assert replay_frames(arm, f"{self.AWAY}\n{self.BACK}\n").frames_sent == 2
+        with pytest.raises(FrameError, match="malformed servo frame"):
+            replay_frames(arm, f"{self.AWAY}{separator}{self.BACK}\n")
+
+    def test_crlf_lines_replay(self, arm):
+        expected = replay_frames(arm, f"{self.AWAY}\n{self.BACK}\n")
+        report = replay_frames(arm, f"{self.AWAY}\r\n\r\n{self.BACK}\r\n")
+        assert (report.frames_sent, report.sim_time_s.hex()) == (2, expected.sim_time_s.hex())
+        with pytest.raises(FrameError, match="malformed servo frame"):
+            replay_frames(arm, f"{self.AWAY}\r\r\n")
