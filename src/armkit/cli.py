@@ -149,7 +149,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.frames == "-":
         text = sys.stdin.read()
     else:
-        text = Path(args.frames).read_text(encoding="utf-8")
+        # newline="" keeps the bytes as written, as stdin does on POSIX.
+        with open(args.frames, encoding="utf-8", newline="") as f:
+            text = f.read()
     config = SimConfig(rate_limit_deg_s=args.rate, tick_s=args.tick)
     report = replay_frames(model, text, config)
     print(report.to_json())

@@ -84,9 +84,18 @@ def _canonical_quat(q: Sequence[float]) -> tuple[float, float, float, float]:
     component positive so equal rotations compare equal.
 
     The norm is np.linalg.norm's own sum and root; the division and the sign
-    flip are the same IEEE operations on Python floats as on an array."""
+    flip are the same IEEE operations on Python floats as on an array.  When
+    the sum of squares under- or overflows (0 or inf) for a finite nonzero
+    quaternion, the components are first divided by the largest magnitude."""
     a = np.array(q, dtype=float)
-    n = math.sqrt(a.dot(a))
+    squares = a.dot(a)
+    if squares == 0.0 or squares == math.inf:
+        largest = float(np.max(np.abs(a)))
+        if 0.0 < largest < math.inf:
+            q = [v / largest for v in q]
+            a = np.array(q)
+            squares = a.dot(a)
+    n = math.sqrt(squares)
     if n == 0.0:
         raise ValueError("zero quaternion")
     w, x, y, z = q

@@ -112,6 +112,32 @@ class SimConfig:
             raise ValueError(f"rate_limit_deg_s * tick_s must be >= {MIN_MOVE_PER_TICK_DEG} degrees")
 
 
+class _Held(NamedTuple):
+    """An attached object's pose not yet computed: the tool at joint angles
+    ``current_deg`` holding it at ``grasp_rel``."""
+
+    model: ArmModel
+    current_deg: tuple[float, ...]
+    grasp_rel: tuple[float, ...]
+
+
+class _ObjectPose:
+    """The ``SimState.object_pose`` field.  It stores a Pose6D, None, or a
+    _Held record, which the first read poses with _held_pose and caches in
+    the state, so every later read returns the same Pose6D."""
+
+    def __get__(self, state: SimState | None, owner: type | None = None) -> Pose6D | None:
+        if state is None:
+            return None  # the field's default
+        pose = state.__dict__["object_pose"]
+        if type(pose) is _Held:
+            pose = state.__dict__["object_pose"] = _held_pose(*pose)
+        return pose
+
+    def __set__(self, state: SimState, pose: Pose6D | _Held | None) -> None:
+        state.__dict__["object_pose"] = pose
+
+
 @dataclass(frozen=True)
 class SimState:
     """Snapshot of the virtual bus: where the joints are, where they are
@@ -119,19 +145,32 @@ class SimState:
 
     ``grasp_rel`` is the object's pose in the tool frame (16 row-major floats)
     while attached, None otherwise; it stays constant for the whole grasp.
+    A carried object's ``object_pose`` is computed from the tool when it is
+    first read and then cached, with the same bits as posing it at once;
+    ``==``, ``hash``, ``repr``, copying and pickling read it like any field.
     """
 
     current_deg: tuple[float, float, float, float, float, float]
     target_deg: tuple[float, float, float, float, float, float]
     gripper: GripperState = GRIPPER_OPEN
     elapsed_s: float = 0.0
-    object_pose: Pose6D | None = None
+    object_pose: Pose6D | None = _ObjectPose()
     grasp_rel: tuple[float, ...] | None = None
     last_seq: int = -1
 
     @property
     def attached(self) -> bool:
         return self.grasp_rel is not None
+
+    def __getstate__(self) -> dict:
+        self.object_pose  # a copy or a pickle holds the pose, not the arm
+        return self.__dict__
+
+
+def _stored_pose(state: SimState) -> Pose6D | _Held | None:
+    """``state``'s object pose as stored: a state rebuilt from it passes a
+    pose not yet computed through without computing it."""
+    return state.__dict__["object_pose"]
 
 
 def initial_state(model: ArmModel, object_pose: Pose6D | None = None) -> SimState:
@@ -158,15 +197,14 @@ def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> Sim
         return state
     if gripper == GRIPPER_CLOSED:
         grasp_rel = state.grasp_rel
-        if state.object_pose is not None and grasp_rel is None:
+        if grasp_rel is None and state.object_pose is not None:
             tool = _link_frames(model, np.radians(state.current_deg))[-1]
             obj = pose_to_matrix(state.object_pose)
             reach = float(np.linalg.norm(tool[:3, 3] - obj[:3, 3]))
             if reach <= CAPTURE_RADIUS_M:
                 grasp_rel = tuple((invert_transform(tool) @ obj).reshape(-1).tolist())
-        return SimState(
-            state.current_deg, state.target_deg, gripper, state.elapsed_s, state.object_pose, grasp_rel, state.last_seq
-        )
+        pose = _stored_pose(state)
+        return SimState(state.current_deg, state.target_deg, gripper, state.elapsed_s, pose, grasp_rel, state.last_seq)
     # Opening: release wherever the object currently is.
     pose = state.object_pose if state.grasp_rel is None else _held_pose(model, state.current_deg, state.grasp_rel)
     return SimState(state.current_deg, state.target_deg, gripper, state.elapsed_s, pose, None, state.last_seq)
@@ -206,7 +244,7 @@ def apply_frame(
     """
     target = _frame_target(model, state.last_seq, frame.seq, frame.centidegrees)
     new = SimState(
-        state.current_deg, target, state.gripper, state.elapsed_s, state.object_pose, state.grasp_rel, frame.seq
+        state.current_deg, target, state.gripper, state.elapsed_s, _stored_pose(state), state.grasp_rel, frame.seq
     )
     return _set_gripper(model, new, GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN)
 
@@ -227,10 +265,10 @@ def _carry(
     last_seq: int,
 ) -> SimState:
     """``state`` moved to joint angles ``current``, targets ``target``, clock
-    ``elapsed`` and frame ``last_seq``, an attached object put where the tool
-    holds it now."""
+    ``elapsed`` and frame ``last_seq``, an attached object to be posed where
+    the tool holds it now when its pose is first read."""
     grasp_rel = state.grasp_rel
-    pose = state.object_pose if grasp_rel is None else _held_pose(model, current, grasp_rel)
+    pose = _stored_pose(state) if grasp_rel is None else _Held(model, current, grasp_rel)
     return SimState(current, target, state.gripper, elapsed, pose, grasp_rel, last_seq)
 
 
@@ -282,7 +320,8 @@ def _tick(
 def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) -> SimState:
     """Step until every joint sits exactly on its target.
 
-    An attached object is posed once, at the end, with the same bits as
+    An attached object is not posed here: the state computes its pose from
+    the final joint angles when it is first read, with the same bits as
     carrying it every tick.  A state that needs no tick comes back as it is,
     so an object captured on a zero-motion frame keeps its pose's exact bits
     instead of passing through the tool transform and its inverse.  Raises
@@ -337,10 +376,10 @@ def _run_frames(
 
     The joints, targets, clock and sequence number stay plain floats and
     ints between frames: a state is built only where a frame changes the
-    gripper, for the capture or release, and once after the last frame.  An
-    attached object is posed once, after the last frame, and only if a tick
-    moved it since its capture: nothing reads its pose in between (release
-    poses it from the tool), so the bits match applying and settling each
+    gripper, for the capture or release, and once after the last frame.
+    Release poses an attached object from the tool; if a tick moved it
+    since its capture, the final state poses it from the last joint angles
+    when its pose is first read.  The bits match applying and settling each
     frame.
     """
     current, target = state.current_deg, state.target_deg
@@ -352,7 +391,7 @@ def _run_frames(
         last_seq = seq
         gripper = GRIPPER_CLOSED if gripper_closed else GRIPPER_OPEN
         if gripper != state.gripper:
-            state = SimState(current, target, state.gripper, elapsed, state.object_pose, state.grasp_rel, last_seq)
+            state = SimState(current, target, state.gripper, elapsed, _stored_pose(state), state.grasp_rel, last_seq)
             state = _set_gripper(model, state, gripper)
         ticked = current != target
         if ticked:
@@ -361,7 +400,7 @@ def _run_frames(
         count += 1
     if carried:
         return _carry(model, state, current, target, elapsed, last_seq), count
-    return SimState(current, target, state.gripper, elapsed, state.object_pose, state.grasp_rel, last_seq), count
+    return SimState(current, target, state.gripper, elapsed, _stored_pose(state), state.grasp_rel, last_seq), count
 
 
 def run_pick_cycle(

@@ -211,6 +211,36 @@ def _normalization(points: np.ndarray) -> np.ndarray:
     )
 
 
+def _first_duplicate(pts: np.ndarray) -> tuple[int, int] | None:
+    """The first pair of points closer than 1e-12, as indices ``(i, j)``
+    with ``i < j``: the smallest ``i``, then the smallest ``j``.
+
+    Points are bucketed on a 1e-12 grid, and each is compared only with the
+    later points in the 3x3 cells around its own.  A close pair's cells
+    differ by at most one in each axis: ``floor(x / 1e-12)`` is monotone,
+    its rounding cannot stretch a gap under one cell to two, and where a
+    coordinate's spacing exceeds 1e-12 a close pair shares that coordinate.
+    A NaN coordinate falls in no cell that a lookup finds, and such a point
+    is never close to another, as with the norm itself."""
+    cells = np.floor(pts / 1e-12).tolist()
+    buckets: dict[tuple[float, float], list[int]] = {}
+    for i, (cx, cy) in enumerate(cells):
+        buckets.setdefault((cx, cy), []).append(i)
+    for i, (cx, cy) in enumerate(cells):
+        near = [
+            j
+            for dx in (-1.0, 0.0, 1.0)
+            for dy in (-1.0, 0.0, 1.0)
+            for j in buckets.get((cx + dx, cy + dy), ())
+            if j > i
+        ]
+        if near:
+            close = np.flatnonzero(np.linalg.norm(pts[near] - pts[i], axis=1) < 1e-12)
+            if close.size:
+                return i, min(near[k] for k in close)
+    return None
+
+
 def estimate_homography(pixel_points, world_points) -> Homography:
     """Direct linear transform over normalized coordinates.
 
@@ -225,10 +255,9 @@ def estimate_homography(pixel_points, world_points) -> Homography:
     if n < 4:
         raise HomographyError(f"at least 4 correspondences required, got {n}")
     for label, pts in (("pixel", px), ("world", wd)):
-        for i in range(n - 1):
-            close = np.flatnonzero(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1) < 1e-12)
-            if close.size:
-                raise HomographyError(f"duplicate {label} points at indices {i} and {i + 1 + int(close[0])}")
+        pair = _first_duplicate(pts)
+        if pair is not None:
+            raise HomographyError(f"duplicate {label} points at indices {pair[0]} and {pair[1]}")
     Tp = _normalization(px)
     Tw = _normalization(wd)
     px_n = (Tp @ np.column_stack([px, np.ones(n)]).T).T

@@ -16,6 +16,9 @@ simulator's and planner's batched code, sharing no arithmetic with
 ``armkit.simulator``.  ``naive_matrix_to_pose`` and ``naive_pose_quaternion``
 build a pose's position and quaternion on numpy arrays and scalars, where
 ``matrix_to_pose`` and ``Pose6D`` read Python floats.
+``naive_first_duplicate`` is the homography's duplicate check as a scan of
+every later point for each point, where the library buckets points on a
+grid.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
 with numpy's general routines (np.cross, diag_indices_from, np.max), and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
@@ -286,8 +289,14 @@ def naive_encode(trajectory):
 
 def naive_canonical_quat(q):
     """Unit quaternion with w >= 0, the first nonzero component positive at
-    w == 0, normalized by np.linalg.norm on an array."""
+    w == 0, normalized by np.linalg.norm on an array; a finite nonzero
+    quaternion whose norm under- or overflows is first divided by its largest
+    magnitude."""
     n = float(np.linalg.norm(q))
+    largest = float(np.max(np.abs(q)))
+    if n in (0.0, math.inf) and 0.0 < largest < math.inf:
+        q = q / largest
+        n = float(np.linalg.norm(q))
     if n == 0.0:
         raise ValueError("zero quaternion")
     q = q / n
@@ -345,3 +354,13 @@ def naive_matrix_to_pose(T):
     T = np.asarray(T, dtype=float)
     position = tuple(float(v) for v in T[:3, 3])
     return position, naive_pose_quaternion(naive_matrix_to_quat(T[:3, :3]))
+
+
+def naive_first_duplicate(pts):
+    """The first pair (i, j), i < j, of points closer than 1e-12, comparing
+    each point with every later one."""
+    for i in range(len(pts) - 1):
+        close = np.flatnonzero(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1) < 1e-12)
+        if close.size:
+            return i, i + 1 + int(close[0])
+    return None

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from armkit.cli import main
 from armkit.dh_model import ArmModel, JointLimit
 
 MID = "90,135,45,135,90,45"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -350,6 +354,30 @@ class TestPlanAndSim:
         monkeypatch.setattr("sys.stdin", io.StringIO(frame_text))
         assert main(["sim", "--config", wide_config_path, "--frames", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["success"] is True
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "separator, code", [("\r", 2), ("\r\n", 0)], ids=["lone_cr", "crlf"]
+    )
+    def test_sim_splits_a_file_and_stdin_alike(self, wide_config_path, tmp_path, source, separator, code):
+        """The same bytes give the same frames from a file and from stdin: a
+        lone CR stays inside its line, CRLF ends it."""
+        data = f"F 0 0 18000 0 9000 18000 0 G 0{separator}F 1 9000 13500 4500 13500 9000 4500 G 0\n".encode()
+        frames = tmp_path / "two.frames"
+        frames.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "armkit.cli", "sim", "--config", wide_config_path, "--frames"]
+            + (["-"] if source == "stdin" else [str(frames)]),
+            input=data,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])},
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert b"malformed servo frame" in proc.stderr
+        else:
+            assert json.loads(proc.stdout)["frames_sent"] == 2
 
     def test_sim_rejects_malformed_stream(self, wide_config_path, tmp_path, capsys):
         frames_path = tmp_path / "bad.frames"

@@ -378,6 +378,33 @@ class TestPoseOracle:
         assert ties > 1000
         assert errors > 100
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "quaternion, moderate",
+        [
+            ((1e300, 1e300, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)),
+            ((-1e308, 0.0, 0.0, 1e308), (-1.0, 0.0, 0.0, 1.0)),
+            ((1e-200, 1e-200, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)),
+            ((0.0, -1e-170, 0.0, 1e-170), (0.0, -1.0, 0.0, 1.0)),
+            ((5e-324, 0.0, -0.0, 0.0), (1.0, 0.0, -0.0, 0.0)),
+        ],
+        ids=["overflow", "overflow_flip", "underflow", "underflow_tie", "subnormal"],
+    )
+    def test_squares_out_of_range_still_normalize(self, quaternion, moderate):
+        """A finite nonzero quaternion whose sum of squares overflows to inf
+        or underflows to 0 is scaled by its largest magnitude first; it gives
+        the unit quaternion of the same direction, not zeros or an error."""
+        assert bits_or_error(quaternion_field, quaternion) == bits_or_error(
+            lambda q: (naive_pose_quaternion(q),), quaternion
+        )
+        got = quaternion_field(quaternion)
+        assert got[0] == pytest.approx(Pose6D((0.0, 0.0, 0.0), moderate).quaternion, abs=1e-15)
+        assert math.fsum(v * v for v in got[0]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_quaternion_rejected(self):
+        with pytest.raises(ValueError, match="^zero quaternion$"):
+            Pose6D((0.0, 0.0, 0.0), (0.0, -0.0, 0.0, 0.0))
+
 
 class TestRotationLog:
     def test_identity_is_zero(self):

@@ -1,7 +1,9 @@
+import copy
 import json
 import math
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +32,14 @@ from armkit import (
     top_down_pose,
 )
 from armkit.kinematics import invert_transform, pose_to_matrix
-from armkit.simulator import MAX_SETTLE_ANGLE_DEG, MIN_MOVE_PER_TICK_DEG, PLACE_TOLERANCE_M, _run_frames, _tick
+from armkit.simulator import (
+    MAX_SETTLE_ANGLE_DEG,
+    MIN_MOVE_PER_TICK_DEG,
+    PLACE_TOLERANCE_M,
+    _Held,
+    _run_frames,
+    _tick,
+)
 
 from conftest import QUICK, feasible_pair, fk_pose, float_bits, make_trajectory, mutate, random_config
 from naive_oracle import naive_settle, naive_sim_step, naive_tick
@@ -343,7 +352,8 @@ class TestSettle:
     def test_one_state_per_settle(self, wide_arm, monkeypatch):
         """A frame that keeps the gripper builds one state; the ticks run on
         plain floats, so a 40-tick settle of a carried object builds one state
-        and runs the FK chain once, for the object's pose."""
+        and runs no FK chain.  The first read of the object's pose runs it
+        once; later reads return that pose."""
         import armkit.simulator
 
         start = wide_arm.mid_config()
@@ -361,7 +371,43 @@ class TestSettle:
         settled = settle(wide_arm, state)
         assert round((settled.elapsed_s - state.elapsed_s) / SimConfig().tick_s) == 40
         assert settled.current_deg == settled.target_deg
-        assert (len(built), len(fk)) == (2, 1)
+        assert (len(built), len(fk)) == (2, 0)
+        pose = settled.object_pose
+        assert len(fk) == 1
+        assert settled.object_pose is pose
+        assert len(fk) == 1
+
+    def test_fk_runs_at_capture_and_release_only(self, wide_arm, monkeypatch):
+        """A stream shaped like the benchmark's sim_replay, with the capture
+        at frame n/4 and the release at 3n/4, fed frame by frame through
+        apply_frame and settle, runs the FK chain twice: at the capture and
+        at the release.  The carried poses in between are never read."""
+        import armkit.simulator
+
+        rng = np.random.default_rng(233)
+        frames = 48
+        capture, release = frames // 4, 3 * frames // 4
+        q = np.rint(100.0 * np.array(wide_arm.mid_config().angles_deg)).astype(int)
+        stream, closed = [], False
+        for seq in range(frames):
+            if seq in (capture, release):
+                closed = seq == capture
+            else:
+                q = np.clip(q + rng.integers(-3000, 3001, 6), 1000, 34900)
+            if seq == capture:
+                obj = fk_pose(wide_arm, JointConfig(tuple(q / 100.0)))
+            stream.append(ServoFrame(seq, tuple(int(v) for v in q), closed))
+        state = initial_state(wide_arm, object_pose=obj)
+        fk = []
+        monkeypatch.setattr(armkit.simulator, "_link_frames", counting(armkit.simulator._link_frames, fk))
+        carried = 0
+        for frame in stream:
+            state = settle(wide_arm, apply_frame(wide_arm, state, frame))
+            carried += state.attached
+        assert carried == release - capture
+        assert not state.attached
+        assert state.object_pose is not obj
+        assert len(fk) == 2
 
     @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -633,6 +679,86 @@ class TestSettleOracle:
         assert report.frames_sent == len(frames)
         assert float_bits(report.final_object_pose) == float_bits(state.object_pose)
         assert report.sim_time_s.hex() == state.elapsed_s.hex()
+
+
+class TestLazyObjectPose:
+    """settle leaves a carried object's pose to be computed when it is first
+    read.  Such a state must read, compare, hash, print, copy and pickle as
+    one whose pose was computed at once."""
+
+    @staticmethod
+    def carried(model):
+        """A state carrying an object after a settle of 10 ticks, its pose
+        not yet read, and the per-tick oracle's state for the same frames."""
+        start = model.mid_config()
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
+        move = ServoFrame(1, (close.centidegrees[0] + 3000,) + close.centidegrees[1:], True)
+        state = apply_frame(model, initial_state(model, object_pose=fk_pose(model, start)), close)
+        state = apply_frame(model, state, move)
+        return settle(model, state), naive_settle(model, state, SimConfig())
+
+    def test_stream_states_read_once_twice_or_never_match_the_oracle(self, arm, wide_arm):
+        """Every state after a settle, whether its pose is read at once (and
+        read again), or first read when the stream is over, gives the per-tick
+        oracle's bits."""
+        rng = np.random.default_rng(229)
+        unread = 0
+        for model in (arm, wide_arm):
+            obj = fk_pose(model, model.mid_config())
+            for stream in range(20):
+                text = grasp_stream(rng, model, int(rng.integers(1, 40)))
+                config = random_sim_config(rng)
+                naive = state = initial_state(model, object_pose=obj)
+                states = []
+                for line in text.splitlines():
+                    frame = parse_frame(line)
+                    naive = naive_settle(model, apply_frame(model, naive, frame, config), config)
+                    state = settle(model, apply_frame(model, state, frame, config), config)
+                    unread += type(vars(state)["object_pose"]) is _Held
+                    if stream % 2:
+                        pose = state.object_pose
+                        assert state.object_pose is pose
+                    states.append((state, naive))
+                for state, naive in states:
+                    assert float_bits(state) == float_bits(naive)
+        assert unread > 100
+
+    def test_dunder_methods_read_the_pose(self, wide_arm):
+        lazy, eager = self.carried(wide_arm)
+        assert type(vars(lazy)["object_pose"]) is _Held
+        assert lazy == eager
+        assert float_bits(lazy) == float_bits(eager)
+        assert hash(self.carried(wide_arm)[0]) == hash(eager)
+        assert repr(self.carried(wide_arm)[0]) == repr(eager)
+        assert self.carried(wide_arm)[0] != replace(eager, object_pose=None)
+
+    def test_replace_reads_the_pose_unless_it_is_given(self, wide_arm):
+        lazy, eager = self.carried(wide_arm)
+        assert replace(lazy, object_pose=None).object_pose is None
+        assert type(vars(lazy)["object_pose"]) is _Held
+        moved = replace(lazy, elapsed_s=1.0)
+        assert type(vars(moved)["object_pose"]) is Pose6D
+        assert float_bits(moved) == float_bits(replace(eager, elapsed_s=1.0))
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_and_pickles_hold_the_pose(self, wide_arm, duplicate):
+        lazy, eager = self.carried(wide_arm)
+        twin = duplicate(lazy)
+        assert type(vars(twin)["object_pose"]) is Pose6D
+        assert float_bits(twin) == float_bits(eager)
+        read = self.carried(wide_arm)[0]
+        read.object_pose
+        assert pickle.dumps(self.carried(wide_arm)[0]) == pickle.dumps(read)
+
+    def test_fields_stay_frozen_and_default_to_no_object(self, wide_arm):
+        lazy, _ = self.carried(wide_arm)
+        for state in (lazy, initial_state(wide_arm)):
+            with pytest.raises(FrozenInstanceError):
+                state.object_pose = None
+        assert type(vars(lazy)["object_pose"]) is _Held
+        mid = wide_arm.mid_config().angles_deg
+        assert SimState(mid, mid).object_pose is None
+        assert {f.name: f.default for f in fields(SimState)}["object_pose"] is None
 
 
 class TestPickCycle:

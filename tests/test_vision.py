@@ -20,9 +20,10 @@ from armkit import (
     subtract_images,
     write_pgm,
 )
+from armkit.vision import _first_duplicate
 
 from conftest import mutate
-from naive_oracle import naive_largest_blob, naive_subtract
+from naive_oracle import naive_first_duplicate, naive_largest_blob, naive_subtract
 
 
 def image(height, width, value=0):
@@ -288,6 +289,33 @@ class TestHomography:
         px[1200] = px[300] + [5e-13, 0.0]
         with pytest.raises(HomographyError, match="^duplicate pixel points at indices 300 and 1200$"):
             estimate_homography(px, world)
+
+    def test_duplicate_check_matches_pairwise_scan(self):
+        """Points a fraction of 1e-12 to a few times 1e-12 apart, at
+        magnitudes where x / 1e-12 rounds and where a coordinate's spacing
+        passes 1e-12: the grid names the pair the full scan names."""
+        rng = np.random.default_rng(331)
+        found = 0
+        for _ in range(400):
+            n = int(rng.integers(4, 30))
+            base = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-13.0, 4.5)
+            base = base[rng.integers(0, int(rng.integers(1, n)), n)]
+            jitter = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-12.3, -10.5) * (rng.random((n, 1)) < 0.8)
+            pts = base + jitter
+            expected = naive_first_duplicate(pts)
+            assert _first_duplicate(pts) == expected
+            found += expected is not None
+        assert 100 < found < 350
+
+    def test_duplicate_check_scales(self):
+        rng = np.random.default_rng(337)
+        px = rng.uniform(0, 640, (20000, 2))
+        world = 0.001 * px
+        world[19999] = world[7] + [0.0, 9e-13]
+        start = time.perf_counter()
+        with pytest.raises(HomographyError, match="^duplicate world points at indices 7 and 19999$"):
+            estimate_homography(px, world)
+        assert time.perf_counter() - start < 3.0
 
     def test_large_calibration_set_fits_quickly(self):
         rng = np.random.default_rng(11)
