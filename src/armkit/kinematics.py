@@ -86,9 +86,14 @@ def _canonical_quat(q: Sequence[float]) -> tuple[float, float, float, float]:
     The norm is np.linalg.norm's own sum and root; the division and the sign
     flip are the same IEEE operations on Python floats as on an array.  When
     the sum of squares under- or overflows (0 or inf) for a finite nonzero
-    quaternion, the components are first divided by the largest magnitude."""
+    quaternion, the components are first divided by the largest magnitude;
+    numpy's overflow warning on that sum is silenced, since it is handled."""
     a = np.array(q, dtype=float)
-    squares = a.dot(a)
+    if max(map(abs, q)) <= 1e150:  # no sum of four squares overflows
+        squares = a.dot(a)
+    else:
+        with np.errstate(over="ignore"):
+            squares = a.dot(a)
     if squares == 0.0 or squares == math.inf:
         largest = float(np.max(np.abs(a)))
         if 0.0 < largest < math.inf:

@@ -138,7 +138,7 @@ class _ObjectPose:
         state.__dict__["object_pose"] = pose
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimState:
     """Snapshot of the virtual bus: where the joints are, where they are
     headed, the gripper, and the workspace object (attached or free).
@@ -148,6 +148,9 @@ class SimState:
     A carried object's ``object_pose`` is computed from the tool when it is
     first read and then cached, with the same bits as posing it at once;
     ``==``, ``hash``, ``repr``, copying and pickling read it like any field.
+    The constructor takes the fields in order, with their defaults, and
+    stores each one straight into the instance dict: the frozen dataclass's
+    generated one pays an ``object.__setattr__`` per field.
     """
 
     current_deg: tuple[float, float, float, float, float, float]
@@ -157,6 +160,25 @@ class SimState:
     object_pose: Pose6D | None = _ObjectPose()
     grasp_rel: tuple[float, ...] | None = None
     last_seq: int = -1
+
+    def __init__(
+        self,
+        current_deg: tuple[float, float, float, float, float, float],
+        target_deg: tuple[float, float, float, float, float, float],
+        gripper: GripperState = GRIPPER_OPEN,
+        elapsed_s: float = 0.0,
+        object_pose: Pose6D | _Held | None = None,
+        grasp_rel: tuple[float, ...] | None = None,
+        last_seq: int = -1,
+    ) -> None:
+        stored = self.__dict__
+        stored["current_deg"] = current_deg
+        stored["target_deg"] = target_deg
+        stored["gripper"] = gripper
+        stored["elapsed_s"] = elapsed_s
+        stored["object_pose"] = object_pose  # all that _ObjectPose.__set__ does
+        stored["grasp_rel"] = grasp_rel
+        stored["last_seq"] = last_seq
 
     @property
     def attached(self) -> bool:
@@ -272,6 +294,25 @@ def _carry(
     return SimState(current, target, state.gripper, elapsed, pose, grasp_rel, last_seq)
 
 
+def _stepped_ticks(cur: float, tgt: float, max_move: float) -> int:
+    """One joint's ticks counted step by step: steps of exactly
+    ``cur ± max_move`` while its gap exceeds ``max_move``, then one arrival
+    tick unless a step landed on the target."""
+    # No step overshoots, so the gap keeps its sign: cur + copysign(max_move, gap).
+    count = 0
+    if cur < tgt:
+        while tgt - cur > max_move:
+            cur += max_move
+            count += 1
+    else:
+        while cur - tgt > max_move:
+            cur -= max_move
+            count += 1
+    if cur != tgt:
+        count += 1
+    return count
+
+
 def _tick(
     current: tuple[float, ...], target: tuple[float, ...], elapsed: float, config: SimConfig, seq: int
 ) -> tuple[tuple[float, ...], float]:
@@ -280,34 +321,47 @@ def _tick(
 
     Each tick of ``tick_s`` moves every joint toward its target by at most
     ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  The
-    joints move independently, so each one's ticks are counted on its own:
-    steps of exactly ``cur ± max_move`` while its gap exceeds ``max_move``,
-    then one arrival tick unless a step landed on the target.  The frame
-    takes the largest count, N, and the clock adds ``tick_s`` N times in
-    order, the same bits as ticking all joints together.  After N > 0 ticks
-    every joint holds its target's bits: a step never lands on a zero, so
-    one that lands on the target equals it bit for bit.  The angles must be
-    finite.  Raises ValueError when the simulated time is no longer finite;
-    ``seq`` names the frame in that message.
+    joints move independently, so each one's ticks are counted on its own.
+    A gap of at most ``max_move`` takes one tick, none when it is zero.  A
+    longer gap takes ``ceil(gap / max_move)`` ticks, the count of steps of
+    exactly ``cur ± max_move`` plus the arrival tick, unless that ratio lies
+    within the steps' rounding bound of a whole number: then _stepped_ticks
+    counts the steps one by one.  The frame takes the largest count, N, and
+    the clock adds ``tick_s`` N times in order, the same bits as ticking all
+    joints together.  After N > 0 ticks every joint holds its target's bits:
+    a step never lands on a zero, so one that lands on the target equals it
+    bit for bit.  The angles must be finite.  Raises ValueError when the
+    simulated time is no longer finite; ``seq`` names the frame in that
+    message.
     """
     tick_s = config.tick_s
     max_move = config.rate_limit_deg_s * tick_s
     ticks = 0
     for cur, tgt in zip(current, target):
-        # No step overshoots, so the gap keeps its sign: cur + copysign(max_move, gap).
-        count = 0
         if cur < tgt:
-            while tgt - cur > max_move:
-                cur += max_move
-                count += 1
+            gap = tgt - cur
         else:
-            while cur - tgt > max_move:
-                cur -= max_move
-                count += 1
-        if cur != tgt:
-            count += 1
-        if count > ticks:
-            ticks = count
+            gap = cur - tgt
+        if gap > max_move:
+            # Why ceil(r) is the stepped count outside the bound (u = 2**-53,
+            # M = max(|cur|, |tgt|)): each step rounds by at most
+            # u * (M + max_move), so after k steps the angle lies within
+            # k * (M + max_move) / max_move * u moves of cur ± k * max_move,
+            # and the loop's test rounds by under 2u more.  The loop thus
+            # counts ceil(g) ticks, g the exact gap in moves, when g is
+            # farther than that, at k = ceil(g) + 1, from a whole number.  r,
+            # two roundings off g, lies within 2r * u of it; the last 2u
+            # covers rounding in the bound itself.  Closer to a whole number,
+            # step.
+            r = gap / max_move
+            count = math.ceil(r)
+            bound = ((count + 1) * (max(abs(cur), abs(tgt)) + max_move) / max_move + 2.0 * r + 4.0) * 2.0**-53
+            if not (bound < count - r < 1.0 - bound):  # count - r is exact: count / 2 <= r <= count
+                count = _stepped_ticks(cur, tgt, max_move)
+            if count > ticks:
+                ticks = count
+        elif gap and not ticks:
+            ticks = 1
     for _ in range(ticks):
         elapsed += tick_s
     if ticks:

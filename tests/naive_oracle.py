@@ -10,10 +10,11 @@ int16 difference with the float threshold, where the library stays in
 uint8.  ``naive_sim_step`` writes out the servo tick
 rule and carries an attached object on every tick, ``naive_settle`` repeats
 it, ``naive_tick`` is the simulator's tick kernel one six-joint tick at a
-time, ``naive_interpolate`` builds and clamps one knot at a time, and
-``naive_encode`` rounds one angle at a time: the per-step forms of the
-simulator's and planner's batched code, sharing no arithmetic with
-``armkit.simulator``.  ``naive_matrix_to_pose`` and ``naive_pose_quaternion``
+time, ``naive_joint_ticks`` counts one joint's ticks step by step where the
+kernel takes a closed form, ``naive_interpolate`` builds and clamps one
+knot at a time, and ``naive_encode`` rounds one angle at a time: the
+per-step forms of the simulator's and planner's batched code, sharing no
+arithmetic with ``armkit.simulator``.  ``naive_matrix_to_pose`` and ``naive_pose_quaternion``
 build a pose's position and quaternion on numpy arrays and scalars, where
 ``matrix_to_pose`` and ``Pose6D`` read Python floats.
 ``naive_first_duplicate`` is the homography's duplicate check as a scan of
@@ -256,6 +257,24 @@ def naive_tick(current, target, elapsed, config, seq):
     return current, elapsed
 
 
+def naive_joint_ticks(cur, tgt, max_move):
+    """One joint's ticks from ``cur`` to ``tgt``: steps of exactly
+    ``max_move`` toward the target while the gap is larger, then one
+    arrival tick unless a step landed on the target."""
+    count = 0
+    if cur < tgt:
+        while tgt - cur > max_move:
+            cur += max_move
+            count += 1
+    else:
+        while cur - tgt > max_move:
+            cur -= max_move
+            count += 1
+    if cur != tgt:
+        count += 1
+    return count
+
+
 def naive_interpolate(model, waypoints, max_step_deg):
     """Linear joint-space interpolation, one clamped knot at a time, with a
     zero-motion knot at each gripper change; the first knot and the
@@ -291,8 +310,9 @@ def naive_canonical_quat(q):
     """Unit quaternion with w >= 0, the first nonzero component positive at
     w == 0, normalized by np.linalg.norm on an array; a finite nonzero
     quaternion whose norm under- or overflows is first divided by its largest
-    magnitude."""
-    n = float(np.linalg.norm(q))
+    magnitude, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(q))
     largest = float(np.max(np.abs(q)))
     if n in (0.0, math.inf) and 0.0 < largest < math.inf:
         q = q / largest

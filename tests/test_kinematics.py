@@ -378,7 +378,6 @@ class TestPoseOracle:
         assert ties > 1000
         assert errors > 100
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "quaternion, moderate",
         [

@@ -1,9 +1,10 @@
 import copy
+import inspect
 import json
 import math
 import pickle
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from armkit.simulator import (
 )
 
 from conftest import QUICK, feasible_pair, fk_pose, float_bits, make_trajectory, mutate, random_config
-from naive_oracle import naive_settle, naive_sim_step, naive_tick
+from naive_oracle import naive_joint_ticks, naive_settle, naive_sim_step, naive_tick
 
 
 def random_sim_config(rng):
@@ -533,6 +534,93 @@ class TestTickKernel:
             with pytest.raises(ValueError, match="tick_s 1e[+]307 overflows the simulated time at frame 7"):
                 kernel(current, target, 1.79e308, config, 7)
 
+    @staticmethod
+    def joint_ticks(cur, tgt, move):
+        """_tick's count for one joint: with a 1-second tick the clock
+        counts the ticks exactly."""
+        angles, elapsed = _tick((cur,), (tgt,), 0.0, SimConfig(rate_limit_deg_s=move, tick_s=1.0), 0)
+        assert angles == ((tgt,) if elapsed else (cur,))
+        return elapsed
+
+    @staticmethod
+    def drift(cur, tgt, move):
+        """The leading term of how far, in moves, the steps from ``cur`` to
+        ``tgt`` can stray by rounding: one unit roundoff of the largest angle
+        per step."""
+        return abs(tgt - cur) / move * (max(abs(cur), abs(tgt)) + move) / move * 2.0**-53
+
+    def test_counts_match_stepping_around_whole_multiples(self):
+        """20,000 single-joint moves against the step-by-step count: a
+        quarter anywhere, the rest placed around a whole number of moves at
+        up to 1.5 times the steps' rounding drift, either side."""
+        rng = np.random.default_rng(241)
+        cases = 20_000
+        moves = np.where(rng.random(cases) < 0.5, rng.uniform(1e-3, 8.0, cases), 1e-3 * rng.integers(1, 10, cases))
+        counts = np.exp(rng.uniform(math.log(2.0), math.log(2000.0), cases)).astype(int)
+        offsets = rng.uniform(-1.5, 1.5, cases)
+        stepped_away = 0
+        anywhere = rng.random(cases) < 0.25
+        for move, count, offset, anywhere in zip(moves.tolist(), counts.tolist(), offsets.tolist(), anywhere):
+            count = min(count, int(2.0 * MAX_SETTLE_ANGLE_DEG / move))
+            cur = float(rng.uniform(-MAX_SETTLE_ANGLE_DEG, MAX_SETTLE_ANGLE_DEG - count * move))
+            tgt = cur + count * move
+            tgt += float(rng.uniform(-0.5, 0.5)) * move if anywhere else offset * self.drift(cur, tgt, move) * move
+            if rng.random() < 0.5:
+                cur, tgt = -cur, -tgt
+            if rng.random() < 0.5:
+                cur, tgt = tgt, cur
+            want = naive_joint_ticks(cur, tgt, move)
+            assert self.joint_ticks(cur, tgt, move) == want, (cur, tgt, move)
+            stepped_away += want != math.ceil(abs(tgt - cur) / move)
+        assert stepped_away > 100
+
+    @pytest.mark.parametrize("count", [1_000, 3_600, 10_000, 36_000, 100_000, 360_000])
+    def test_long_moves_on_and_beside_whole_multiples(self, count):
+        """At MIN_MOVE_PER_TICK_DEG, the widest rounding bound: gaps of a
+        whole number of moves, exactly and one ulp either side, up and down.
+        Where the steps' rounding meets the target, the count is not
+        ceil(gap / move)."""
+        move = MIN_MOVE_PER_TICK_DEG
+        rng = np.random.default_rng(count)
+        stepped_away = 0
+        currents, targets = [], []
+        for direction in (1.0, -1.0):
+            for nudge in (-math.inf, None, math.inf):
+                cur = 0.0 if count == 360_000 else float(rng.uniform(-360.0, 360.0 - count * move))
+                tgt = cur + count * move
+                if nudge is not None:
+                    tgt = float(np.nextafter(tgt, nudge))
+                cur, tgt = direction * cur, direction * tgt
+                want = naive_joint_ticks(cur, tgt, move)
+                assert self.joint_ticks(cur, tgt, move) == want, (cur, tgt)
+                stepped_away += want != math.ceil(abs(tgt - cur) / move)
+                currents.append(cur)
+                targets.append(tgt)
+        assert stepped_away > 0
+        if count <= 36_000:
+            self.assert_matches(currents, targets, 0.0, SimConfig(rate_limit_deg_s=1.0, tick_s=move))
+
+    def test_rounding_drift_just_inside_the_bound(self):
+        """Steps of 0.001 degrees in [256, 512) all round down by 0.416 ulp,
+        so their drift nears its bound.  Gaps 0.3 to 1.2 drifts beside a
+        whole number of moves must count as the steps do; beyond half the
+        drift, some of them do not count ceil(gap / move)."""
+        move = MIN_MOVE_PER_TICK_DEG
+        rng = np.random.default_rng(251)
+        stepped_away = []
+        for count in (1_000, 2_000, 5_000, 10_000, 20_000):
+            for _ in range(4):
+                cur = 256.0 + float(rng.uniform(0.0, 1.0))
+                whole = cur + count * move
+                for fraction in np.arange(0.3, 1.25, 0.05).tolist():
+                    for side in (1.0, -1.0):
+                        tgt = whole + side * fraction * self.drift(cur, whole, move) * move
+                        want = naive_joint_ticks(cur, tgt, move)
+                        assert self.joint_ticks(cur, tgt, move) == want, (cur, tgt)
+                        if want != math.ceil((tgt - cur) / move):
+                            stepped_away.append(fraction)
+        assert max(stepped_away) > 0.6
+
 
 class TestGrasping:
     def test_capture_attach_follow_release(self, arm):
@@ -759,6 +847,28 @@ class TestLazyObjectPose:
         mid = wide_arm.mid_config().angles_deg
         assert SimState(mid, mid).object_pose is None
         assert {f.name: f.default for f in fields(SimState)}["object_pose"] is None
+
+
+class TestSimStateConstructor:
+    """SimState writes its own constructor; it must take the dataclass
+    fields in order, with their defaults, and store each in its field."""
+
+    def test_parameters_are_the_fields(self):
+        params = list(inspect.signature(SimState.__init__).parameters.values())[1:]
+        Parameter = inspect.Parameter
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (f.name, Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(SimState)
+        ]
+
+    def test_each_argument_lands_in_its_field(self):
+        names = [f.name for f in fields(SimState)]
+        values = [object() for _ in names]
+        for state in (SimState(*values), SimState(**dict(zip(names, values)))):
+            assert list(vars(state)) == names
+            assert all(getattr(state, name) is value for name, value in zip(names, values))
+        state = SimState(values[0], values[1])
+        assert [getattr(state, name) for name in names[2:]] == [f.default for f in fields(SimState)[2:]]
 
 
 class TestPickCycle:
