@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dh_model import ArmConfigError, ArmModel, JointConfig, load_arm_config
+from .dh_model import ArmModel, JointConfig, load_arm_config
 from .ik_solver import IkResult, NoConvergenceError, UnreachableError, solve_ik, solve_ik_position_only
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
 from .planner import DEFAULT_CLEARANCE_M, plan_pick_place, plan_to_trajectory, top_down_pose
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArmConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnreachableError, NoConvergenceError) as exc:

@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,22 +73,23 @@ class ServoFrame(NamedTuple):
         return f"F {self.seq} {a[0]} {a[1]} {a[2]} {a[3]} {a[4]} {a[5]} G {g}\n"
 
 
-def _centidegree_rows(trajectory: Trajectory) -> list[list[int]]:
-    """Each knot's angles rounded half-up to integer centidegrees."""
+def _frame_rows(trajectory: Trajectory) -> Iterator[tuple[int, list[int], bool]]:
+    """Each knot's frame row: its sequence number counting from 0, its angles
+    rounded half-up to integer centidegrees, and whether the gripper is
+    closed.  Raises ValueError, before the first row, for an angle beyond
+    64-bit centidegrees."""
     centi = np.floor(trajectory.knots * 100.0 + 0.5)
     beyond = np.abs(centi) >= 2.0**63
     if beyond.any():
         raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
-    return centi.astype(np.int64).tolist()
+    closed = [gripper == GRIPPER_CLOSED for gripper in trajectory.grippers]
+    return zip(range(len(closed)), centi.astype(np.int64).tolist(), closed)
 
 
 def encode_servo_frames(trajectory: Trajectory) -> list[ServoFrame]:
     """One frame per knot, angles rounded half-up to centidegrees, sequence
     numbers counting from 0."""
-    return [
-        ServoFrame(seq, tuple(row), gripper == GRIPPER_CLOSED)
-        for seq, (row, gripper) in enumerate(zip(_centidegree_rows(trajectory), trajectory.grippers))
-    ]
+    return [ServoFrame(seq, tuple(row), closed) for seq, row, closed in _frame_rows(trajectory)]
 
 
 def frames_to_text(frames: Sequence[ServoFrame]) -> str:
@@ -189,12 +190,6 @@ class SimState:
         return self.__dict__
 
 
-def _stored_pose(state: SimState) -> Pose6D | _Held | None:
-    """``state``'s object pose as stored: a state rebuilt from it passes a
-    pose not yet computed through without computing it."""
-    return state.__dict__["object_pose"]
-
-
 def initial_state(model: ArmModel, object_pose: Pose6D | None = None) -> SimState:
     """Servos parked at their mid-range positions, gripper open."""
     mid = model.mid_config().angles_deg
@@ -213,23 +208,34 @@ def parse_frame(line: str) -> ServoFrame:
         raise FrameError(f"malformed servo frame: a number has too many digits: {line[:40]!r}...") from exc
 
 
-def _set_gripper(model: ArmModel, state: SimState, gripper: GripperState) -> SimState:
-    """Instantaneous gripper transition with proximity capture / release."""
-    if gripper == state.gripper:
-        return state
-    if gripper == GRIPPER_CLOSED:
-        grasp_rel = state.grasp_rel
-        if grasp_rel is None and state.object_pose is not None:
-            tool = _link_frames(model, np.radians(state.current_deg))[-1]
-            obj = pose_to_matrix(state.object_pose)
-            reach = float(np.linalg.norm(tool[:3, 3] - obj[:3, 3]))
-            if reach <= CAPTURE_RADIUS_M:
-                grasp_rel = tuple((invert_transform(tool) @ obj).reshape(-1).tolist())
-        pose = _stored_pose(state)
-        return SimState(state.current_deg, state.target_deg, gripper, state.elapsed_s, pose, grasp_rel, state.last_seq)
-    # Opening: release wherever the object currently is.
-    pose = state.object_pose if state.grasp_rel is None else _held_pose(model, state.current_deg, state.grasp_rel)
-    return SimState(state.current_deg, state.target_deg, gripper, state.elapsed_s, pose, None, state.last_seq)
+def _next_state(
+    model: ArmModel, state: SimState, current: tuple[float, ...], target: tuple[float, ...],
+    elapsed: float, last_seq: int, gripper: GripperState, moved: bool,
+) -> SimState:
+    """The bus after ``state`` with joint angles ``current``, targets
+    ``target``, clock ``elapsed``, last frame ``last_seq`` and gripper
+    ``gripper``; ``moved`` says the joints ticked since the object was last
+    posed.  The one place, beside initial_state, that builds a SimState.
+
+    Closing the gripper captures a free object within CAPTURE_RADIUS_M of
+    the tool at ``current``; opening it releases a held object, posed from
+    the tool at ``current`` even when nothing moved.  Otherwise a held object
+    that ``moved`` is posed from the tool at ``current`` when its pose is
+    first read, and any other object keeps its pose as stored: a pose not
+    yet computed stays so, and a capture with no motion keeps its bits."""
+    pose = state.__dict__["object_pose"]
+    grasp_rel = state.grasp_rel
+    changed = gripper != state.gripper
+    if changed and gripper == GRIPPER_CLOSED and grasp_rel is None and pose is not None:
+        tool = _link_frames(model, np.radians(current))[-1]
+        obj = pose_to_matrix(pose)
+        if float(np.linalg.norm(tool[:3, 3] - obj[:3, 3])) <= CAPTURE_RADIUS_M:
+            grasp_rel = tuple((invert_transform(tool) @ obj).reshape(-1).tolist())
+    elif changed and gripper == GRIPPER_OPEN and grasp_rel is not None:
+        pose, grasp_rel = _held_pose(model, current, grasp_rel), None
+    elif moved and grasp_rel is not None:
+        pose = _Held(model, current, grasp_rel)
+    return SimState(current, target, gripper, elapsed, pose, grasp_rel, last_seq)
 
 
 def _frame_target(model: ArmModel, last_seq: int, seq: int, centidegrees: Sequence[int]) -> tuple[float, ...]:
@@ -259,16 +265,15 @@ def _frame_target(model: ArmModel, last_seq: int, seq: int, centidegrees: Sequen
 def apply_frame(
     model: ArmModel, state: SimState, frame: ServoFrame, config: SimConfig = SimConfig()
 ) -> SimState:
-    """Accept one frame: update targets and gripper; motion happens in steps.
+    """Accept one frame: update targets and gripper, with any capture or
+    release; motion happens in `settle`.
 
     Frames must arrive with strictly increasing sequence numbers and targets
     inside the joint limits.  ``config`` is unused; it matches settle's.
     """
     target = _frame_target(model, state.last_seq, frame.seq, frame.centidegrees)
-    new = SimState(
-        state.current_deg, target, state.gripper, state.elapsed_s, _stored_pose(state), state.grasp_rel, frame.seq
-    )
-    return _set_gripper(model, new, GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN)
+    gripper = GRIPPER_CLOSED if frame.gripper_closed else GRIPPER_OPEN
+    return _next_state(model, state, state.current_deg, target, state.elapsed_s, frame.seq, gripper, False)
 
 
 def _held_pose(model: ArmModel, current_deg: tuple[float, ...], grasp_rel: tuple[float, ...]) -> Pose6D:
@@ -276,22 +281,6 @@ def _held_pose(model: ArmModel, current_deg: tuple[float, ...], grasp_rel: tuple
     ``grasp_rel`` in the tool frame."""
     tool = _link_frames(model, np.radians(current_deg))[-1]
     return matrix_to_pose(tool @ np.array(grasp_rel).reshape(4, 4))
-
-
-def _carry(
-    model: ArmModel,
-    state: SimState,
-    current: tuple[float, ...],
-    target: tuple[float, ...],
-    elapsed: float,
-    last_seq: int,
-) -> SimState:
-    """``state`` moved to joint angles ``current``, targets ``target``, clock
-    ``elapsed`` and frame ``last_seq``, an attached object to be posed where
-    the tool holds it now when its pose is first read."""
-    grasp_rel = state.grasp_rel
-    pose = _stored_pose(state) if grasp_rel is None else _Held(model, current, grasp_rel)
-    return SimState(current, target, state.gripper, elapsed, pose, grasp_rel, last_seq)
 
 
 def _stepped_ticks(cur: float, tgt: float, max_move: float) -> int:
@@ -392,7 +381,7 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     if state.current_deg == state.target_deg:
         return state
     current, elapsed = _tick(state.current_deg, state.target_deg, state.elapsed_s, config, state.last_seq)
-    return _carry(model, state, current, state.target_deg, elapsed, state.last_seq)
+    return _next_state(model, state, current, state.target_deg, elapsed, state.last_seq, state.gripper, True)
 
 
 @dataclass(frozen=True)
@@ -429,12 +418,11 @@ def _run_frames(
     three fields; returns the final state and the number of frames.
 
     The joints, targets, clock and sequence number stay plain floats and
-    ints between frames: a state is built only where a frame changes the
-    gripper, for the capture or release, and once after the last frame.
-    Release poses an attached object from the tool; if a tick moved it
-    since its capture, the final state poses it from the last joint angles
-    when its pose is first read.  The bits match applying and settling each
-    frame.
+    ints between frames: _next_state builds one state where a frame changes
+    the gripper, for the capture or release, and one after the last frame,
+    which poses an object carried since the last state from the last joint
+    angles when its pose is first read.  The bits match applying and
+    settling each frame.
     """
     current, target = state.current_deg, state.target_deg
     elapsed, last_seq = state.elapsed_s, state.last_seq
@@ -445,16 +433,13 @@ def _run_frames(
         last_seq = seq
         gripper = GRIPPER_CLOSED if gripper_closed else GRIPPER_OPEN
         if gripper != state.gripper:
-            state = SimState(current, target, state.gripper, elapsed, _stored_pose(state), state.grasp_rel, last_seq)
-            state = _set_gripper(model, state, gripper)
+            state = _next_state(model, state, current, target, elapsed, last_seq, gripper, carried)
         ticked = current != target
         if ticked:
             current, elapsed = _tick(current, target, elapsed, config, last_seq)
         carried = state.attached and (carried or ticked)
         count += 1
-    if carried:
-        return _carry(model, state, current, target, elapsed, last_seq), count
-    return SimState(current, target, state.gripper, elapsed, _stored_pose(state), state.grasp_rel, last_seq), count
+    return _next_state(model, state, current, target, elapsed, last_seq, state.gripper, carried), count
 
 
 def run_pick_cycle(
@@ -471,9 +456,7 @@ def run_pick_cycle(
     sent; execution itself never errors.
     """
     plan = plan_pick_place(model, object_pose, place_pose, clearance=clearance)
-    trajectory = plan_to_trajectory(model, plan)
-    closed = [gripper == GRIPPER_CLOSED for gripper in trajectory.grippers]
-    frames = zip(range(len(closed)), _centidegree_rows(trajectory), closed)
+    frames = _frame_rows(plan_to_trajectory(model, plan))
     state, count = _run_frames(model, initial_state(model, object_pose=object_pose), frames, SimConfig())
     final = state.object_pose
     success = final is not None and (

@@ -378,6 +378,24 @@ class TestSettle:
         assert settled.object_pose is pose
         assert len(fk) == 1
 
+    def test_one_state_per_capture_or_release_frame(self, wide_arm, monkeypatch):
+        """A frame that changes the gripper builds one state, the capture's or
+        the release's, as a frame that keeps it does."""
+        import armkit.simulator
+
+        start = wide_arm.mid_config()
+        state = initial_state(wide_arm, object_pose=fk_pose(wide_arm, start))
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
+        release = ServoFrame(1, close.centidegrees, False)
+        built = []
+        monkeypatch.setattr(armkit.simulator, "SimState", counting(SimState, built))
+        state = apply_frame(wide_arm, state, close)
+        assert state.attached
+        assert len(built) == 1
+        state = apply_frame(wide_arm, state, release)
+        assert not state.attached
+        assert len(built) == 2
+
     def test_fk_runs_at_capture_and_release_only(self, wide_arm, monkeypatch):
         """A stream shaped like the benchmark's sim_replay, with the capture
         at frame n/4 and the release at 3n/4, fed frame by frame through
@@ -962,8 +980,8 @@ class TestPickCycle:
 
     def test_states_built_per_cycle(self, wide_arm, monkeypatch):
         """The frame loop runs on plain floats: a cycle builds its initial
-        and final state and 2 states per gripper change (the one
-        handed to the capture or release, and its result)."""
+        and final state and one state per gripper change, the capture's or
+        the release's."""
         import armkit.simulator
 
         obj = top_down_pose(0.12, 0.05, 0.02)
@@ -978,7 +996,7 @@ class TestPickCycle:
         report = run_pick_cycle(wide_arm, obj, place)
         assert report.success
         assert report.frames_sent == len(frames) > 100
-        assert len(built) == 2 * changes + 2
+        assert len(built) == changes + 2
 
     def test_knots_build_no_joint_configs(self, wide_arm, monkeypatch):
         """The cycle of test_states_built_per_cycle keeps its knots in one
