@@ -215,8 +215,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="replay a servo frame stream on the simulator")
     p.add_argument("--config", required=True)
     p.add_argument("--frames", required=True, help="frame file, or - for stdin")
-    p.add_argument("--rate", type=float, default=300.0, help="servo rate limit, deg/s")
-    p.add_argument("--tick", type=float, default=0.01, help="simulation tick, seconds")
+    p.add_argument("--rate", type=float, default=SimConfig().rate_limit_deg_s, help="servo rate limit, deg/s")
+    p.add_argument("--tick", type=float, default=SimConfig().tick_s, help="simulation tick, seconds")
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("pick", help="full vision -> plan -> simulate cycle")

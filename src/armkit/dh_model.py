@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ DEFAULT_JOINT_LIMITS_DEG: tuple[tuple[float, float], ...] = (
 )
 
 _TOP_LEVEL_KEYS = {"name", "joints"}
-_JOINT_KEYS = {"theta_offset_deg", "alpha_deg", "a_m", "d_m", "limit_deg"}
 
 
 class ArmConfigError(ValueError):
@@ -42,6 +41,10 @@ class DHRow:
     alpha_deg: float = 0.0
     a_m: float = 0.0
     d_m: float = 0.0
+
+
+_DH_KEYS = tuple(f.name for f in fields(DHRow))
+_JOINT_KEYS = {*_DH_KEYS, "limit_deg"}
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,9 @@ class ArmModel:
         if len(limits) != JOINT_COUNT:
             raise ArmConfigError(f"expected {JOINT_COUNT} joint limits, got {len(limits)}")
         for i, row in enumerate(rows):
+            for key, value in (("a_m", row.a_m), ("d_m", row.d_m)):
+                if not math.isfinite(value):
+                    raise ArmConfigError(f"joint {i}: '{key}' must be a finite number, got {value!r}")
             if row.a_m < 0:
                 raise ArmConfigError(f"joint {i}: link length a_m must be >= 0, got {row.a_m}")
             for label, value in (
@@ -207,12 +213,11 @@ def _require_number(entry: dict, key: str, joint: int) -> float:
 def load_arm_config(text: str) -> ArmModel:
     """Parse a UTF-8 JSON arm configuration document into an ArmModel.
 
-    The document holds ``name`` and exactly six ``joints`` entries with
-    ``theta_offset_deg``, ``alpha_deg``, ``a_m``, ``d_m`` and an optional
-    ``limit_deg: [min, max]``; omitted limits fall back to the stock servo
-    ranges.  Unknown fields are rejected, and so are numbers that are not
-    finite (JSON's ``NaN``/``Infinity`` extensions, or integers beyond float
-    range).
+    The document holds ``name`` and exactly six ``joints`` entries, each with
+    the ``DHRow`` fields and an optional ``limit_deg: [min, max]``; omitted
+    limits fall back to the stock servo ranges.  Unknown fields are rejected,
+    and so are numbers that are not finite (JSON's ``NaN``/``Infinity``
+    extensions, or integers beyond float range).
     """
     try:
         # Every JSON number becomes a float (too-large integers become inf),
@@ -241,14 +246,7 @@ def load_arm_config(text: str) -> ArmModel:
         unknown = set(entry) - _JOINT_KEYS
         if unknown:
             raise ArmConfigError(f"joint {i}: unknown fields: {sorted(unknown)}")
-        rows.append(
-            DHRow(
-                theta_offset_deg=_require_number(entry, "theta_offset_deg", i),
-                alpha_deg=_require_number(entry, "alpha_deg", i),
-                a_m=_require_number(entry, "a_m", i),
-                d_m=_require_number(entry, "d_m", i),
-            )
-        )
+        rows.append(DHRow(*(_require_number(entry, key, i) for key in _DH_KEYS)))
         if "limit_deg" in entry:
             raw = entry["limit_deg"]
             if (
@@ -270,13 +268,7 @@ def dump_arm_config(model: ArmModel) -> str:
     reproduces ``m`` field for field.
     """
     joints = [
-        {
-            "theta_offset_deg": row.theta_offset_deg,
-            "alpha_deg": row.alpha_deg,
-            "a_m": row.a_m,
-            "d_m": row.d_m,
-            "limit_deg": [lim.min_deg, lim.max_deg],
-        }
+        {**asdict(row), "limit_deg": [lim.min_deg, lim.max_deg]}
         for row, lim in zip(model.rows, model.limits)
     ]
     return json.dumps({"name": model.name, "joints": joints}, indent=2) + "\n"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -313,53 +314,39 @@ def pgm_bytes(image: GrayImage) -> bytes:
     return header + image.pixels.tobytes()
 
 
+# The four header tokens (magic, width, height, maxval), each after any run of
+# whitespace and '#' comments; a bytes \s is exactly the bytes.isspace() set.
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
+
+
 def parse_pgm(data: bytes) -> GrayImage:
     """Parse binary PGM produced by pgm_bytes (or any P5 with maxval 255).
 
-    Header tokens may be separated by any whitespace; '#' comments run to end
-    of line.  Exactly one whitespace byte separates the maxval from the pixel
-    payload.
+    Header tokens may be separated by any whitespace; a '#' where a token
+    would start opens a comment to end of line.  Exactly one whitespace byte
+    separates the maxval from the pixel payload.
     """
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        return data[start:pos]
-
-    def next_number() -> int:
-        token = next_token()
-        if not token.isdigit():  # ASCII digits only; int() also takes a sign and '_'
-            raise ValueError(f"{token!r} is not a decimal number")
-        return int(token)
-
-    magic = next_token()
+    m = _PGM_HEADER.match(data)
+    # Sliced from data, so a bytearray's tokens print as bytearrays.
+    magic, *tokens = (data[m.start(g) : m.end(g)] for g in range(1, 5))
+    if not magic:
+        raise ValueError("truncated PGM header")
     if magic != b"P5":
         raise ValueError(f"unsupported PGM magic {magic!r}; only binary P5 is accepted")
+    numbers = []
     try:
-        width = next_number()
-        height = next_number()
-        maxval = next_number()
+        for token in tokens:
+            if not token.isdigit():  # ASCII digits only; int() also takes a sign and '_'
+                raise ValueError(f"{token!r} is not a decimal number" if token else "truncated PGM header")
+            numbers.append(int(token))
     except ValueError as exc:
         raise ValueError(f"malformed PGM header: {exc}") from exc
+    width, height, maxval = numbers
     if maxval != 255:
         raise ValueError(f"unsupported PGM maxval {maxval}; expected 255")
     if width < 1 or height < 1:
         raise ValueError(f"invalid PGM dimensions {width}x{height}")
-    pos += 1  # single whitespace byte after maxval
+    pos = m.end() + 1  # single whitespace byte after maxval
     held = max(0, min(len(data) - pos, width * height))
     if held != width * height:
         raise ValueError(f"PGM payload holds {held} bytes, expected {width * height}")

@@ -19,7 +19,8 @@ build a pose's position and quaternion on numpy arrays and scalars, where
 ``matrix_to_pose`` and ``Pose6D`` read Python floats.
 ``naive_first_duplicate`` is the homography's duplicate check as a scan of
 every later point for each point, where the library buckets points on a
-grid.
+grid.  ``naive_parse_pgm`` reads the PGM header with a byte-at-a-time
+scanner, where the library matches one pattern.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
 with numpy's general routines (np.cross, diag_indices_from, np.max), and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
@@ -384,3 +385,54 @@ def naive_first_duplicate(pts):
         if close.size:
             return i, i + 1 + int(close[0])
     return None
+
+
+def naive_parse_pgm(data):
+    """Binary PGM read by scanning the header one byte at a time: skip
+    whitespace and '#' comments, take bytes up to the next whitespace as a
+    token, and check the magic and the three numbers in turn."""
+    pos = 0
+
+    def next_token():
+        nonlocal pos
+        while pos < len(data):
+            ch = data[pos : pos + 1]
+            if ch == b"#":
+                while pos < len(data) and data[pos : pos + 1] != b"\n":
+                    pos += 1
+            elif ch.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError("truncated PGM header")
+        return data[start:pos]
+
+    def next_number():
+        token = next_token()
+        if not token.isdigit():
+            raise ValueError(f"{token!r} is not a decimal number")
+        return int(token)
+
+    magic = next_token()
+    if magic != b"P5":
+        raise ValueError(f"unsupported PGM magic {magic!r}; only binary P5 is accepted")
+    try:
+        width = next_number()
+        height = next_number()
+        maxval = next_number()
+    except ValueError as exc:
+        raise ValueError(f"malformed PGM header: {exc}") from exc
+    if maxval != 255:
+        raise ValueError(f"unsupported PGM maxval {maxval}; expected 255")
+    if width < 1 or height < 1:
+        raise ValueError(f"invalid PGM dimensions {width}x{height}")
+    pos += 1
+    held = max(0, min(len(data) - pos, width * height))
+    if held != width * height:
+        raise ValueError(f"PGM payload holds {held} bytes, expected {width * height}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=held, offset=pos).reshape(height, width)
+    return GrayImage(width=width, height=height, pixels=pixels)

@@ -103,6 +103,21 @@ def test_non_finite_number_is_usage_error(config_path, capsys, command, flag, va
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["ik"], "--pos", "a,0,0"),
+        (["fk"], "--joints", "90,90,90,90,90,ninety"),
+        (["plan", "--place-pos=0,0.1,0.02"], "--object-pos", "0,0,0x1"),
+    ],
+)
+def test_non_numeric_number_is_usage_error(config_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--config", config_path, f"{flag}={value}"])
+    assert info.value.code == 2
+    assert f"argument {flag}: could not convert string to float:" in capsys.readouterr().err
+
+
 class TestFk:
     def test_prints_transform_and_pose(self, config_path, capsys):
         assert main(["fk", "--config", config_path, "--joints", MID]) == 0

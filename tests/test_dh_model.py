@@ -221,6 +221,16 @@ class TestTypes:
         with pytest.raises(ArmConfigError, match="expected 6 joints"):
             ArmModel(rows=(DHRow(),) * 5, limits=tuple(JointLimit(0, 10) for _ in range(6)))
 
+    @pytest.mark.parametrize("field", ["a_m", "d_m"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_model_rejects_non_finite_geometry_naming_field(self, field, value):
+        """Built in process, as the document loader already rejects them: a
+        NaN link passes the a_m >= 0 check and makes the reach bound NaN."""
+        geometry = {"a": (0.1,) * 6, "d": (0.0,) * 6}
+        geometry[field[0]] = (0.1, 0.1, value, 0.1, 0.1, 0.1)
+        with pytest.raises(ArmConfigError, match=rf"^joint 2: '{field}' must be a finite number, got {value!r}$"):
+            make_arm(**geometry)
+
     def test_workspace_bound_sums_link_extents(self):
         model = make_arm(a=(0.1,) * 6, d=(-0.05,) * 6)
         assert model.workspace_bound() == pytest.approx(6 * 0.15)
@@ -255,3 +265,26 @@ class TestConfigFuzz:
             assert np.isfinite(rows).all() and np.isfinite(model.limits_deg).all()
             assert np.isfinite(forward_kinematics(model, model.mid_config())).all()
         assert accepted > 0
+
+
+# Invalid inputs, each with the error it raises and the message naming the
+# field or index at fault.
+INVALID_INPUTS = {
+    "limit-count": (
+        lambda: ArmModel(rows=(DHRow(),) * 6, limits=tuple(JointLimit(0, 10) for _ in range(5))),
+        r"^expected 6 joint limits, got 5$",
+    ),
+    "top-level-not-object": (lambda: load_arm_config("[]"), r"^top level must be a JSON object$"),
+    "joints-not-array": (lambda: load_arm_config('{"name": "x", "joints": {}}'), r"^'joints' must be an array$"),
+    "joint-not-object": (
+        lambda: load_arm_config(_doc([_joint(), _joint(), 5, _joint(), _joint(), _joint()])),
+        r"^joint 2: must be an object$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_INPUTS)
+def test_invalid_input_names_the_field(case):
+    build, message = INVALID_INPUTS[case]
+    with pytest.raises(ArmConfigError, match=message):
+        build()

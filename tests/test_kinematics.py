@@ -439,6 +439,24 @@ class TestRotationLog:
             assert np.allclose(v, angle * axis, atol=1e-12)
 
 
+    def test_just_under_half_turn_signs_the_axis(self):
+        """Within 1e-6 of pi the axis comes from the symmetric part, which
+        fixes it only up to sign; the skew part must pick the sign, or half
+        of these rotations come back as the opposite axis.  The angle's
+        distance from pi stays under 0.99e-6: the trace's rounding moves it
+        by up to about 1e-10, and every case must take the near-pi branch."""
+        rng = np.random.default_rng(2063)
+        flipped = 0
+        for _ in range(2000):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = math.pi - 0.99e-6 * (1.0 - rng.random())
+            K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+            R = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+            assert np.abs(rotation_log(R) - angle * axis).max() <= 1e-5
+            flipped += axis[int(np.argmax(np.abs(axis)))] < 0.0
+        assert 800 < flipped < 1200  # both signs of the dominant component occur
+
 class TestJacobians:
     def test_planar_two_link_columns(self, planar2r):
         J = numeric_jacobian(planar2r, JointConfig((0.0,) * 6))
@@ -470,3 +488,15 @@ class TestJacobians:
             Jn = numeric_jacobian(arm, q)
             Jg = geometric_jacobian(arm, q)
             assert np.linalg.norm(Jn - Jg) / np.linalg.norm(Jg) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "position, quaternion, message",
+    [
+        pytest.param((0.0, 0.0), (1.0, 0.0, 0.0, 0.0), r"^position must have 3 components, got 2$", id="position"),
+        pytest.param((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), r"^quaternion must be \(w, x, y, z\)$", id="quaternion"),
+    ],
+)
+def test_pose_with_wrong_length_names_the_field(position, quaternion, message):
+    with pytest.raises(ValueError, match=message):
+        Pose6D(position, quaternion)

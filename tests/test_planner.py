@@ -333,3 +333,8 @@ def test_top_down_pose_points_tool_straight_down():
     T = pose_to_matrix(pose)
     assert np.allclose(T[:3, 2], [0.0, 0.0, -1.0], atol=1e-12)
     assert pose.position == (0.1, -0.2, 0.05)
+
+
+def test_interpolation_needs_a_waypoint(arm):
+    with pytest.raises(ValueError, match=r"^at least one waypoint required$"):
+        interpolate_trajectory(arm, [], 1.0)

@@ -145,6 +145,11 @@ class TestApplyFrame:
             expected = tuple(c / 100.0 for c in frame.centidegrees)
             assert state.target_deg == expected
 
+    @pytest.mark.parametrize("angles", [(9000,) * 5, (9000,) * 7], ids=["five", "seven"])
+    def test_frame_needs_six_angles(self, arm, angles):
+        with pytest.raises(FrameError, match=r"^frame 3: expected 6 angles$"):
+            apply_frame(arm, initial_state(arm), ServoFrame(3, angles, False))
+
     def test_out_of_limit_target_rejected(self, arm):
         frame = ServoFrame(0, (0, 13500, 4500, 13500, 9000, 9100), False)
         with pytest.raises(FrameError, match="joint 5"):

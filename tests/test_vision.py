@@ -23,7 +23,7 @@ from armkit import (
 from armkit.vision import _first_duplicate
 
 from conftest import mutate
-from naive_oracle import naive_first_duplicate, naive_largest_blob, naive_subtract
+from naive_oracle import naive_first_duplicate, naive_largest_blob, naive_parse_pgm, naive_subtract
 
 
 def image(height, width, value=0):
@@ -475,6 +475,76 @@ class TestPgm:
             parse_pgm(header + bytes(10))
 
 
+# Header pieces for the differential test: both magics, the six ASCII
+# whitespace bytes, comments, sign and separator bytes, two bytes that are
+# whitespace to str but not to bytes, NUL, and numbers up to one of 4,400
+# digits, past int()'s default limit on decimal conversion.
+PGM_PIECES = [
+    b"P5", b"P2", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# c\n", b"#\n",
+    b"+", b"_", b"-", b"\x85", b"\xa0", b"\x00", b"0", b"1", b"2", b"3", b"255", b"9" * 4400,
+]
+PGM_SEPARATORS = [b" ", b"\n", b"\t\r", b" # c\n", b"\x0b#\n\x0c"]
+
+
+def pgm_outcome(parse, data):
+    """The image's dimensions and bytes, or the exception's type and message."""
+    try:
+        img = parse(data)
+    except Exception as exc:  # any type, so that a changed type is a difference
+        return type(exc), str(exc)
+    return img.width, img.height, img.pixels.tobytes()
+
+
+class TestPgmOracle:
+    """``parse_pgm`` against the byte-at-a-time scanner it replaced: the same
+    image, or the same exception type and message, on every input."""
+
+    def test_structured_headers(self):
+        cases = []
+        for w in range(4):
+            for h in range(4):
+                for sep in PGM_SEPARATORS:
+                    head = b"P5" + sep + b"%d" % w + sep + b"%d" % h + sep + b"255"
+                    tails = [b"", sep, b"\n" + bytes(range(w * h)), sep[:1] + bytes(range(w * h + 2))]
+                    cases += [head + tail for tail in tails]
+        cases += [b"P5 " + PGM_PIECES[-1] + b" 1 255\n\x00", b"P5 1 1 " + PGM_PIECES[-1]]
+        outcomes = [pgm_outcome(naive_parse_pgm, data) for data in cases]
+        assert [pgm_outcome(parse_pgm, data) for data in cases] == outcomes
+        # At least the exact and the longer payload of each w, h >= 1 and separator.
+        assert sum(isinstance(o[0], int) for o in outcomes) >= 2 * 9 * len(PGM_SEPARATORS)
+
+    def test_random_headers(self):
+        """Headers of eight slots (magic, gap, width, gap, height, gap,
+        maxval, gap), each drawn four times in five from what the grammar
+        expects there and otherwise from the whole alphabet; one in four is
+        cut at a random byte, and 0-6 random bytes follow."""
+        rng = np.random.default_rng(1919)
+        n = 20_000
+        weights = np.ones(len(PGM_PIECES))
+        weights[-1] = 0.02  # the 4,400-digit number, slow for the byte-at-a-time oracle
+        anything = rng.choice(len(PGM_PIECES), (n, 8), p=weights / weights.sum())
+        gaps = rng.integers(2, 8, (n, 8))  # the six ASCII whitespace bytes
+        numbers = rng.integers(17, 22, (n, 8))  # 0, 1, 2, 3 and 255
+        grammar = np.where(np.arange(8) % 2, gaps, numbers)
+        grammar[:, 0] = PGM_PIECES.index(b"P5")
+        grammar[:, 6] = PGM_PIECES.index(b"255")
+        slots = np.where(rng.random((n, 8)) < 0.8, grammar, anything).tolist()
+        cuts = np.where(rng.random(n) < 0.25, rng.random(n), 1.0).tolist()
+        outcomes = []
+        for k, (row, cut) in enumerate(zip(slots, cuts)):
+            data = b"".join(PGM_PIECES[i] for i in row)
+            data = data[: round(cut * len(data))] + rng.bytes(k % 7)
+            if k % 5 == 0:
+                data = bytearray(data)
+            expected = pgm_outcome(naive_parse_pgm, data)
+            assert pgm_outcome(parse_pgm, data) == expected, data
+            outcomes.append(expected[1] if isinstance(expected[0], type) else "image")
+        assert outcomes.count("image") > 100
+        for kind in ("truncated PGM header", "unsupported PGM magic b", "unsupported PGM magic bytearray",
+                     "not a decimal number", "Exceeds the limit", "maxval", "dimensions", "payload holds"):
+            assert any(kind in o for o in outcomes), kind
+
+
 class TestCalibration:
     def test_happy_path(self):
         text = json.dumps(
@@ -577,3 +647,55 @@ class TestParserFuzz:
             assert pixel_pts.shape == world_pts.shape == (len(pixel_pts), 2)
             assert np.isfinite(pixel_pts).all() and np.isfinite(world_pts).all()
         assert accepted > 0
+
+
+COLLINEAR_PIXELS = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+
+# Invalid inputs, each with the error it raises and the message naming the
+# field or index at fault.
+INVALID_INPUTS = {
+    "empty-image": (lambda: GrayImage(0, 1, np.zeros((1, 0), np.uint8)), ValueError, r"^image must be at least 1x1$"),
+    "pixel-shape": (
+        lambda: GrayImage(2, 2, np.zeros((2, 3), np.uint8)),
+        ValueError,
+        r"^pixel array shape \(2, 3\) does not match 2x2$",
+    ),
+    "float-pixels": (lambda: GrayImage(2, 1, np.zeros((1, 2))), ValueError, r"^pixel intensities must be integers$"),
+    "pixel-range": (
+        lambda: GrayImage(2, 1, np.array([[0, 256]])),
+        ValueError,
+        r"^pixel intensities must lie in \[0, 255\]$",
+    ),
+    "1-d-pixels": (lambda: GrayImage.from_array(np.zeros(4, np.uint8)), ValueError, r"^expected a 2-D pixel array$"),
+    "bit-shape": (
+        lambda: BinaryMask(2, 2, np.zeros((3, 2), bool)),
+        ValueError,
+        r"^bit array shape \(3, 2\) does not match 2x2$",
+    ),
+    "homography-shape": (lambda: Homography(np.eye(2)), ValueError, r"^homography must be 3x3$"),
+    "point-counts": (
+        lambda: estimate_homography(TestHomography.UNIT_SQUARE, np.zeros((5, 2))),
+        HomographyError,
+        r"^pixel and world point counts differ$",
+    ),
+    # Four collinear pixels leave the DLT system a second null vector, so the
+    # rank check rejects them before any matrix is built.
+    "svd-rank": (
+        lambda: estimate_homography(COLLINEAR_PIXELS, TestHomography.UNIT_SQUARE),
+        HomographyError,
+        r"^degenerate correspondence configuration \(collinear points\?\)$",
+    ),
+    "calibration-not-array": (lambda: load_calibration("{}"), ValueError, r"^calibration file must be a JSON array$"),
+    "entry-not-object": (
+        lambda: load_calibration("[1, 2, 3, 4]"),
+        ValueError,
+        r"^calibration entry 0: must be an object$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_INPUTS)
+def test_invalid_input_names_the_field(case):
+    build, error, message = INVALID_INPUTS[case]
+    with pytest.raises(error, match=message):
+        build()
