@@ -9,6 +9,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ._document import read_json, read_numbers
+
 JOINT_COUNT = 6
 
 # Stock servo ranges (degrees, inclusive), one per motor.
@@ -22,6 +24,10 @@ DEFAULT_JOINT_LIMITS_DEG: tuple[tuple[float, float], ...] = (
 )
 
 _TOP_LEVEL_KEYS = {"name", "joints"}
+
+# Largest |a_m| or |d_m|, meters: the IK damping 1e-4 on J Jᵀ's diagonal stays
+# about 10³ above J Jᵀ's rounding; far longer links round it away (singular).
+MAX_LINK_M = 1e3
 
 
 class ArmConfigError(ValueError):
@@ -44,7 +50,6 @@ class DHRow:
 
 
 _DH_KEYS = tuple(f.name for f in fields(DHRow))
-_JOINT_KEYS = {*_DH_KEYS, "limit_deg"}
 
 
 @dataclass(frozen=True)
@@ -122,12 +127,11 @@ class ArmModel:
             for key, value in (("a_m", row.a_m), ("d_m", row.d_m)):
                 if not math.isfinite(value):
                     raise ArmConfigError(f"joint {i}: '{key}' must be a finite number, got {value!r}")
+                if abs(value) > MAX_LINK_M:
+                    raise ArmConfigError(f"joint {i}: '{key}' must lie within ±{MAX_LINK_M:g} m, got {value}")
             if row.a_m < 0:
                 raise ArmConfigError(f"joint {i}: link length a_m must be >= 0, got {row.a_m}")
-            for label, value in (
-                ("theta_offset_deg", row.theta_offset_deg),
-                ("alpha_deg", row.alpha_deg),
-            ):
+            for label, value in (("theta_offset_deg", row.theta_offset_deg), ("alpha_deg", row.alpha_deg)):
                 if not -180.0 < value <= 180.0:
                     raise ArmConfigError(f"joint {i}: {label} must lie in (-180, 180], got {value}")
         for i, lim in enumerate(limits):
@@ -201,15 +205,6 @@ def clamp_to_limits(model: ArmModel, q: JointConfig) -> JointConfig:
     return JointConfig(tuple(lim.clamp(angle) for angle, lim in zip(q.angles_deg, model.limits)))
 
 
-def _require_number(entry: dict, key: str, joint: int) -> float:
-    if key not in entry:
-        raise ArmConfigError(f"joint {joint}: missing field '{key}'")
-    value = entry[key]
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise ArmConfigError(f"joint {joint}: '{key}' must be a finite number, got {value!r}")
-    return value
-
-
 def load_arm_config(text: str) -> ArmModel:
     """Parse a UTF-8 JSON arm configuration document into an ArmModel.
 
@@ -219,12 +214,7 @@ def load_arm_config(text: str) -> ArmModel:
     and so are numbers that are not finite (JSON's ``NaN``/``Infinity``
     extensions, or integers beyond float range).
     """
-    try:
-        # Every JSON number becomes a float (too-large integers become inf),
-        # so bools and strings fail the float check and nothing overflows.
-        doc = json.loads(text, parse_int=float)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ArmConfigError(f"malformed JSON: {exc}") from exc
+    doc = read_json(text, ArmConfigError, "JSON")
     if not isinstance(doc, dict):
         raise ArmConfigError("top level must be a JSON object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -241,19 +231,10 @@ def load_arm_config(text: str) -> ArmModel:
     rows: list[DHRow] = []
     limits: list[JointLimit] = []
     for i, entry in enumerate(joints):
-        if not isinstance(entry, dict):
-            raise ArmConfigError(f"joint {i}: must be an object")
-        unknown = set(entry) - _JOINT_KEYS
-        if unknown:
-            raise ArmConfigError(f"joint {i}: unknown fields: {sorted(unknown)}")
-        rows.append(DHRow(*(_require_number(entry, key, i) for key in _DH_KEYS)))
+        rows.append(DHRow(*read_numbers(entry, f"joint {i}", _DH_KEYS, ArmConfigError, optional=("limit_deg",))))
         if "limit_deg" in entry:
             raw = entry["limit_deg"]
-            if (
-                not isinstance(raw, list)
-                or len(raw) != 2
-                or any(not isinstance(v, float) for v in raw)
-            ):
+            if not isinstance(raw, list) or len(raw) != 2 or any(not isinstance(v, float) for v in raw):
                 raise ArmConfigError(f"joint {i}: 'limit_deg' must be a [min, max] number pair")
             limits.append(JointLimit(*raw))
         else:

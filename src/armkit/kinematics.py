@@ -209,13 +209,9 @@ _POLE_EPS = 1e-10
 
 def _matrix_to_euler_zyx_deg(R: np.ndarray) -> tuple[float, float, float]:
     sp = -R[2, 0]
-    if sp >= 1.0 - _POLE_EPS:
+    if abs(sp) >= 1.0 - _POLE_EPS:
         yaw = math.atan2(-R[0, 1], R[1, 1])
-        pitch = math.pi / 2.0
-        roll = 0.0
-    elif sp <= -1.0 + _POLE_EPS:
-        yaw = math.atan2(-R[0, 1], R[1, 1])
-        pitch = -math.pi / 2.0
+        pitch = math.copysign(math.pi / 2.0, sp)
         roll = 0.0
     else:
         yaw = math.atan2(R[1, 0], R[0, 0])

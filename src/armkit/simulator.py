@@ -287,19 +287,14 @@ def _stepped_ticks(cur: float, tgt: float, max_move: float) -> int:
     """One joint's ticks counted step by step: steps of exactly
     ``cur ± max_move`` while its gap exceeds ``max_move``, then one arrival
     tick unless a step landed on the target."""
-    # No step overshoots, so the gap keeps its sign: cur + copysign(max_move, gap).
+    # No step overshoots, so the gap keeps its sign, and fl(cur - tgt) is
+    # exactly -fl(tgt - cur): one signed step matches both directions.
+    step = math.copysign(max_move, tgt - cur)
     count = 0
-    if cur < tgt:
-        while tgt - cur > max_move:
-            cur += max_move
-            count += 1
-    else:
-        while cur - tgt > max_move:
-            cur -= max_move
-            count += 1
-    if cur != tgt:
+    while abs(tgt - cur) > max_move:
+        cur += step
         count += 1
-    return count
+    return count + (cur != tgt)
 
 
 def _tick(

@@ -7,13 +7,14 @@ bit-exactly.  Calibration files are JSON arrays of >= 4 objects
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._document import read_json, read_numbers
 
 
 class HomographyError(ValueError):
@@ -242,11 +243,17 @@ def _first_duplicate(pts: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
+# Largest coordinate magnitude of a correspondence; within it no step of the
+# fit overflows (at 1e154 the normalization's squares do).
+MAX_POINT_COORD = 1e6
+
+
 def estimate_homography(pixel_points, world_points) -> Homography:
     """Direct linear transform over normalized coordinates.
 
-    Requires >= 4 correspondences with no duplicates and no rank-collapsing
-    (e.g. collinear) arrangement; exact inputs reproject to ~1e-12 m.
+    Requires >= 4 correspondences of finite coordinates within
+    ``MAX_POINT_COORD``, with no duplicates and no rank-collapsing (e.g.
+    collinear) arrangement; exact inputs reproject to ~1e-12 m.
     """
     px = np.asarray(pixel_points, dtype=float).reshape(-1, 2)
     wd = np.asarray(world_points, dtype=float).reshape(-1, 2)
@@ -256,6 +263,9 @@ def estimate_homography(pixel_points, world_points) -> Homography:
     if n < 4:
         raise HomographyError(f"at least 4 correspondences required, got {n}")
     for label, pts in (("pixel", px), ("world", wd)):
+        far = np.flatnonzero(~(np.abs(pts) <= MAX_POINT_COORD).all(axis=1))
+        if far.size:
+            raise HomographyError(f"{label} point {far[0]}: coordinates must lie within ±{MAX_POINT_COORD:g}")
         pair = _first_duplicate(pts)
         if pair is not None:
             raise HomographyError(f"duplicate {label} points at indices {pair[0]} and {pair[1]}")
@@ -372,29 +382,10 @@ def load_calibration(text: str) -> tuple[np.ndarray, np.ndarray]:
     Every field must be a finite JSON number: strings, bools, ``NaN`` and
     ``Infinity`` are rejected with the entry index and field name.
     """
-    try:
-        # Every JSON number becomes a float (too-large integers become inf).
-        doc = json.loads(text, parse_int=float)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed calibration JSON: {exc}") from exc
+    doc = read_json(text, ValueError, "calibration JSON")
     if not isinstance(doc, list):
         raise ValueError("calibration file must be a JSON array")
     if len(doc) < 4:
         raise ValueError(f"calibration needs at least 4 correspondences, got {len(doc)}")
-    pixel_pts = []
-    world_pts = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ValueError(f"calibration entry {i}: must be an object")
-        unknown = set(entry) - set(_CALIBRATION_FIELDS)
-        if unknown:
-            raise ValueError(f"calibration entry {i}: unknown fields: {sorted(unknown)}")
-        for key in _CALIBRATION_FIELDS:
-            if key not in entry:
-                raise ValueError(f"calibration entry {i}: missing field '{key}'")
-            value = entry[key]
-            if not isinstance(value, float) or not math.isfinite(value):
-                raise ValueError(f"calibration entry {i}: '{key}' must be a finite number, got {value!r}")
-        pixel_pts.append([entry["px"], entry["py"]])
-        world_pts.append([entry["wx_m"], entry["wy_m"]])
-    return np.array(pixel_pts), np.array(world_pts)
+    rows = [read_numbers(e, f"calibration entry {i}", _CALIBRATION_FIELDS, ValueError) for i, e in enumerate(doc)]
+    return np.array([r[:2] for r in rows]), np.array([r[2:] for r in rows])

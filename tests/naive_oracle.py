@@ -21,21 +21,31 @@ build a pose's position and quaternion on numpy arrays and scalars, where
 every later point for each point, where the library buckets points on a
 grid.  ``naive_parse_pgm`` reads the PGM header with a byte-at-a-time
 scanner, where the library matches one pattern.
+``naive_load_arm_config`` and ``naive_load_calibration`` are the two JSON
+document readers each with its own field checks, where the library shares
+one reader; the arm reader builds the library's ``ArmModel``, so both apply
+the same model checks.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
 with numpy's general routines (np.cross, diag_indices_from, np.max), and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
 call; the library's kernel must match each bit for bit."""
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 
 from armkit import (
+    DEFAULT_JOINT_LIMITS_DEG,
     GRIPPER_CLOSED,
+    ArmConfigError,
+    ArmModel,
     BinaryMask,
     Blob,
+    DHRow,
     GrayImage,
     JointConfig,
+    JointLimit,
     ServoFrame,
     Trajectory,
     forward_kinematics,
@@ -436,3 +446,85 @@ def naive_parse_pgm(data):
         raise ValueError(f"PGM payload holds {held} bytes, expected {width * height}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=held, offset=pos).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
+
+
+_NAIVE_DH_KEYS = ("theta_offset_deg", "alpha_deg", "a_m", "d_m")
+_NAIVE_JOINT_KEYS = {*_NAIVE_DH_KEYS, "limit_deg"}
+
+
+def _naive_require_number(entry, key, joint):
+    if key not in entry:
+        raise ArmConfigError(f"joint {joint}: missing field '{key}'")
+    value = entry[key]
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ArmConfigError(f"joint {joint}: '{key}' must be a finite number, got {value!r}")
+    return value
+
+
+def naive_load_arm_config(text):
+    """The arm document read with its own JSON parse and field checks."""
+    try:
+        doc = json.loads(text, parse_int=float)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ArmConfigError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArmConfigError("top level must be a JSON object")
+    unknown = set(doc) - {"name", "joints"}
+    if unknown:
+        raise ArmConfigError(f"unknown top-level fields: {sorted(unknown)}")
+    name = doc.get("name")
+    if not isinstance(name, str):
+        raise ArmConfigError("'name' must be a string")
+    joints = doc.get("joints")
+    if not isinstance(joints, list):
+        raise ArmConfigError("'joints' must be an array")
+    if len(joints) != JOINT_COUNT:
+        raise ArmConfigError(f"expected {JOINT_COUNT} joints, got {len(joints)}")
+    rows = []
+    limits = []
+    for i, entry in enumerate(joints):
+        if not isinstance(entry, dict):
+            raise ArmConfigError(f"joint {i}: must be an object")
+        unknown = set(entry) - _NAIVE_JOINT_KEYS
+        if unknown:
+            raise ArmConfigError(f"joint {i}: unknown fields: {sorted(unknown)}")
+        rows.append(DHRow(*(_naive_require_number(entry, key, i) for key in _NAIVE_DH_KEYS)))
+        if "limit_deg" in entry:
+            raw = entry["limit_deg"]
+            if not isinstance(raw, list) or len(raw) != 2 or any(not isinstance(v, float) for v in raw):
+                raise ArmConfigError(f"joint {i}: 'limit_deg' must be a [min, max] number pair")
+            limits.append(JointLimit(*raw))
+        else:
+            limits.append(JointLimit(*DEFAULT_JOINT_LIMITS_DEG[i]))
+    return ArmModel(rows=tuple(rows), limits=tuple(limits), name=name)
+
+
+def naive_load_calibration(text):
+    """The calibration document read with its own JSON parse and field
+    checks, one point list per side."""
+    try:
+        doc = json.loads(text, parse_int=float)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed calibration JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise ValueError("calibration file must be a JSON array")
+    if len(doc) < 4:
+        raise ValueError(f"calibration needs at least 4 correspondences, got {len(doc)}")
+    fields = ("px", "py", "wx_m", "wy_m")
+    pixel_pts = []
+    world_pts = []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise ValueError(f"calibration entry {i}: must be an object")
+        unknown = set(entry) - set(fields)
+        if unknown:
+            raise ValueError(f"calibration entry {i}: unknown fields: {sorted(unknown)}")
+        for key in fields:
+            if key not in entry:
+                raise ValueError(f"calibration entry {i}: missing field '{key}'")
+            value = entry[key]
+            if not isinstance(value, float) or not math.isfinite(value):
+                raise ValueError(f"calibration entry {i}: '{key}' must be a finite number, got {value!r}")
+        pixel_pts.append([entry["px"], entry["py"]])
+        world_pts.append([entry["wx_m"], entry["wy_m"]])
+    return np.array(pixel_pts), np.array(world_pts)

@@ -197,6 +197,16 @@ class TestIk:
         assert main(["ik", "--config", config_path, "--pos", "2,0,0"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_link_past_bound_is_usage_error(self, tmp_path, capsys):
+        """A 1e10 m link once drowned the DLS damping: every solve raised
+        numpy's 'Singular matrix', naming no field."""
+        doc = json.loads(dump_arm_config(default_arm()))
+        doc["joints"][1]["a_m"] = 1e10
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ik", "--config", str(path), "--pos", "0.1,0.1,0.1"]) == 2
+        assert capsys.readouterr().err == "error: joint 1: 'a_m' must lie within ±1000 m, got 10000000000.0\n"
+
 
 class TestDetect:
     def test_detection_json(self, scene, capsys):

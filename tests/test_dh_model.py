@@ -17,6 +17,7 @@ from armkit import (
     forward_kinematics,
     load_arm_config,
 )
+from armkit.dh_model import MAX_LINK_M
 
 from conftest import make_arm, mutate, random_arm, random_config
 
@@ -230,6 +231,25 @@ class TestTypes:
         geometry[field[0]] = (0.1, 0.1, value, 0.1, 0.1, 0.1)
         with pytest.raises(ArmConfigError, match=rf"^joint 2: '{field}' must be a finite number, got {value!r}$"):
             make_arm(**geometry)
+
+    @pytest.mark.parametrize("field", ["a_m", "d_m"])
+    @pytest.mark.parametrize("value", [MAX_LINK_M * (1 + 2**-52), 1e10, -1e10])
+    def test_model_rejects_link_past_bound_naming_field(self, field, value):
+        geometry = {"a": (0.1,) * 6, "d": (0.0,) * 6}
+        geometry[field[0]] = (0.1, value, 0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(ArmConfigError, match=rf"^joint 1: '{field}' must lie within ±1000 m, got {value}$"):
+            make_arm(**geometry)
+
+    def test_links_at_bound_load(self):
+        joints = [_joint(a=MAX_LINK_M, d=(-MAX_LINK_M, MAX_LINK_M)[i % 2]) for i in range(6)]
+        model = load_arm_config(_doc(joints))
+        assert model.a.tolist() == [MAX_LINK_M] * 6 and np.abs(model.d).tolist() == [MAX_LINK_M] * 6
+
+    def test_loader_rejects_link_past_bound(self):
+        joints = [_joint() for _ in range(6)]
+        joints[4]["d_m"] = -2e3
+        with pytest.raises(ArmConfigError, match=r"^joint 4: 'd_m' must lie within ±1000 m, got -2000.0$"):
+            load_arm_config(_doc(joints))
 
     def test_workspace_bound_sums_link_extents(self):
         model = make_arm(a=(0.1,) * 6, d=(-0.05,) * 6)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from armkit import (
     solve_ik_position_only,
     top_down_pose,
 )
+from armkit.dh_model import MAX_LINK_M
 from armkit.ik_solver import _dls_step, _norm
 from armkit.kinematics import _geometric_jacobian_rad, _link_frames, euler_zyx_to_matrix
 
-from conftest import PERFBENCH, fk_pose, random_arm, random_config
+from conftest import PERFBENCH, fk_pose, make_arm, random_arm, random_config
 from naive_oracle import naive_dls_step, naive_jacobian
 
 
@@ -164,6 +166,48 @@ class TestSolve:
             solve_ik(arm, target, JointConfig((0.0, 90.0, 0.0, 90.0, 0.0, 0.0)), starved)
         assert math.isfinite(info.value.best_position_error)
         assert info.value.attempts == 2
+
+    def test_solves_at_the_link_bound_stay_regular(self):
+        """Links at MAX_LINK_M keep the damped J Jᵀ well above its rounding:
+        no solve raises LinAlgError or a numpy RuntimeWarning, whether it
+        converges or not."""
+        rng = np.random.default_rng(1000)
+        settings = IkSettings(restarts=1, max_iterations=40)
+        outcomes = set()
+        for k in range(24):
+            base = random_arm(rng)
+            a = np.array([r.a_m for r in base.rows])
+            d = np.array([r.d_m for r in base.rows])
+            if k % 3 == 0:
+                a[:] = MAX_LINK_M
+                d = rng.choice([-MAX_LINK_M, MAX_LINK_M], 6)
+            elif k % 3 == 1:
+                a[rng.integers(6)] = MAX_LINK_M
+            else:
+                d[rng.integers(6)] = rng.choice([-MAX_LINK_M, MAX_LINK_M])
+            model = make_arm(
+                a=a,
+                d=d,
+                alpha_deg=[r.alpha_deg for r in base.rows],
+                theta_offset_deg=[r.theta_offset_deg for r in base.rows],
+                limits=base.limits,
+            )
+            target = fk_pose(model, random_config(rng, model))
+            seed = random_config(rng, model)
+            for position_only in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        if position_only:
+                            result = solve_ik_position_only(model, target.position, seed, settings)
+                        else:
+                            result = solve_ik(model, target, seed, settings)
+                        outcomes.add("solved")
+                        assert np.isfinite(result.solution.angles_deg).all()
+                    except NoConvergenceError as exc:
+                        outcomes.add("not converged")
+                        assert math.isfinite(exc.best_position_error)
+        assert outcomes == {"solved", "not converged"}
 
     def test_determinism(self, arm):
         rng = np.random.default_rng(97)

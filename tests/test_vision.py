@@ -685,6 +685,17 @@ INVALID_INPUTS = {
         HomographyError,
         r"^degenerate correspondence configuration \(collinear points\?\)$",
     ),
+    # Past MAX_POINT_COORD the fit's squares and grid cells could overflow.
+    "pixel-beyond-bound": (
+        lambda: estimate_homography([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.000001e6]], COLLINEAR_PIXELS),
+        HomographyError,
+        r"^pixel point 3: coordinates must lie within ±1e\+06$",
+    ),
+    "world-not-finite": (
+        lambda: estimate_homography(TestHomography.UNIT_SQUARE, [[0.0, 0.0], [1.0, float("nan")], [1.0, 1.0], [0.0, 1.0]]),
+        HomographyError,
+        r"^world point 1: coordinates must lie within ±1e\+06$",
+    ),
     "calibration-not-array": (lambda: load_calibration("{}"), ValueError, r"^calibration file must be a JSON array$"),
     "entry-not-object": (
         lambda: load_calibration("[1, 2, 3, 4]"),
