@@ -26,9 +26,10 @@ document readers each with its own field checks, where the library shares
 one reader; the arm reader builds the library's ``ArmModel``, so both apply
 the same model checks.
 ``naive_jacobian`` and ``naive_dls_step`` are the solver's kernel written
-with numpy's general routines (np.cross, diag_indices_from, np.max), and
+with numpy's general routines (np.cross, np.linalg.solve, np.max) on the
+frames of ``naive_frames``, the list-based chain behind ``naive_fk``, and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
-call; the library's kernel must match each bit for bit."""
+call; the library's kernel must match each within float64 tolerances."""
 import json
 import math
 from dataclasses import replace
@@ -53,7 +54,7 @@ from armkit import (
 )
 from armkit.dh_model import JOINT_COUNT, clamp_to_limits
 from armkit.ik_solver import DLS_DAMPING, STEP_LIMIT_RAD
-from armkit.kinematics import _link_frames, rotation_log
+from armkit.kinematics import rotation_log
 
 # Central-difference step for the finite-difference Jacobian, radians.
 JACOBIAN_FD_STEP_RAD = 1e-6
@@ -105,12 +106,25 @@ def identity4():
     return [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
 
 
+def naive_frames(dh_rows, q_rad):
+    """Base-to-joint transforms as nested lists, frames[0] = I and
+    frames[i + 1] = frames[i] times joint i's DH matrix; dh_rows is a
+    sequence of (theta_offset_deg, alpha_deg, a_m, d_m) tuples."""
+    frames = [identity4()]
+    for (toff, alpha, a, d), angle in zip(dh_rows, q_rad):
+        frames.append(matmul4(frames[-1], naive_dh_matrix(toff, alpha, a, d, angle)))
+    return frames
+
+
 def naive_fk(dh_rows, q_deg):
     """dh_rows: sequence of (theta_offset_deg, alpha_deg, a_m, d_m) tuples."""
-    T = identity4()
-    for (toff, alpha, a, d), angle_deg in zip(dh_rows, q_deg):
-        T = matmul4(T, naive_dh_matrix(toff, alpha, a, d, math.radians(angle_deg)))
-    return T
+    return naive_frames(dh_rows, [math.radians(angle_deg) for angle_deg in q_deg])[-1]
+
+
+def model_frames(model, q_rad):
+    """naive_frames of a model's rows, shape (7, 4, 4)."""
+    rows = [(r.theta_offset_deg, r.alpha_deg, r.a_m, r.d_m) for r in model.rows]
+    return np.array(naive_frames(rows, [float(v) for v in q_rad]))
 
 
 def transform_is_valid(T, tol=1e-9):
@@ -140,8 +154,8 @@ def numeric_jacobian(model, q):
         qm = q0.copy()
         qp[i] += h
         qm[i] -= h
-        Tp = _link_frames(model, qp)[-1]
-        Tm = _link_frames(model, qm)[-1]
+        Tp = model_frames(model, qp)[-1]
+        Tm = model_frames(model, qm)[-1]
         J[:3, i] = (Tp[:3, 3] - Tm[:3, 3]) / (2.0 * h)
         J[3:, i] = rotation_log(Tp[:3, :3] @ Tm[:3, :3].T) / (2.0 * h)
     return J
@@ -150,7 +164,7 @@ def numeric_jacobian(model, q):
 def naive_jacobian(model, q_rad):
     """Geometric Jacobian with np.cross: column i is z_i x (p_end - p_i)
     stacked on z_i."""
-    frames = _link_frames(model, q_rad)
+    frames = model_frames(model, q_rad)
     z = frames[:-1, :3, 2]
     J = np.empty((6, JOINT_COUNT))
     J[:3] = np.cross(z, frames[-1, :3, 3] - frames[:-1, :3, 3]).T
