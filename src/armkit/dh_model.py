@@ -90,28 +90,34 @@ class JointConfig:
         return cls(tuple(math.degrees(float(v)) for v in q_rad))
 
 
+# One joint as the kinematics chain reads it: theta offset (radians), the
+# twist's cosine and sine, a and d (meters), all Python floats.
+DHTerms = tuple[float, float, float, float, float]
+
+
+def dh_terms(row: DHRow) -> DHTerms:
+    """The chain's floats of one DH row."""
+    alpha = math.radians(row.alpha_deg)
+    return (math.radians(row.theta_offset_deg), math.cos(alpha), math.sin(alpha), float(row.a_m), float(row.d_m))
+
+
 @dataclass(frozen=True)
 class ArmModel:
     """Immutable geometric identity of a six-joint arm: DH rows plus limits.
 
-    Row and limit ``i`` both describe joint/motor ``i``.  The radian views
-    (``theta_offset_rad``, ``alpha_rad``, ``a``, ``d``), the twists' cosines
-    and sines (``cos_alpha``, ``sin_alpha``) and the joint transforms'
-    constant rows (``dh_template``) are derived once here and shared by every
-    kinematics routine.
+    Row and limit ``i`` both describe joint/motor ``i``.  ``dh`` holds each
+    row's ``dh_terms``, derived once here and read by every kinematics
+    routine; ``a``, ``d`` and ``limits_deg`` are read-only array views of the
+    link lengths, offsets and limits.
     """
 
     rows: tuple[DHRow, ...]
     limits: tuple[JointLimit, ...]
     name: str = "arm"
 
-    theta_offset_rad: np.ndarray = field(init=False, repr=False, compare=False)
-    alpha_rad: np.ndarray = field(init=False, repr=False, compare=False)
+    dh: tuple[DHTerms, ...] = field(init=False, repr=False, compare=False)
     a: np.ndarray = field(init=False, repr=False, compare=False)
     d: np.ndarray = field(init=False, repr=False, compare=False)
-    cos_alpha: np.ndarray = field(init=False, repr=False, compare=False)
-    sin_alpha: np.ndarray = field(init=False, repr=False, compare=False)
-    dh_template: np.ndarray = field(init=False, repr=False, compare=False)
     limits_deg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -143,13 +149,9 @@ class ArmModel:
                 raise ArmConfigError(
                     f"joint {i}: limit min must be strictly below max, got [{lim.min_deg}, {lim.max_deg}]"
                 )
-        object.__setattr__(self, "theta_offset_rad", _frozen_array(math.radians(r.theta_offset_deg) for r in rows))
-        object.__setattr__(self, "alpha_rad", _frozen_array(math.radians(r.alpha_deg) for r in rows))
+        object.__setattr__(self, "dh", tuple(map(dh_terms, rows)))
         object.__setattr__(self, "a", _frozen_array(r.a_m for r in rows))
         object.__setattr__(self, "d", _frozen_array(r.d_m for r in rows))
-        object.__setattr__(self, "cos_alpha", _frozen_array(np.cos(self.alpha_rad)))
-        object.__setattr__(self, "sin_alpha", _frozen_array(np.sin(self.alpha_rad)))
-        object.__setattr__(self, "dh_template", dh_template(self.cos_alpha, self.sin_alpha, self.d))
         lim_arr = np.array([[l.min_deg for l in limits], [l.max_deg for l in limits]], dtype=float)
         lim_arr.flags.writeable = False
         object.__setattr__(self, "limits_deg", lim_arr)
@@ -167,19 +169,6 @@ def _frozen_array(values: Any) -> np.ndarray:
     arr = np.array(list(values), dtype=float)
     arr.flags.writeable = False
     return arr
-
-
-def dh_template(cos_alpha: np.ndarray, sin_alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The joint-angle-free part of n DH joint transforms, shape (n, 4, 4),
-    read-only: row 2 is [0, sin(alpha), cos(alpha), d] and row 3 is
-    [0, 0, 0, 1]; rows 0 and 1 are zeros for the joint angle to fill."""
-    T = np.zeros((len(d), 4, 4))
-    T[:, 2, 1] = sin_alpha
-    T[:, 2, 2] = cos_alpha
-    T[:, 2, 3] = d
-    T[:, 3, 3] = 1.0
-    T.flags.writeable = False
-    return T
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,21 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dh_model import ArmModel, JointConfig, clamp_to_limits
 from .kinematics import (
+    Chain,
     Pose6D,
-    _geometric_jacobian_rad,
-    _link_frames,
+    _chain,
+    _end,
+    _jacobian,
+    _radians,
+    _rotation_log,
     forward_kinematics,
     pose_to_matrix,
-    rotation_log,
 )
 
 # Restart seeds are drawn from a per-call generator with this fixed seed, so
@@ -28,9 +31,9 @@ DLS_DAMPING = 1e-2
 # Largest joint change of one step (infinity norm), radians.
 STEP_LIMIT_RAD = 0.3
 
-# Maps an end-effector transform to (error vector, position error, orientation
+# Maps a chain's end frame to (error vector, position error, orientation
 # error); the error vector's length picks the Jacobian rows a step uses.
-Residual = Callable[[np.ndarray], tuple[np.ndarray, float, float]]
+Residual = Callable[[Sequence[float]], tuple[Sequence[float], float, float]]
 
 
 @dataclass(frozen=True)
@@ -110,23 +113,37 @@ class NoConvergenceError(Exception):
 def pose_error(current: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Six-vector residual between two transforms: translation difference
     (meters) stacked on the axis-angle of the relative rotation (radians)."""
-    current = np.asarray(current, dtype=float)
-    target = np.asarray(target, dtype=float)
-    return _pose_error(current, target[:3, 3], target[:3, :3])
+    return np.array(_pose_error(_end(current), *_translation_and_rotation(target)))
 
 
-def _pose_error(current: np.ndarray, target_p: np.ndarray, target_R: np.ndarray) -> np.ndarray:
-    """pose_error against a target given as its translation and rotation."""
-    e = np.empty(6)
-    e[:3] = target_p - current[:3, 3]
-    e[3:] = rotation_log(target_R @ current[:3, :3].T)
-    return e
+def _translation_and_rotation(T: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A rigid transform's translation and its rotation's rows, as Python floats."""
+    block = _end(T)
+    return block[3::4], block[0:3] + block[4:7] + block[8:11]
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean length of a 1-D float array, computed as np.linalg.norm
-    computes it, without its argument handling."""
-    return math.sqrt(v.dot(v))
+def _pose_error(end: Sequence[float], target_p: Sequence[float], target_R: Sequence[float]) -> tuple[float, ...]:
+    """pose_error of a chain's end frame against a target given as its
+    translation and its rotation's rows, on Python floats."""
+    c00, c01, c02, cx, c10, c11, c12, cy, c20, c21, c22, cz = end
+    t00, t01, t02, t10, t11, t12, t20, t21, t22 = target_R
+    # The relative rotation target_R @ current_R.T, entry by entry.
+    return (
+        target_p[0] - cx,
+        target_p[1] - cy,
+        target_p[2] - cz,
+        *_rotation_log(
+            t00 * c00 + t01 * c01 + t02 * c02, t00 * c10 + t01 * c11 + t02 * c12, t00 * c20 + t01 * c21 + t02 * c22,
+            t10 * c00 + t11 * c01 + t12 * c02, t10 * c10 + t11 * c11 + t12 * c12, t10 * c20 + t11 * c21 + t12 * c22,
+            t20 * c00 + t21 * c01 + t22 * c02, t20 * c10 + t21 * c11 + t22 * c12, t20 * c20 + t21 * c21 + t22 * c22,
+        ),
+    )
+
+
+def _norm(v: Sequence[float]) -> float:
+    """Euclidean length of a 3-vector: the squares summed in order, then the root."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def solve_ik(
@@ -148,14 +165,13 @@ def solve_ik(
     or the seed a non-finite angle, UnreachableError when the target position
     lies beyond the reach bound, NoConvergenceError when every attempt fails.
     """
-    target_T = pose_to_matrix(target)
-    target_p, target_R = target_T[:3, 3], target_T[:3, :3]
+    target_p, target_R = _translation_and_rotation(pose_to_matrix(target))
 
-    def residual(T: np.ndarray) -> tuple[np.ndarray, float, float]:
-        e = _pose_error(T, target_p, target_R)
+    def residual(end: Sequence[float]) -> tuple[tuple[float, ...], float, float]:
+        e = _pose_error(end, target_p, target_R)
         return e, _norm(e[:3]), _norm(e[3:])
 
-    return _solve(model, residual, np.asarray(target.position, float), seed, settings)
+    return _solve(model, residual, target_p, seed, settings)
 
 
 def solve_ik_position_only(
@@ -166,94 +182,135 @@ def solve_ik_position_only(
 ) -> IkResult:
     """As solve_ik, but only the position rows constrain the solve; the
     orientation is left free and the reported orientation error is 0."""
-    p = np.asarray(target_position, dtype=float).reshape(3)
+    px, py, pz = np.asarray(target_position, dtype=float).reshape(3).tolist()
 
-    def residual(T: np.ndarray) -> tuple[np.ndarray, float, float]:
-        e = p - T[:3, 3]
+    def residual(end: Sequence[float]) -> tuple[tuple[float, ...], float, float]:
+        e = (px - end[3], py - end[7], pz - end[11])
         return e, _norm(e), 0.0
 
-    return _solve(model, residual, p, seed, settings)
+    return _solve(model, residual, (px, py, pz), seed, settings)
 
 
 def _converged(pos_err: float, ori_err: float, settings: IkSettings) -> bool:
     return pos_err <= settings.position_tolerance and ori_err <= settings.orientation_tolerance
 
 
-def _dls_step(
-    model: ArmModel, q_rad: np.ndarray, err: np.ndarray, frames: np.ndarray | None = None
-) -> np.ndarray:
+def _dls_step(model: ArmModel, q_rad: Sequence[float], err: Sequence[float], chain: Chain | None = None) -> list[float]:
     """One damped-least-squares update, step-limited.  Uses the first
-    ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose."""
-    J = _geometric_jacobian_rad(model, q_rad, frames)[: len(err)]
-    JJt = J @ J.T
-    JJt.flat[:: len(err) + 1] += DLS_DAMPING**2
-    dq = J.T @ np.linalg.solve(JJt, err)
-    m = float(np.abs(dq).max())
-    if m > STEP_LIMIT_RAD:
-        dq *= STEP_LIMIT_RAD / m
+    ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose.
+
+    The step is J^T x with (J J^T + DLS_DAMPING^2 I) x = err.  That matrix is
+    symmetric positive definite, so x comes through its Cholesky factor L,
+    with every sum taken in index order on Python floats."""
+    columns = _jacobian(chain if chain is not None else _chain(model.dh, q_rad))
+    J = list(zip(*columns))[: len(err)]
+    damping2 = DLS_DAMPING**2
+    # L L^T = J J^T + damping2 I, one row of L at a time.
+    L: list[list[float]] = []
+    for i, (a0, a1, a2, a3, a4, a5) in enumerate(J):
+        L_i: list[float] = []
+        for j in range(i):
+            b0, b1, b2, b3, b4, b5 = J[j]
+            s = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5
+            for v, w in zip(L_i, L[j]):
+                s -= v * w
+            L_i.append(s / L[j][j])
+        s = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5 + damping2
+        for v in L_i:
+            s -= v * v
+        L_i.append(math.sqrt(s))
+        L.append(L_i)
+    # L y = err, then L^T x = y.
+    y: list[float] = []
+    for L_i, e in zip(L, err):
+        s = e
+        for v, w in zip(L_i, y):
+            s -= v * w
+        y.append(s / L_i[-1])
+    x = [0.0] * len(err)
+    for i in reversed(range(len(err))):
+        s = y[i]
+        for k in range(i + 1, len(err)):
+            s -= L[k][i] * x[k]
+        x[i] = s / L[i][i]
+    dq = []
+    for column in columns:
+        s = 0.0
+        for a, b in zip(column, x):
+            s += a * b
+        dq.append(s)
+    largest = max(map(abs, dq))
+    if largest > STEP_LIMIT_RAD:
+        scale = STEP_LIMIT_RAD / largest
+        dq = [v * scale for v in dq]
     return dq
+
+
+def _clamp(q: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> list[float]:
+    """Each angle projected onto its limits, as np.clip projects it."""
+    return [h if v > h else l if v < l else v for v, l, h in zip(q, lo, hi)]
 
 
 def _attempt(
     model: ArmModel,
     residual: Residual,
-    q0_rad: np.ndarray,
-    lo_rad: np.ndarray,
-    hi_rad: np.ndarray,
+    q0_rad: Sequence[float],
+    lo_rad: list[float],
+    hi_rad: list[float],
     settings: IkSettings,
     restart_index: int,
 ) -> tuple[IkResult | None, tuple[float, float]]:
     """Iterate from one start; returns (result-or-None, best residual pair).
     A converged iterate counts only if its clamped degree configuration, the
     value the caller sees, passes the tolerances again through FK."""
-    q = np.clip(q0_rad, lo_rad, hi_rad)
+    q = _clamp(q0_rad, lo_rad, hi_rad)
     best = (math.inf, math.inf)
     for it in range(settings.max_iterations + 1):
-        frames = _link_frames(model, q)
-        e, pos_err, ori_err = residual(frames[-1])
+        chain = _chain(model.dh, q)
+        e, pos_err, ori_err = residual(chain[1])
         if pos_err + ori_err < best[0] + best[1]:
             best = (pos_err, ori_err)
         if _converged(pos_err, ori_err, settings):
             config = clamp_to_limits(model, JointConfig.from_radians(q))
-            _, final_pos, final_ori = residual(forward_kinematics(model, config))
+            _, final_pos, final_ori = residual(_end(forward_kinematics(model, config)))
             if _converged(final_pos, final_ori, settings):
                 return IkResult(config, it, final_pos, final_ori, restart_index), best
         if it == settings.max_iterations:
             break
-        q = np.clip(q + _dls_step(model, q, e, frames), lo_rad, hi_rad)
+        q = _clamp([a + b for a, b in zip(q, _dls_step(model, q, e, chain))], lo_rad, hi_rad)
     return None, best
 
 
-def _starts(seed_rad: np.ndarray, lo_rad: np.ndarray, hi_rad: np.ndarray, restarts: int):
+def _starts(seed_rad: list[float], lo_rad: list[float], hi_rad: list[float], restarts: int):
     """Attempt 0 is the caller's seed; the restart generator is built and
     drawn from only once the seed has failed."""
     yield seed_rad
     rng = np.random.default_rng(RESTART_RNG_SEED)
     for _ in range(restarts):
-        yield rng.uniform(lo_rad, hi_rad)
+        yield rng.uniform(lo_rad, hi_rad).tolist()
 
 
 def _solve(
     model: ArmModel,
     residual: Residual,
-    target_p: np.ndarray,
+    target_p: tuple[float, float, float],
     seed: JointConfig,
     settings: IkSettings,
 ) -> IkResult:
     # A NaN fails every comparison, so no attempt could converge or even
     # record a best residual; each would spin to its iteration limit.
-    if np.isnan(target_p).any():
-        raise ValueError(f"target position must not be NaN, got {tuple(target_p.tolist())}")
-    seed_rad = seed.radians
-    if not np.isfinite(seed_rad).all():
+    if any(map(math.isnan, target_p)):
+        raise ValueError(f"target position must not be NaN, got {tuple(target_p)}")
+    seed_rad = _radians(seed)
+    if not all(map(math.isfinite, seed_rad)):
         raise ValueError(f"seed angles must be finite, got {seed.angles_deg}")
     bound = model.workspace_bound()
-    distance = float(np.linalg.norm(target_p))
+    distance = _norm(target_p)
     if distance > bound:
         raise UnreachableError(distance, bound)
 
-    lo_rad = np.radians(model.limits_deg[0])
-    hi_rad = np.radians(model.limits_deg[1])
+    lo_rad = [math.radians(lim.min_deg) for lim in model.limits]
+    hi_rad = [math.radians(lim.max_deg) for lim in model.limits]
     best = (math.inf, math.inf)
     solved: list[IkResult] = []
     for k, q0 in enumerate(_starts(seed_rad, lo_rad, hi_rad, settings.restarts)):
@@ -265,6 +322,9 @@ def _solve(
                 return result
             solved.append(result)
     if solved:
-        # min keeps the first of equally near solutions: the lowest restart index.
-        return min(solved, key=lambda r: float(np.linalg.norm(r.solution.radians - seed_rad)))
+        # min keeps the first of equally near solutions: the lowest restart
+        # index.  fsum rounds the squared distance once, in any order.
+        return min(
+            solved, key=lambda r: math.fsum((a - b) * (a - b) for a, b in zip(_radians(r.solution), seed_rad))
+        )
     raise NoConvergenceError(*best, settings.restarts + 1)

@@ -1,7 +1,10 @@
 """Forward kinematics, pose/quaternion algebra, and the analytic Jacobian.
 
-All transforms are plain 4x4 numpy arrays: rotation block in the upper left,
-translation (meters) in the upper right, bottom row [0, 0, 0, 1].
+FK, the Jacobian and the IK solver read one kinematic chain (``_chain``),
+computed on Python floats in one fixed order, so no BLAS or LAPACK kernel,
+and with it no CPU-dependent rounding, reaches their bits.  Transforms at
+the public surface are plain 4x4 numpy arrays: rotation block in the upper
+left, translation (meters) in the upper right, bottom row [0, 0, 0, 1].
 """
 from __future__ import annotations
 
@@ -11,26 +14,55 @@ from typing import Sequence
 
 import numpy as np
 
-from .dh_model import JOINT_COUNT, ArmModel, DHRow, JointConfig, dh_template
+from .dh_model import ArmModel, DHRow, DHTerms, JointConfig, dh_terms
 
 
-def _dh_matrices(
-    theta: np.ndarray, cos_alpha: np.ndarray, sin_alpha: np.ndarray, a: np.ndarray, template: np.ndarray
-) -> np.ndarray:
-    """Joint transforms of n DH rows, shape (n, 4, 4); ``theta`` (radians)
-    already includes each row's offset.  Rows 2 and 3 come from the rows'
-    ``dh_template``; only the eight entries that depend on theta are filled."""
-    ct, st = np.cos(theta), np.sin(theta)
-    T = template.copy()
-    T[:, 0, 0] = ct
-    T[:, 0, 1] = -st * cos_alpha
-    T[:, 0, 2] = st * sin_alpha
-    T[:, 0, 3] = a * ct
-    T[:, 1, 0] = st
-    T[:, 1, 1] = ct * cos_alpha
-    T[:, 1, 2] = -ct * sin_alpha
-    T[:, 1, 3] = a * st
-    return T
+# One pass over the DH rows of a model: joints[i] is (zx, zy, zz, px, py, pz),
+# the axis that joint i turns about and its origin, in base coordinates; end
+# is the end frame's rotation rows and translation, row-major as a 3x4 block.
+Chain = tuple[list[tuple[float, float, float, float, float, float]], tuple[float, ...]]
+
+
+def _chain(rows: Sequence[DHTerms], q_rad: Sequence[float]) -> Chain:
+    """The kinematic chain through ``rows`` (a model's ``dh``) at joint
+    angles ``q_rad`` (radians, Python floats), as one fixed sequence of float
+    operations.
+
+    A frame with axes x, y, z and origin p times the DH transform of
+    (theta, alpha, a, d) has, with u = cos(theta) x + sin(theta) y and
+    v = cos(theta) y - sin(theta) x, the axes u, cos(alpha) v + sin(alpha) z
+    and cos(alpha) z - sin(alpha) v, and the origin p + a u + d z.  Raises
+    ValueError naming the first joint whose angle is NaN or infinite."""
+    xx, xy, xz = 1.0, 0.0, 0.0
+    yx, yy, yz = 0.0, 1.0, 0.0
+    zx, zy, zz = 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    joints = []
+    for i, ((offset, ca, sa, a, d), angle) in enumerate(zip(rows, q_rad)):
+        joints.append((zx, zy, zz, px, py, pz))
+        theta = angle + offset
+        if not math.isfinite(theta):
+            raise ValueError(f"joint {i} angle must be finite, got {math.degrees(angle)} degrees")
+        ct, st = math.cos(theta), math.sin(theta)
+        ux, uy, uz = ct * xx + st * yx, ct * xy + st * yy, ct * xz + st * yz
+        vx, vy, vz = ct * yx - st * xx, ct * yy - st * xy, ct * yz - st * xz
+        px, py, pz = px + a * ux + d * zx, py + a * uy + d * zy, pz + a * uz + d * zz
+        xx, xy, xz = ux, uy, uz
+        yx, yy, yz, zx, zy, zz = (
+            ca * vx + sa * zx, ca * vy + sa * zy, ca * vz + sa * zz,
+            ca * zx - sa * vx, ca * zy - sa * vy, ca * zz - sa * vz,
+        )
+    return joints, (xx, yx, zx, px, xy, yy, zy, py, xz, yz, zz, pz)
+
+
+def _matrix(end: Sequence[float]) -> np.ndarray:
+    """The 4x4 transform of a chain's end frame."""
+    return np.array((*end, 0.0, 0.0, 0.0, 1.0)).reshape(4, 4)
+
+
+def _end(T: np.ndarray) -> tuple[float, ...]:
+    """A 4x4 transform's upper 3x4 block, as a chain's end frame."""
+    return tuple(np.asarray(T, dtype=float)[:3].ravel().tolist())
 
 
 def dh_transform(row: DHRow, joint_angle: float) -> np.ndarray:
@@ -39,35 +71,21 @@ def dh_transform(row: DHRow, joint_angle: float) -> np.ndarray:
     The joint variable is ``joint_angle + theta_offset``; twist, link length
     and offset come from the row.
     """
-    theta = joint_angle + math.radians(row.theta_offset_deg)
-    alpha = np.array([math.radians(row.alpha_deg)])
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    template = dh_template(ca, sa, np.array([row.d_m]))
-    return _dh_matrices(np.array([theta]), ca, sa, np.array([row.a_m]), template)[0]
-
-
-_IDENTITY4 = np.eye(4)
-_IDENTITY4.flags.writeable = False
-
-
-def _link_frames(model: ArmModel, q_rad: np.ndarray) -> np.ndarray:
-    """Cumulative base->joint transforms, shape (7, 4, 4); frames[0] = I."""
-    steps = _dh_matrices(
-        q_rad + model.theta_offset_rad, model.cos_alpha, model.sin_alpha, model.a, model.dh_template
-    )
-    frames = np.empty((JOINT_COUNT + 1, 4, 4))
-    frames[0] = _IDENTITY4
-    for i in range(JOINT_COUNT):
-        np.matmul(frames[i], steps[i], out=frames[i + 1])
-    return frames
+    return _matrix(_chain((dh_terms(row),), (float(joint_angle),))[1])
 
 
 def forward_kinematics(model: ArmModel, q: JointConfig) -> np.ndarray:
     """Base-to-end-effector transform: ordered product of the six joint transforms.
 
-    Defined for every configuration; limit validity is not required.
+    Defined for every finite configuration; limit validity is not required.
+    Raises ValueError naming the first joint whose angle is NaN or infinite.
     """
-    return _link_frames(model, q.radians)[-1]
+    return _matrix(_chain(model.dh, _radians(q))[1])
+
+
+def _radians(q: JointConfig) -> list[float]:
+    """The angles of ``q`` in radians, as Python floats."""
+    return [math.radians(a) for a in q.angles_deg]
 
 
 def invert_transform(T: np.ndarray) -> np.ndarray:
@@ -79,32 +97,33 @@ def invert_transform(T: np.ndarray) -> np.ndarray:
     return out
 
 
+# A quaternion that one normalization left unit has |w² + x² + y² + z² - 1|
+# within 6u (u = 2**-53, the float64 unit roundoff); 8u keeps each as it is.
+_UNIT_SLACK = 8.0 * 2.0**-53
+
+
 def _canonical_quat(q: Sequence[float]) -> tuple[float, float, float, float]:
     """Unit quaternion with w >= 0; ties at w == 0 make the first nonzero
     component positive so equal rotations compare equal.
 
-    The norm is np.linalg.norm's own sum and root; the division and the sign
-    flip are the same IEEE operations on Python floats as on an array.  When
-    the sum of squares under- or overflows (0 or inf) for a finite nonzero
-    quaternion, the components are first divided by the largest magnitude;
-    numpy's overflow warning on that sum is silenced, since it is handled."""
-    a = np.array(q, dtype=float)
-    if max(map(abs, q)) <= 1e150:  # no sum of four squares overflows
-        squares = a.dot(a)
-    else:
-        with np.errstate(over="ignore"):
-            squares = a.dot(a)
+    The sum of squares runs w, x, y, z in that order.  Within _UNIT_SLACK of 1
+    the quaternion counts as unit and keeps its components, so a canonical
+    quaternion canonicalizes to itself; otherwise each component is divided
+    by the root of the sum.  When the sum under- or overflows (0 or inf) for
+    a finite nonzero quaternion, the components are first divided by the
+    largest magnitude."""
+    w, x, y, z = map(float, q)
+    squares = w * w + x * x + y * y + z * z
     if squares == 0.0 or squares == math.inf:
-        largest = float(np.max(np.abs(a)))
+        largest = max(abs(w), abs(x), abs(y), abs(z))
         if 0.0 < largest < math.inf:
-            q = [v / largest for v in q]
-            a = np.array(q)
-            squares = a.dot(a)
-    n = math.sqrt(squares)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    w, x, y, z = q
-    w, x, y, z = w / n, x / n, y / n, z / n
+            w, x, y, z = w / largest, x / largest, y / largest, z / largest
+            squares = w * w + x * x + y * y + z * z
+    if not abs(squares - 1.0) <= _UNIT_SLACK:
+        n = math.sqrt(squares)
+        if n == 0.0:
+            raise ValueError("zero quaternion")
+        w, x, y, z = w / n, x / n, y / n, z / n
     flip = w < 0.0
     if w == 0.0:
         for v in (x, y, z):
@@ -240,47 +259,53 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     Stable at both ends: near zero it falls back to the skew part, near pi it
     recovers the axis from the symmetric part and signs it with the skew part.
     """
-    tr = float(R[0, 0] + R[1, 1] + R[2, 2])
-    cos_theta = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
+    return np.array(_rotation_log(*np.asarray(R, dtype=float)[:3, :3].ravel().tolist()))
+
+
+def _rotation_log(
+    m00: float, m01: float, m02: float, m10: float, m11: float, m12: float, m20: float, m21: float, m22: float
+) -> tuple[float, float, float]:
+    """rotation_log of the matrix with these entries, on Python floats."""
+    cos_theta = min(1.0, max(-1.0, (m00 + m11 + m22 - 1.0) / 2.0))
     theta = math.acos(cos_theta)
-    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    sx, sy, sz = m21 - m12, m02 - m20, m10 - m01
     if theta < 1e-10:
-        return skew / 2.0
+        return sx / 2.0, sy / 2.0, sz / 2.0
     if theta > math.pi - 1e-6:
-        B = (np.asarray(R) + np.eye(3)) / 2.0
-        u = np.sqrt(np.maximum(np.diag(B), 0.0))
-        k = int(np.argmax(u))
-        for j in range(3):
-            if j != k:
-                u[j] = B[k, j] / u[k]
-        u /= np.linalg.norm(u)
-        s = float(np.dot(skew, u))
-        if s < 0.0 or (s == 0.0 and u[int(np.argmax(np.abs(u)))] < 0.0):
-            u = -u
-        return theta * u
-    return theta / (2.0 * math.sin(theta)) * skew
+        # B = (R + I) / 2 = u u^T for the unit axis u; its largest diagonal
+        # entry gives the best-conditioned component, the rest of its row the others.
+        B = (((m00 + 1.0) / 2.0, m01 / 2.0, m02 / 2.0), (m10 / 2.0, (m11 + 1.0) / 2.0, m12 / 2.0), (m20 / 2.0, m21 / 2.0, (m22 + 1.0) / 2.0))
+        u = [math.sqrt(max(B[j][j], 0.0)) for j in range(3)]
+        k = u.index(max(u))
+        u = [u[k] if j == k else B[k][j] / u[k] for j in range(3)]
+        n = _norm3(*u)
+        ux, uy, uz = u[0] / n, u[1] / n, u[2] / n
+        s = sx * ux + sy * uy + sz * uz
+        if s < 0.0 or (s == 0.0 and max((ux, uy, uz), key=abs) < 0.0):
+            ux, uy, uz = -ux, -uy, -uz
+        return theta * ux, theta * uy, theta * uz
+    f = theta / (2.0 * math.sin(theta))
+    return f * sx, f * sy, f * sz
 
 
-def _geometric_jacobian_rad(
-    model: ArmModel, q_rad: np.ndarray, frames: np.ndarray | None = None
-) -> np.ndarray:
-    """Analytic world-frame Jacobian from the revolute-axis cross products:
-    column i is z_i x (p_end - p_i) stacked on z_i.  The cross product is
-    written out row by row with np.cross's own products and differences, so
-    it gives the same bits without np.cross's axis bookkeeping."""
-    if frames is None:
-        frames = _link_frames(model, q_rad)
-    z = frames[:-1, :3, 2]
-    zx, zy, zz = z.T
-    rx, ry, rz = (frames[-1, :3, 3] - frames[:-1, :3, 3]).T
-    J = np.empty((6, JOINT_COUNT))
-    J[0] = zy * rz - zz * ry
-    J[1] = zz * rx - zx * rz
-    J[2] = zx * ry - zy * rx
-    J[3:] = z.T
-    return J
+def _norm3(x: float, y: float, z: float) -> float:
+    """Euclidean length of a 3-vector: the squares summed in order, then the root."""
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _jacobian(chain: Chain) -> list[tuple[float, float, float, float, float, float]]:
+    """The analytic world-frame Jacobian, one six-entry tuple per joint
+    column: column i is z_i x (p_end - p_i) stacked on z_i."""
+    joints, end = chain
+    ex, ey, ez = end[3], end[7], end[11]
+    columns = []
+    for zx, zy, zz, px, py, pz in joints:
+        rx, ry, rz = ex - px, ey - py, ez - pz
+        columns.append((zy * rz - zz * ry, zz * rx - zx * rz, zx * ry - zy * rx, zx, zy, zz))
+    return columns
 
 
 def geometric_jacobian(model: ArmModel, q: JointConfig) -> np.ndarray:
-    """Analytic 6x6 Jacobian: linear rows m/rad, angular rows rad/rad."""
-    return _geometric_jacobian_rad(model, q.radians)
+    """Analytic 6x6 Jacobian: linear rows m/rad, angular rows rad/rad.
+    Raises ValueError naming the first joint whose angle is NaN or infinite."""
+    return np.array(_jacobian(_chain(model.dh, _radians(q)))).T

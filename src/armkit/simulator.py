@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dh_model import JOINT_COUNT, ArmModel
-from .kinematics import Pose6D, _link_frames, invert_transform, matrix_to_pose, pose_to_matrix
+from .dh_model import JOINT_COUNT, ArmModel, JointConfig
+from .kinematics import Pose6D, forward_kinematics, invert_transform, matrix_to_pose, pose_to_matrix
 from .planner import (
     DEFAULT_CLEARANCE_M,
     GRIPPER_CLOSED,
@@ -227,7 +227,7 @@ def _next_state(
     grasp_rel = state.grasp_rel
     changed = gripper != state.gripper
     if changed and gripper == GRIPPER_CLOSED and grasp_rel is None and pose is not None:
-        tool = _link_frames(model, np.radians(current))[-1]
+        tool = forward_kinematics(model, JointConfig(current))
         obj = pose_to_matrix(pose)
         if float(np.linalg.norm(tool[:3, 3] - obj[:3, 3])) <= CAPTURE_RADIUS_M:
             grasp_rel = tuple((invert_transform(tool) @ obj).reshape(-1).tolist())
@@ -279,7 +279,7 @@ def apply_frame(
 def _held_pose(model: ArmModel, current_deg: tuple[float, ...], grasp_rel: tuple[float, ...]) -> Pose6D:
     """Where the tool at joint angles ``current_deg`` holds an object at
     ``grasp_rel`` in the tool frame."""
-    tool = _link_frames(model, np.radians(current_deg))[-1]
+    tool = forward_kinematics(model, JointConfig(current_deg))
     return matrix_to_pose(tool @ np.array(grasp_rel).reshape(4, 4))
 
 

@@ -172,10 +172,10 @@ def naive_jacobian(model, q_rad):
     return J
 
 
-def naive_dls_step(model, q_rad, err):
-    """One damped-least-squares step on the first len(err) Jacobian rows,
-    scaled down to STEP_LIMIT_RAD in the infinity norm."""
-    J = naive_jacobian(model, q_rad)[: len(err)]
+def naive_dls_step(J, err):
+    """One damped-least-squares step on the first len(err) rows of the
+    Jacobian J, scaled down to STEP_LIMIT_RAD in the infinity norm."""
+    J = J[: len(err)]
     JJt = J @ J.T
     JJt[np.diag_indices_from(JJt)] += DLS_DAMPING**2
     dq = J.T @ np.linalg.solve(JJt, err)
@@ -333,18 +333,23 @@ def naive_encode(trajectory):
 
 def naive_canonical_quat(q):
     """Unit quaternion with w >= 0, the first nonzero component positive at
-    w == 0, normalized by np.linalg.norm on an array; a finite nonzero
-    quaternion whose norm under- or overflows is first divided by its largest
-    magnitude, without numpy's overflow warning."""
-    with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(q))
+    w == 0.  The squares are summed w, x, y, z on numpy scalars; a sum within
+    8 * 2**-53 of 1 leaves the components as they are, any other divides
+    them by its np.sqrt.  A finite nonzero quaternion whose sum under- or
+    overflows is first divided by its largest magnitude, without numpy's
+    overflow warning."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
     largest = float(np.max(np.abs(q)))
-    if n in (0.0, math.inf) and 0.0 < largest < math.inf:
+    if squares in (0.0, math.inf) and 0.0 < largest < math.inf:
         q = q / largest
-        n = float(np.linalg.norm(q))
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    q = q / n
+        squares = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+    if not abs(squares - 1.0) <= 8.0 * 2.0**-53:
+        n = np.sqrt(squares)
+        if n == 0.0:
+            raise ValueError("zero quaternion")
+        q = q / n
     if q[0] < 0.0:
         q = -q
     elif q[0] == 0.0:

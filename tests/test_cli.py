@@ -433,7 +433,7 @@ class TestPick:
         assert code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2e4272c106c035fdf038c183f5b30a5ceffa596d6a090a3040b6d0be277f9d54"
+            "a49e9fa92bf9d7379afb9864017f73311bf3ec313b19490eed9c6fc35764ee57"
         )
 
     def test_empty_scene_exits_4(self, wide_config_path, scene, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,7 +167,9 @@ class TestRoundTrip:
 
     def test_radian_views_match_rows(self):
         model = default_arm()
-        assert np.array_equal(model.alpha_rad, np.radians([r.alpha_deg for r in model.rows]))
+        for (offset, ca, sa, a, d), r in zip(model.dh, model.rows):
+            alpha = math.radians(r.alpha_deg)
+            assert (offset, ca, sa, a, d) == (math.radians(r.theta_offset_deg), math.cos(alpha), math.sin(alpha), r.a_m, r.d_m)
         assert np.array_equal(model.a, [r.a_m for r in model.rows])
 
 

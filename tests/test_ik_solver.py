@@ -2,8 +2,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from armkit import (
 )
 from armkit.dh_model import MAX_LINK_M
 from armkit.ik_solver import _dls_step, _norm
-from armkit.kinematics import _geometric_jacobian_rad, _link_frames, euler_zyx_to_matrix
+from armkit.kinematics import _chain, _jacobian, euler_zyx_to_matrix
 
 from conftest import PERFBENCH, fk_pose, make_arm, random_arm, random_config
 from naive_oracle import naive_dls_step, naive_jacobian
@@ -376,20 +379,22 @@ class TestKernelOracle:
         models = [arm, wide_arm] + [random_arm(rng) for _ in range(4)]
         for model in models:
             count = 1200 if model in (arm, wide_arm) else 100
-            for q in _kernel_configs(rng, model, count):
-                frames = _link_frames(model, q)
+            for q in _kernel_configs(rng, model, count).tolist():
+                chain = _chain(model.dh, q)
                 J = naive_jacobian(model, q)
-                assert np.abs(_geometric_jacobian_rad(model, q) - J).max() <= JACOBIAN_TOL
-                assert np.abs(_geometric_jacobian_rad(model, q, frames) - J).max() <= JACOBIAN_TOL
+                assert np.abs(np.array(_jacobian(chain)).T - J).max() <= JACOBIAN_TOL
                 # Small errors take the plain step, large ones the limited one.
                 err = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 1.0), 6)
                 for e in (err, err[:3].copy()):
-                    assert_step_close(_dls_step(model, q, e, frames), naive_dls_step(model, q, e))
+                    want = naive_dls_step(J, e)
+                    assert_step_close(_dls_step(model, q, e.tolist(), chain), want)
+                    assert_step_close(_dls_step(model, q, e.tolist()), want)
 
     def test_zero_error_steps_match_oracle_bytes(self, arm):
-        q = np.radians(np.array(SPECIAL_DEG))
+        q = np.radians(np.array(SPECIAL_DEG)).tolist()
+        J = naive_jacobian(arm, q)
         for e in (np.zeros(6), np.zeros(3), -np.zeros(6)):
-            assert np.array_equal(_dls_step(arm, q, e), naive_dls_step(arm, q, e))
+            assert np.array_equal(_dls_step(arm, q, e.tolist()), naive_dls_step(J, e))
 
     def test_norm_matches_numpy_norm_bytes(self):
         rng = np.random.default_rng(223)
@@ -398,7 +403,7 @@ class TestKernelOracle:
             for _ in range(3000):
                 v = rng.normal(0.0, 10.0 ** rng.uniform(-300.0, 300.0), 3)
                 v[rng.random(v.size) < 0.2] = rng.choice(SPECIAL_DEG[:2])
-                got, want = _norm(v), float(np.linalg.norm(v))
+                got, want = _norm(v.tolist()), float(np.linalg.norm(v))
                 assert got == want or abs(got - want) <= NORM_ULPS * math.ulp(want)
 
 
@@ -438,60 +443,117 @@ def _pick_table():
     return arm, pairs
 
 
+# (criterion-2 index, position only, restart index, sha256 of every output
+# field) of fixed solves from mid_config(); the sha256 of a starved solve's
+# best residual; and (pick_table pair, sha256 of its waypoint angles).
+RESULT_PINS = [
+    (0, False, 0, "3d306bedf3e730b74ea6f942fb050fbd0d635ac20cba6955113fd67cb108494d"),
+    (0, True, 0, "d7a3afce18db5675b3db1e47a04e25896f17e81c12a4a6ae62a9f217b281fc86"),
+    (12, False, 7, "2fa829e01b4a1dc41ef907c3f8f6a45b55452dd43dcc709daccfd840dfc04bdd"),
+    (12, True, 0, "c5855d7c4c7f659c76da551d759099cf966b2b8d569da629d717b9b68a895a81"),
+    (126, False, 2, "7137acac487d8e174fd458e5daa79ad259331fa5e234d51e40ef74ea7783b601"),
+    (126, True, 0, "fbcfc594753c7bcb7520d612c454dc81367f53cb105694349dad9e078c50ad9d"),
+    (127, False, 4, "ef30fec6e7dca2c0ff975a41d4d22d9b5953d774dfdf13a6a1dafe7081ac091d"),
+    (127, True, 2, "d1d88b5692b26ff8fe6f0cf10553f91ab85ee74767517d5f470556c28d92741c"),
+]
+BEST_RESIDUAL_PIN = "b7310c432e0cabb6ac0537170bffc03ba80f3379b43c268b749bb82438afe2c2"
+PICK_PATH_PINS = [
+    (0, "208acdb6794e68ee3c5806c0cb58e101ad7cd01a3b9854a8fbcae43d9f60b2bf"),
+    (1, "1cdf22e20b012bdcba2c0cd3e0763da12964f074719122401c3db0772ba56b9c"),
+    (2, "067332ec634b37af9a6ae236c476beefe793fed0d103e26b0e0030b8155030fb"),
+    (3, "83dba331222324d458469ca6953ca6b4be73250a69a7e7ae41806ec4b35b2e70"),
+]
+
+
+def result_bits(arm, index, position_only):
+    """(restart index, sha256 of every output field) of the index-th
+    criterion-2 solve from mid_config()."""
+    result = _solve_pose(arm, _criterion_2_target(arm, index), arm.mid_config(), position_only)
+    fields = (
+        tuple(a.hex() for a in result.solution.angles_deg),
+        result.iterations,
+        result.final_position_error.hex(),
+        result.final_orientation_error.hex(),
+        result.restart_index,
+    )
+    return result.restart_index, _sha256(fields)
+
+
+def best_residual_bits(arm):
+    """sha256 of the best residual of a starved solve of target 12."""
+    starved = IkSettings(max_iterations=5, restarts=2)
+    with pytest.raises(NoConvergenceError) as info:
+        solve_ik(arm, _criterion_2_target(arm, 12), arm.mid_config(), starved)
+    exc = info.value
+    return _sha256((exc.best_position_error.hex(), exc.best_orientation_error.hex(), exc.attempts))
+
+
+def pick_path_bits(pick_table, pair):
+    """sha256 of every angle of the seven waypoint configurations that
+    plan_pick_place returns for a pick_table pair on the wide arm (five
+    solved, lift and retreat reused)."""
+    arm, pairs = pick_table
+    plan = plan_pick_place(arm, *pairs[pair])
+    return _sha256(tuple(a.hex() for wp in plan.waypoints for a in wp.config.angles_deg))
+
+
+def pinned_bits(arm, pick_table):
+    """The values of all 13 TestPinnedBits cases, in the order of the pins."""
+    return (
+        [list(result_bits(arm, index, position_only)) for index, position_only, _, _ in RESULT_PINS]
+        + [best_residual_bits(arm)]
+        + [pick_path_bits(pick_table, pair) for pair, _ in PICK_PATH_PINS]
+    )
+
+
 class TestPinnedBits:
     """Hashes of every output bit of fixed solves; any change to an angle, an
-    iteration count, a residual or the winning restart fails these."""
+    iteration count, a residual or the winning restart fails these.  The ids
+    leave the hashes out, so a re-capture keeps each test's name."""
 
     @pytest.mark.parametrize(
         "index, position_only, restart_index, sha256",
-        [
-            (0, False, 0, "2f25196b5517867518cfe76588088d8770fecce5a59e75754e9e59a554780cd7"),
-            (0, True, 0, "62d2b3ba630951e7f5d02f8cd40bb219bcaeb3821c31dccac76f4fb7fd19fcdb"),
-            (12, False, 7, "93565cd318236be142ee779659017d3adba210efcb417bdd37a1a262db1a749c"),
-            (12, True, 0, "fa2ee90aef5d8741d3e9fca646772481695d27365f8a9f421bc9ad3b0c6c74b1"),
-            (126, False, 2, "3a0179d3dc70ad22bde12984f5f62b4185aa255d77b24b0e0306f854c65caae5"),
-            (126, True, 0, "006f576285a239fab0c4e8dc65b62b6f5abb1abe2f39b303f67190f8b86fa594"),
-            (127, False, 4, "bc283e95855d6953f1f6cb466de4b611cfc5a0d49262dacd16a7995c6a085ffd"),
-            (127, True, 2, "df195af7875c90e7cf19b7302d3dbe0b4e1aea88fe8729c97181e9e89ee98ecd"),
-        ],
+        [pytest.param(*pin, id=f"{pin[0]}-{pin[1]}-{pin[2]}") for pin in RESULT_PINS],
     )
     def test_result_bits(self, arm, index, position_only, restart_index, sha256):
-        result = _solve_pose(arm, _criterion_2_target(arm, index), arm.mid_config(), position_only)
-        assert result.restart_index == restart_index
-        fields = (
-            tuple(a.hex() for a in result.solution.angles_deg),
-            result.iterations,
-            result.final_position_error.hex(),
-            result.final_orientation_error.hex(),
-            result.restart_index,
-        )
-        assert _sha256(fields) == sha256
+        assert result_bits(arm, index, position_only) == (restart_index, sha256)
 
     def test_best_residual_bits(self, arm):
-        starved = IkSettings(max_iterations=5, restarts=2)
-        with pytest.raises(NoConvergenceError) as info:
-            solve_ik(arm, _criterion_2_target(arm, 12), arm.mid_config(), starved)
-        exc = info.value
-        fields = (exc.best_position_error.hex(), exc.best_orientation_error.hex(), exc.attempts)
-        assert _sha256(fields) == "fc7680ac4dd0f811b66dba20262738b0fa1ed770d61033bdccef0df6dc253619"
+        assert best_residual_bits(arm) == BEST_RESIDUAL_PIN
 
-    @pytest.mark.parametrize(
-        "pair, sha256",
-        [
-            (0, "2bd9a4f70088b51c54c254eac253a9f98d1a8e49ef243ee2ec46d53af2bb2f8e"),
-            (1, "4a7f79e53f36a9dded9b714feaa04d01451a450cbbf76f4b82e0439738ecb288"),
-            (2, "b8daa82c85632c31c1bbd181752bda80f84aff71fa4e06056e82e156868f0dfa"),
-            (3, "4df2232c0824fe8d3094db00b6922e8502ba1a94dabe18bdbd0a2a14c04b634d"),
-        ],
-    )
+    @pytest.mark.parametrize("pair, sha256", [pytest.param(*pin, id=str(pin[0])) for pin in PICK_PATH_PINS])
     def test_pick_path_waypoint_bits(self, pick_table, pair, sha256):
-        """Every angle of the seven waypoint configurations that
-        plan_pick_place returns for a pick_table pair on the wide arm (five
-        solved, lift and retreat reused)."""
-        arm, pairs = pick_table
-        plan = plan_pick_place(arm, *pairs[pair])
-        fields = tuple(a.hex() for wp in plan.waypoints for a in wp.config.angles_deg)
-        assert _sha256(fields) == sha256
+        assert pick_path_bits(pick_table, pair) == sha256
+
+
+# The child imports this module and prints the pins' values as JSON.
+_PINS_CHILD = """
+import json
+import test_ik_solver as t
+from armkit import default_arm
+print(json.dumps(t.pinned_bits(default_arm(), t._pick_table())))
+"""
+
+
+def _openblas_is_dynamic_arch():
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _openblas_is_dynamic_arch(), reason="numpy's OpenBLAS picks no kernel at run time")
+def test_pins_hold_on_every_openblas_core(arm, pick_table):
+    """The pinned solves run no BLAS or LAPACK kernel: a child process per
+    OpenBLAS core, with OPENBLAS_CORETYPE set in its environment only, gives
+    the same 13 values as this process."""
+    here = pinned_bits(arm, pick_table)
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(armkit.__file__).parents[1])])
+    for core in ("Haswell", "Sandybridge", "Nehalem"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
+        child = subprocess.run(
+            [sys.executable, "-c", _PINS_CHILD], env=env, capture_output=True, text=True, timeout=60, check=False
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == here, core
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from armkit import (
     pose_to_matrix,
 )
 from armkit.kinematics import (
-    _dh_matrices,
+    _chain,
     euler_zyx_to_matrix,
     invert_transform,
     matrix_to_quat,
@@ -27,6 +27,7 @@ from armkit.kinematics import (
 
 from conftest import make_arm, random_arm, random_config
 from naive_oracle import (
+    model_frames,
     naive_dh_matrices,
     naive_fk,
     naive_matrix_to_pose,
@@ -110,9 +111,9 @@ FK_TOL = 1e-12
 
 
 class TestDhMatricesOracle:
-    """The DH builder, which fills only the joint-angle entries of each
-    model's constant template, against the form that computes every entry on
-    every call, within float64 tolerance."""
+    """The chain's joint axes, origins and end frame, and dh_transform,
+    against the oracle's list-based DH matrices and frames, within float64
+    tolerance."""
 
     SPECIAL_RAD = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 
@@ -121,15 +122,15 @@ class TestDhMatricesOracle:
         quarter_twists = make_arm(alpha_deg=(90.0, -90.0, 180.0, 0.0, 90.0, -90.0), a=(0.1,) * 6, d=(-0.2,) * 6)
         models = [arm, wide_arm, quarter_twists] + [random_arm(rng) for _ in range(5)]
         for model in models:
-            assert not model.dh_template.flags.writeable
             for _ in range(400):
                 q = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 6)
                 special = rng.random(6) < 0.3
                 q[special] = rng.choice(self.SPECIAL_RAD, int(special.sum()))
-                theta = q + model.theta_offset_rad
-                got = _dh_matrices(theta, model.cos_alpha, model.sin_alpha, model.a, model.dh_template)
-                want = naive_dh_matrices(theta, model.alpha_rad, model.a, model.d)
-                assert np.abs(got - want).max() <= FK_TOL
+                joints, end = _chain(model.dh, q.tolist())
+                frames = model_frames(model, q)
+                want = np.hstack([frames[:-1, :3, 2], frames[:-1, :3, 3]])
+                assert np.abs(np.array(joints) - want).max() <= FK_TOL
+                assert np.abs(np.array(end) - frames[-1, :3].ravel()).max() <= FK_TOL
 
     def test_dh_transform_matches_oracle_bytes(self):
         rng = np.random.default_rng(229)
@@ -260,6 +261,19 @@ class TestPoseConversions:
     def test_non_finite_quaternion_rejected(self, bad):
         with pytest.raises(ValueError, match="quaternion must be finite"):
             Pose6D((0.1, 0.0, 0.1), (bad, 0.0, 0.0, 0.0))
+
+    def test_pose_survives_its_own_constructor(self, arm):
+        """A pose's quaternion is canonical already, so building the pose
+        again from its fields, or replacing none of them, gives an equal
+        pose."""
+        rng = np.random.default_rng(4127)
+        for _ in range(20000):
+            q = rng.normal(size=4) * 10.0 ** rng.uniform(-3.0, 3.0)
+            pose = Pose6D(tuple(rng.uniform(-1.0, 1.0, 3)), tuple(q))
+            assert Pose6D(pose.position, pose.quaternion) == pose
+        for _ in range(5000):
+            pose = matrix_to_pose(forward_kinematics(arm, random_config(rng, arm)))
+            assert replace(pose) == pose
 
     def test_quarter_z_quaternion_matrix(self):
         s = math.sqrt(0.5)
@@ -526,3 +540,14 @@ class TestJacobians:
 def test_pose_with_wrong_length_names_the_field(position, quaternion, message):
     with pytest.raises(ValueError, match=message):
         Pose6D(position, quaternion)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [forward_kinematics, geometric_jacobian])
+def test_non_finite_angle_names_the_joint(arm, function, bad):
+    """FK and the Jacobian are defined for finite angles only; a NaN or
+    infinite angle raises ValueError naming its joint, never a NaN result."""
+    angles = list(arm.mid_config().angles_deg)
+    angles[3] = bad
+    with pytest.raises(ValueError, match=rf"^joint 3 angle must be finite, got {bad} degrees$"):
+        function(arm, JointConfig(tuple(angles)))

@@ -371,7 +371,7 @@ class TestSettle:
         assert state.attached
         built, fk = [], []
         monkeypatch.setattr(armkit.simulator, "SimState", counting(SimState, built))
-        monkeypatch.setattr(armkit.simulator, "_link_frames", counting(armkit.simulator._link_frames, fk))
+        monkeypatch.setattr(armkit.simulator, "forward_kinematics", counting(armkit.simulator.forward_kinematics, fk))
         state = apply_frame(wide_arm, state, move)
         assert (len(built), len(fk)) == (1, 0)
         settled = settle(wide_arm, state)
@@ -423,7 +423,7 @@ class TestSettle:
             stream.append(ServoFrame(seq, tuple(int(v) for v in q), closed))
         state = initial_state(wide_arm, object_pose=obj)
         fk = []
-        monkeypatch.setattr(armkit.simulator, "_link_frames", counting(armkit.simulator._link_frames, fk))
+        monkeypatch.setattr(armkit.simulator, "forward_kinematics", counting(armkit.simulator.forward_kinematics, fk))
         carried = 0
         for frame in stream:
             state = settle(wide_arm, apply_frame(wide_arm, state, frame))
@@ -972,12 +972,12 @@ class TestPickCycle:
         assert len(built) == report.frames_sent
 
     def test_forward_kinematics_runs_at_capture_and_release_only(self, wide_arm, monkeypatch):
-        """The simulator runs the FK chain (_link_frames) once to capture the
+        """The simulator runs forward_kinematics once to capture the
         object and once to release it."""
         import armkit.simulator
 
         calls = []
-        monkeypatch.setattr(armkit.simulator, "_link_frames", counting(armkit.simulator._link_frames, calls))
+        monkeypatch.setattr(armkit.simulator, "forward_kinematics", counting(armkit.simulator.forward_kinematics, calls))
         obj = top_down_pose(0.12, 0.05, 0.02)
         place = top_down_pose(-0.05, 0.12, 0.02)
         assert run_pick_cycle(wide_arm, obj, place).success
