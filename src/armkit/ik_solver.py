@@ -16,6 +16,7 @@ from .kinematics import (
     _chain,
     _end,
     _jacobian,
+    _norm,
     _radians,
     _rotation_log,
     forward_kinematics,
@@ -132,18 +133,12 @@ def _pose_error(end: Sequence[float], target_p: Sequence[float], target_R: Seque
         target_p[0] - cx,
         target_p[1] - cy,
         target_p[2] - cz,
-        *_rotation_log(
+        *_rotation_log((
             t00 * c00 + t01 * c01 + t02 * c02, t00 * c10 + t01 * c11 + t02 * c12, t00 * c20 + t01 * c21 + t02 * c22,
             t10 * c00 + t11 * c01 + t12 * c02, t10 * c10 + t11 * c11 + t12 * c12, t10 * c20 + t11 * c21 + t12 * c22,
             t20 * c00 + t21 * c01 + t22 * c02, t20 * c10 + t21 * c11 + t22 * c12, t20 * c20 + t21 * c21 + t22 * c22,
-        ),
+        )),
     )
-
-
-def _norm(v: Sequence[float]) -> float:
-    """Euclidean length of a 3-vector: the squares summed in order, then the root."""
-    x, y, z = v
-    return math.sqrt(x * x + y * y + z * z)
 
 
 def solve_ik(

@@ -259,13 +259,13 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     Stable at both ends: near zero it falls back to the skew part, near pi it
     recovers the axis from the symmetric part and signs it with the skew part.
     """
-    return np.array(_rotation_log(*np.asarray(R, dtype=float)[:3, :3].ravel().tolist()))
+    return np.array(_rotation_log(np.asarray(R, dtype=float)[:3, :3].ravel().tolist()))
 
 
-def _rotation_log(
-    m00: float, m01: float, m02: float, m10: float, m11: float, m12: float, m20: float, m21: float, m22: float
-) -> tuple[float, float, float]:
-    """rotation_log of the matrix with these entries, on Python floats."""
+def _rotation_log(m: Sequence[float]) -> tuple[float, float, float]:
+    """rotation_log of the 3x3 matrix with row-major entries ``m``, on
+    Python floats."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
     cos_theta = min(1.0, max(-1.0, (m00 + m11 + m22 - 1.0) / 2.0))
     theta = math.acos(cos_theta)
     sx, sy, sz = m21 - m12, m02 - m20, m10 - m01
@@ -274,11 +274,15 @@ def _rotation_log(
     if theta > math.pi - 1e-6:
         # B = (R + I) / 2 = u u^T for the unit axis u; its largest diagonal
         # entry gives the best-conditioned component, the rest of its row the others.
-        B = (((m00 + 1.0) / 2.0, m01 / 2.0, m02 / 2.0), (m10 / 2.0, (m11 + 1.0) / 2.0, m12 / 2.0), (m20 / 2.0, m21 / 2.0, (m22 + 1.0) / 2.0))
+        B = (
+            ((m00 + 1.0) / 2.0, m01 / 2.0, m02 / 2.0),
+            (m10 / 2.0, (m11 + 1.0) / 2.0, m12 / 2.0),
+            (m20 / 2.0, m21 / 2.0, (m22 + 1.0) / 2.0),
+        )
         u = [math.sqrt(max(B[j][j], 0.0)) for j in range(3)]
         k = u.index(max(u))
         u = [u[k] if j == k else B[k][j] / u[k] for j in range(3)]
-        n = _norm3(*u)
+        n = _norm(u)
         ux, uy, uz = u[0] / n, u[1] / n, u[2] / n
         s = sx * ux + sy * uy + sz * uz
         if s < 0.0 or (s == 0.0 and max((ux, uy, uz), key=abs) < 0.0):
@@ -288,8 +292,9 @@ def _rotation_log(
     return f * sx, f * sy, f * sz
 
 
-def _norm3(x: float, y: float, z: float) -> float:
+def _norm(v: Sequence[float]) -> float:
     """Euclidean length of a 3-vector: the squares summed in order, then the root."""
+    x, y, z = v
     return math.sqrt(x * x + y * y + z * z)
 
 
