@@ -254,7 +254,9 @@ class TestBaseYawEquivariance:
 
         def solve(target, seed):
             starts.clear()
-            result = solve_ik(arm, target, JointConfig(tuple(seed)))
+            # Only seed-path pairs are compared, and attempt 0 does not depend
+            # on the restart budget: one restart is enough to tell them apart.
+            result = solve_ik(arm, target, JointConfig(tuple(seed)), IkSettings(restarts=1))
             return result, any(q1 in (math.radians(lo[0]), math.radians(hi[0])) for q1 in starts)
 
         pairs = clamped = 0
@@ -290,7 +292,7 @@ class TestBaseYawEquivariance:
                 worst = max(worst, float(np.abs(gap).max()))
         # Measured on the numpy kernel: 292 seed-path pairs, 3 of them with a
         # q1 iterate clamped at a limit, and 1.1e-12 degrees at worst on the
-        # other 289.
+        # other 289; on the scalar kernel the same counts and 3.8e-12.
         assert pairs >= 280
         assert clamped <= 10
         assert worst <= 1e-11
@@ -545,15 +547,25 @@ def test_pins_hold_on_every_openblas_core(arm, pick_table):
     """The pinned solves run no BLAS or LAPACK kernel: a child process per
     OpenBLAS core, with OPENBLAS_CORETYPE set in its environment only, gives
     the same 13 values as this process."""
-    here = pinned_bits(arm, pick_table)
     path = os.pathsep.join([str(Path(__file__).parent), str(Path(armkit.__file__).parents[1])])
-    for core in ("Haswell", "Sandybridge", "Nehalem"):
-        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
-        child = subprocess.run(
-            [sys.executable, "-c", _PINS_CHILD], env=env, capture_output=True, text=True, timeout=60, check=False
+    children = {
+        core: subprocess.Popen(
+            [sys.executable, "-c", _PINS_CHILD],
+            env={**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
         )
-        assert child.returncode == 0, child.stderr
-        assert json.loads(child.stdout) == here, core
+        for core in ("Haswell", "Sandybridge", "Nehalem")
+    }
+    here = pinned_bits(arm, pick_table)
+    for core, child in children.items():
+        try:
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert child.returncode == 0, err
+        assert json.loads(out) == here, core
 
 
 @pytest.fixture(scope="module")
