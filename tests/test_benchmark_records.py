@@ -33,14 +33,9 @@ def build(run, workload):
     return run.WORKLOADS[workload](run.Env(), run.WORKLOADS[workload].default_seed)
 
 
-# The ids leave the digests out, so a re-capture keeps each test's name.
 @pytest.mark.parametrize(
     "workload, digest",
-    [
-        pytest.param("pick_table", "b24f3d6faa74c78b", id="pick_table"),
-        pytest.param("sim_replay", "c1eb5b2eb6cbd069", id="sim_replay"),
-        pytest.param("ik_cold", "aeeedffc94cd0e86", id="ik_cold"),
-    ],
+    [("pick_table", "b24f3d6faa74c78b"), ("sim_replay", "c1eb5b2eb6cbd069"), ("ik_cold", "aeeedffc94cd0e86")],
 )
 def test_warm_up_records_are_pinned(run, workload, digest):
     bench = build(run, workload)
@@ -50,11 +45,7 @@ def test_warm_up_records_are_pinned(run, workload, digest):
 
 
 @pytest.mark.parametrize(
-    "workload, digest",
-    [
-        pytest.param("pick_table", "8c86cdfdae9b9287", id="pick_table"),
-        pytest.param("sim_replay", "f4388d6fce2e4b84", id="sim_replay"),
-    ],
+    "workload, digest", [("pick_table", "8c86cdfdae9b9287"), ("sim_replay", "f4388d6fce2e4b84")]
 )
 def test_traced_warm_up_counters_are_pinned(run, workload, digest):
     bench = build(run, workload)
