@@ -195,45 +195,98 @@ def _dls_step(model: ArmModel, q_rad: Sequence[float], err: Sequence[float], cha
     ``len(err)`` Jacobian rows: 3 for position only, 6 for a pose.
 
     The step is J^T x with (J J^T + DLS_DAMPING^2 I) x = err.  That matrix is
-    symmetric positive definite, so x comes through its Cholesky factor L,
-    with every sum taken in index order on Python floats."""
-    columns = _jacobian(chain if chain is not None else _chain(model.dh, q_rad))
-    J = list(zip(*columns))[: len(err)]
+    symmetric positive definite, so x comes through its Cholesky factor L.
+    Everything is written out over named locals (``jrc`` = J[r][c], ``lrc``
+    = L[r][c]), each sum in the same operand order as the row-by-row loop
+    the tests keep as the reference (``loop_dls_step``), so both give the
+    same bits."""
+    (
+        (j00, j10, j20, j30, j40, j50),
+        (j01, j11, j21, j31, j41, j51),
+        (j02, j12, j22, j32, j42, j52),
+        (j03, j13, j23, j33, j43, j53),
+        (j04, j14, j24, j34, j44, j54),
+        (j05, j15, j25, j35, j45, j55),
+    ) = _jacobian(chain if chain is not None else _chain(model.dh, q_rad))
     damping2 = DLS_DAMPING**2
-    # L L^T = J J^T + damping2 I, one row of L at a time.
-    L: list[list[float]] = []
-    for i, (a0, a1, a2, a3, a4, a5) in enumerate(J):
-        L_i: list[float] = []
-        for j in range(i):
-            b0, b1, b2, b3, b4, b5 = J[j]
-            s = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5
-            for v, w in zip(L_i, L[j]):
-                s -= v * w
-            L_i.append(s / L[j][j])
-        s = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5 + damping2
-        for v in L_i:
-            s -= v * v
-        L_i.append(math.sqrt(s))
-        L.append(L_i)
-    # L y = err, then L^T x = y.
-    y: list[float] = []
-    for L_i, e in zip(L, err):
-        s = e
-        for v, w in zip(L_i, y):
-            s -= v * w
-        y.append(s / L_i[-1])
-    x = [0.0] * len(err)
-    for i in reversed(range(len(err))):
-        s = y[i]
-        for k in range(i + 1, len(err)):
-            s -= L[k][i] * x[k]
-        x[i] = s / L[i][i]
-    dq = []
-    for column in columns:
-        s = 0.0
-        for a, b in zip(column, x):
-            s += a * b
-        dq.append(s)
+    # L L^T = J J^T + damping2 I.  Row i of L reads only rows < i, so rows
+    # 0-2 and y0..y2 (L y = err) serve the 3-row and the 6-row system alike.
+    l00 = math.sqrt(j00 * j00 + j01 * j01 + j02 * j02 + j03 * j03 + j04 * j04 + j05 * j05 + damping2)
+    l10 = (j10 * j00 + j11 * j01 + j12 * j02 + j13 * j03 + j14 * j04 + j15 * j05) / l00
+    l11 = math.sqrt(j10 * j10 + j11 * j11 + j12 * j12 + j13 * j13 + j14 * j14 + j15 * j15 + damping2 - l10 * l10)
+    l20 = (j20 * j00 + j21 * j01 + j22 * j02 + j23 * j03 + j24 * j04 + j25 * j05) / l00
+    l21 = (j20 * j10 + j21 * j11 + j22 * j12 + j23 * j13 + j24 * j14 + j25 * j15 - l20 * l10) / l11
+    l22 = math.sqrt(
+        j20 * j20 + j21 * j21 + j22 * j22 + j23 * j23 + j24 * j24 + j25 * j25 + damping2 - l20 * l20 - l21 * l21
+    )
+    y0 = err[0] / l00
+    y1 = (err[1] - l10 * y0) / l11
+    y2 = (err[2] - l20 * y0 - l21 * y1) / l22
+    if len(err) == 3:
+        # L^T x = y, then J^T x; the leading 0.0 keeps a sum of -0.0 terms +0.0.
+        x2 = y2 / l22
+        x1 = (y1 - l21 * x2) / l11
+        x0 = (y0 - l10 * x1 - l20 * x2) / l00
+        dq = [
+            0.0 + j00 * x0 + j10 * x1 + j20 * x2,
+            0.0 + j01 * x0 + j11 * x1 + j21 * x2,
+            0.0 + j02 * x0 + j12 * x1 + j22 * x2,
+            0.0 + j03 * x0 + j13 * x1 + j23 * x2,
+            0.0 + j04 * x0 + j14 * x1 + j24 * x2,
+            0.0 + j05 * x0 + j15 * x1 + j25 * x2,
+        ]
+    else:
+        _, _, _, e3, e4, e5 = err
+        l30 = (j30 * j00 + j31 * j01 + j32 * j02 + j33 * j03 + j34 * j04 + j35 * j05) / l00
+        l31 = (j30 * j10 + j31 * j11 + j32 * j12 + j33 * j13 + j34 * j14 + j35 * j15 - l30 * l10) / l11
+        l32 = (j30 * j20 + j31 * j21 + j32 * j22 + j33 * j23 + j34 * j24 + j35 * j25 - l30 * l20 - l31 * l21) / l22
+        l33 = math.sqrt(
+            j30 * j30 + j31 * j31 + j32 * j32 + j33 * j33 + j34 * j34 + j35 * j35 + damping2
+            - l30 * l30 - l31 * l31 - l32 * l32
+        )
+        l40 = (j40 * j00 + j41 * j01 + j42 * j02 + j43 * j03 + j44 * j04 + j45 * j05) / l00
+        l41 = (j40 * j10 + j41 * j11 + j42 * j12 + j43 * j13 + j44 * j14 + j45 * j15 - l40 * l10) / l11
+        l42 = (j40 * j20 + j41 * j21 + j42 * j22 + j43 * j23 + j44 * j24 + j45 * j25 - l40 * l20 - l41 * l21) / l22
+        l43 = (
+            j40 * j30 + j41 * j31 + j42 * j32 + j43 * j33 + j44 * j34 + j45 * j35
+            - l40 * l30 - l41 * l31 - l42 * l32
+        ) / l33
+        l44 = math.sqrt(
+            j40 * j40 + j41 * j41 + j42 * j42 + j43 * j43 + j44 * j44 + j45 * j45 + damping2
+            - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43
+        )
+        l50 = (j50 * j00 + j51 * j01 + j52 * j02 + j53 * j03 + j54 * j04 + j55 * j05) / l00
+        l51 = (j50 * j10 + j51 * j11 + j52 * j12 + j53 * j13 + j54 * j14 + j55 * j15 - l50 * l10) / l11
+        l52 = (j50 * j20 + j51 * j21 + j52 * j22 + j53 * j23 + j54 * j24 + j55 * j25 - l50 * l20 - l51 * l21) / l22
+        l53 = (
+            j50 * j30 + j51 * j31 + j52 * j32 + j53 * j33 + j54 * j34 + j55 * j35
+            - l50 * l30 - l51 * l31 - l52 * l32
+        ) / l33
+        l54 = (
+            j50 * j40 + j51 * j41 + j52 * j42 + j53 * j43 + j54 * j44 + j55 * j45
+            - l50 * l40 - l51 * l41 - l52 * l42 - l53 * l43
+        ) / l44
+        l55 = math.sqrt(
+            j50 * j50 + j51 * j51 + j52 * j52 + j53 * j53 + j54 * j54 + j55 * j55 + damping2
+            - l50 * l50 - l51 * l51 - l52 * l52 - l53 * l53 - l54 * l54
+        )
+        y3 = (e3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+        y4 = (e4 - l40 * y0 - l41 * y1 - l42 * y2 - l43 * y3) / l44
+        y5 = (e5 - l50 * y0 - l51 * y1 - l52 * y2 - l53 * y3 - l54 * y4) / l55
+        x5 = y5 / l55
+        x4 = (y4 - l54 * x5) / l44
+        x3 = (y3 - l43 * x4 - l53 * x5) / l33
+        x2 = (y2 - l32 * x3 - l42 * x4 - l52 * x5) / l22
+        x1 = (y1 - l21 * x2 - l31 * x3 - l41 * x4 - l51 * x5) / l11
+        x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3 - l40 * x4 - l50 * x5) / l00
+        dq = [
+            0.0 + j00 * x0 + j10 * x1 + j20 * x2 + j30 * x3 + j40 * x4 + j50 * x5,
+            0.0 + j01 * x0 + j11 * x1 + j21 * x2 + j31 * x3 + j41 * x4 + j51 * x5,
+            0.0 + j02 * x0 + j12 * x1 + j22 * x2 + j32 * x3 + j42 * x4 + j52 * x5,
+            0.0 + j03 * x0 + j13 * x1 + j23 * x2 + j33 * x3 + j43 * x4 + j53 * x5,
+            0.0 + j04 * x0 + j14 * x1 + j24 * x2 + j34 * x3 + j44 * x4 + j54 * x5,
+            0.0 + j05 * x0 + j15 * x1 + j25 * x2 + j35 * x3 + j45 * x4 + j55 * x5,
+        ]
     largest = max(map(abs, dq))
     if largest > STEP_LIMIT_RAD:
         scale = STEP_LIMIT_RAD / largest

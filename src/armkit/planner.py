@@ -10,7 +10,7 @@ import numpy as np
 # clamp_to_limits stays a module global for perfbench/tracing.py to rebind.
 from .dh_model import JOINT_COUNT, ArmModel, JointConfig, clamp_to_limits  # noqa: F401
 from .ik_solver import IkSettings, NoConvergenceError, UnreachableError, solve_ik
-from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
+from .kinematics import Pose6D, _norm, forward_kinematics, matrix_to_pose
 
 GripperState = Literal["open", "closed"]
 GRIPPER_OPEN: GripperState = "open"
@@ -81,7 +81,8 @@ def _solve_waypoint(
 ) -> JointConfig:
     """IK for one waypoint; a NoConvergenceError is re-raised naming the
     waypoint.  The solver's own reach check cannot fire here: plan_pick_place
-    has already checked every waypoint against the same workspace bound."""
+    has already checked every waypoint against the same workspace bound,
+    measured with the same norm."""
     try:
         return solve_ik(model, pose, seed, ik_settings).solution
     except NoConvergenceError as exc:
@@ -122,9 +123,10 @@ def plan_pick_place(
         "retreat": (_raised(place_pose, clearance), GRIPPER_OPEN),
     }
     bound = model.workspace_bound()
-    # Check the commanded poses before the derived ones so errors name the cause.
+    # Check the commanded poses before the derived ones so errors name the
+    # cause, with the solver's own _norm so the two checks agree.
     for name in ("grasp", "place", "pre_grasp", "lift", "pre_place", "retreat", "home"):
-        distance = float(np.linalg.norm(targets[name][0].position))
+        distance = _norm(targets[name][0].position)
         if distance > bound:
             raise UnreachableError(distance, bound, waypoint=name)
     config = model.mid_config()

@@ -29,7 +29,9 @@ the same model checks.
 with numpy's general routines (np.cross, np.linalg.solve, np.max) on the
 frames of ``naive_frames``, the list-based chain behind ``naive_fk``, and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
-call; the library's kernel must match each within float64 tolerances."""
+call; the library's kernel must match each within float64 tolerances.
+``loop_dls_step`` is the same step as a row-by-row Cholesky loop over lists,
+the form the library's written-out step must equal bit for bit."""
 import json
 import math
 from dataclasses import replace
@@ -182,6 +184,53 @@ def naive_dls_step(J, err):
     m = float(np.max(np.abs(dq)))
     if m > STEP_LIMIT_RAD:
         dq *= STEP_LIMIT_RAD / m
+    return dq
+
+
+def loop_dls_step(columns, err):
+    """One damped-least-squares step from the Jacobian's six columns, as a
+    row-by-row Cholesky of J J^T + DLS_DAMPING^2 I over lists on Python
+    floats, every sum taken in index order, then J^T x and the step limit."""
+    J = list(zip(*columns))[: len(err)]
+    damping2 = DLS_DAMPING**2
+    # L L^T = J J^T + damping2 I, one row of L at a time.
+    L = []
+    for i, (a0, a1, a2, a3, a4, a5) in enumerate(J):
+        L_i = []
+        for j in range(i):
+            b0, b1, b2, b3, b4, b5 = J[j]
+            s = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5
+            for v, w in zip(L_i, L[j]):
+                s -= v * w
+            L_i.append(s / L[j][j])
+        s = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5 + damping2
+        for v in L_i:
+            s -= v * v
+        L_i.append(math.sqrt(s))
+        L.append(L_i)
+    # L y = err, then L^T x = y.
+    y = []
+    for L_i, e in zip(L, err):
+        s = e
+        for v, w in zip(L_i, y):
+            s -= v * w
+        y.append(s / L_i[-1])
+    x = [0.0] * len(err)
+    for i in reversed(range(len(err))):
+        s = y[i]
+        for k in range(i + 1, len(err)):
+            s -= L[k][i] * x[k]
+        x[i] = s / L[i][i]
+    dq = []
+    for column in columns:
+        s = 0.0
+        for a, b in zip(column, x):
+            s += a * b
+        dq.append(s)
+    largest = max(map(abs, dq))
+    if largest > STEP_LIMIT_RAD:
+        scale = STEP_LIMIT_RAD / largest
+        dq = [v * scale for v in dq]
     return dq
 
 

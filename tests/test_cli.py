@@ -268,6 +268,23 @@ class TestPlanAndSim:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_plan_just_past_the_bound_names_the_waypoint(self, wide_config_path, capsys):
+        # One rounding past the wide arm's reach bound.
+        code = main(
+            [
+                "plan",
+                "--config",
+                wide_config_path,
+                "--object-pos=-0.23134647001147204,-0.2731408618892715,-0.08542177930491139",
+                "--place-pos",
+                "0.1,-0.1,0.02",
+                "--clearance",
+                "0",
+            ]
+        )
+        assert code == 3
+        assert "error: waypoint 'grasp': target at 0.368 m" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "object_pos, place_pos, frame_count, sha256",
         [

@@ -31,11 +31,11 @@ from armkit import (
     top_down_pose,
 )
 from armkit.dh_model import MAX_LINK_M
-from armkit.ik_solver import _dls_step, _norm
+from armkit.ik_solver import STEP_LIMIT_RAD, _dls_step, _norm
 from armkit.kinematics import _chain, _jacobian, euler_zyx_to_matrix
 
 from conftest import PERFBENCH, fk_pose, make_arm, random_arm, random_config
-from naive_oracle import naive_dls_step, naive_jacobian
+from naive_oracle import loop_dls_step, naive_dls_step, naive_jacobian
 
 
 def _solve_pose(model, target, seed, position_only):
@@ -407,6 +407,53 @@ class TestKernelOracle:
                 v[rng.random(v.size) < 0.2] = rng.choice(SPECIAL_DEG[:2])
                 got, want = _norm(v.tolist()), float(np.linalg.norm(v))
                 assert got == want or abs(got - want) <= NORM_ULPS * math.ulp(want)
+
+
+class TestWrittenOutStep:
+    """``_dls_step`` against ``loop_dls_step``, the row-by-row Cholesky it is
+    written out from: the same sums in the same order, so every step must
+    equal the loop's bit for bit, sign of zero included."""
+
+    def test_steps_match_the_loop_bit_for_bit(self, arm, wide_arm):
+        rng = np.random.default_rng(431)
+        models = [arm, wide_arm] + [random_arm(rng) for _ in range(3)]
+        cases, want, got, got_unchained = [], [], [], []
+        singular = 0
+        for model in models:
+            configs = _kernel_configs(rng, model, 1000)
+            if model in (arm, wide_arm):
+                # On the default geometry q3 at 0 or 180 degrees stretches or
+                # folds the arm and q5 there aligns the wrist axes: J J^T is
+                # singular and the damping alone keeps it definite.
+                folds = np.radians(rng.choice([0.0, 180.0, -180.0], (500, 2)))
+                configs[::2, 2], configs[::2, 4] = folds[:, 0], folds[:, 1]
+            # Error scales from 1e-9 to 1e1, so the step limit both fires and
+            # does not; every tenth error is made of signed zeros.
+            errors = rng.normal(0.0, 1.0, (len(configs), 6)) * 10.0 ** rng.uniform(-9.0, 1.0, (len(configs), 1))
+            errors[::10] = rng.choice([0.0, -0.0], (len(errors[::10]), 6))
+            for k, (q, e) in enumerate(zip(configs.tolist(), errors.tolist())):
+                chain = _chain(model.dh, q)
+                columns = _jacobian(chain)
+                if model in (arm, wide_arm) and k % 2 == 0:
+                    assert np.linalg.svd(np.array(columns), compute_uv=False)[-1] <= 1e-12
+                    singular += 1
+                for err in (tuple(e), tuple(e[:3])):
+                    cases.append((model.name, q, err))
+                    want.append(loop_dls_step(columns, err))
+                    got.append(_dls_step(model, q, err, chain))
+                    got_unchained.append(_dls_step(model, q, err))
+        assert len(cases) == 2 * 5 * 1000
+        assert singular == 2 * 500
+        # Bit patterns, so -0.0 and 0.0 differ.
+        want_bits = np.array(want).view(np.uint64)
+        for steps in (got, got_unchained):
+            mismatched = np.flatnonzero((np.array(steps).view(np.uint64) != want_bits).any(axis=1))
+            if mismatched.size:
+                i = mismatched[0]
+                pytest.fail(f"{cases[i]}: {[v.hex() for v in steps[i]]} != {[v.hex() for v in want[i]]}")
+        # Neither branch of the step limit is a rare case.
+        limited = np.isclose(np.abs(want).max(axis=1), STEP_LIMIT_RAD, rtol=1e-12, atol=0.0).sum()
+        assert 0.1 * len(cases) <= limited <= 0.9 * len(cases)
 
 
 def _criterion_2_target(arm, index):

@@ -24,6 +24,7 @@ from armkit import (
     replay_frames,
     top_down_pose,
 )
+from armkit.kinematics import _norm
 from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
 
 from conftest import QUICK, feasible_pair, fk_pose, make_trajectory, random_config
@@ -94,6 +95,24 @@ class TestPlan:
             plan_pick_place(arm, far, near)
         assert info.value.waypoint == "grasp"
         assert "grasp" in str(info.value)
+
+    def test_target_just_past_the_bound_names_its_waypoint(self, wide_arm):
+        # Points one rounding past the reach bound: the planner's check and
+        # the solver's must agree on each, so the error names the waypoint.
+        rng = np.random.default_rng(149)
+        bound = wide_arm.workspace_bound()
+        near = fk_pose(wide_arm, wide_arm.mid_config())
+        points = [(-0.23134647001147204, -0.2731408618892715, -0.08542177930491139)]
+        for direction in rng.normal(0.0, 1.0, (200, 3)).tolist():
+            scale = bound / _norm(direction)
+            point = [v * scale for v in direction]
+            while _norm(point) <= bound:
+                point = [math.nextafter(v, math.copysign(math.inf, v)) for v in point]
+            points.append(tuple(point))
+        for point in points:
+            with pytest.raises(UnreachableError) as info:
+                plan_pick_place(wide_arm, Pose6D(point, near.quaternion), near, clearance=0.0)
+            assert info.value.waypoint == "grasp"
 
     def test_place_outside_workspace_names_place(self, arm):
         far = top_down_pose(0.0, 2.0 * arm.workspace_bound(), 0.0)
