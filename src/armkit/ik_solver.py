@@ -114,25 +114,19 @@ class NoConvergenceError(Exception):
 def pose_error(current: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Six-vector residual between two transforms: translation difference
     (meters) stacked on the axis-angle of the relative rotation (radians)."""
-    return np.array(_pose_error(_end(current), *_translation_and_rotation(target)))
+    return np.array(_pose_error(_end(current), _end(target)))
 
 
-def _translation_and_rotation(T: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """A rigid transform's translation and its rotation's rows, as Python floats."""
-    block = _end(T)
-    return block[3::4], block[0:3] + block[4:7] + block[8:11]
-
-
-def _pose_error(end: Sequence[float], target_p: Sequence[float], target_R: Sequence[float]) -> tuple[float, ...]:
-    """pose_error of a chain's end frame against a target given as its
-    translation and its rotation's rows, on Python floats."""
+def _pose_error(end: Sequence[float], target_end: Sequence[float]) -> tuple[float, ...]:
+    """pose_error of a chain's end frame against a target end frame, on
+    Python floats."""
     c00, c01, c02, cx, c10, c11, c12, cy, c20, c21, c22, cz = end
-    t00, t01, t02, t10, t11, t12, t20, t21, t22 = target_R
+    t00, t01, t02, tx, t10, t11, t12, ty, t20, t21, t22, tz = target_end
     # The relative rotation target_R @ current_R.T, entry by entry.
     return (
-        target_p[0] - cx,
-        target_p[1] - cy,
-        target_p[2] - cz,
+        tx - cx,
+        ty - cy,
+        tz - cz,
         *_rotation_log((
             t00 * c00 + t01 * c01 + t02 * c02, t00 * c10 + t01 * c11 + t02 * c12, t00 * c20 + t01 * c21 + t02 * c22,
             t10 * c00 + t11 * c01 + t12 * c02, t10 * c10 + t11 * c11 + t12 * c12, t10 * c20 + t11 * c21 + t12 * c22,
@@ -160,13 +154,13 @@ def solve_ik(
     or the seed a non-finite angle, UnreachableError when the target position
     lies beyond the reach bound, NoConvergenceError when every attempt fails.
     """
-    target_p, target_R = _translation_and_rotation(pose_to_matrix(target))
+    target_end = _end(pose_to_matrix(target))
 
     def residual(end: Sequence[float]) -> tuple[tuple[float, ...], float, float]:
-        e = _pose_error(end, target_p, target_R)
+        e = _pose_error(end, target_end)
         return e, _norm(e[:3]), _norm(e[3:])
 
-    return _solve(model, residual, target_p, seed, settings)
+    return _solve(model, residual, target_end[3::4], seed, settings)
 
 
 def solve_ik_position_only(
@@ -295,7 +289,9 @@ def _dls_step(model: ArmModel, q_rad: Sequence[float], err: Sequence[float], cha
 
 
 def _clamp(q: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> list[float]:
-    """Each angle projected onto its limits, as np.clip projects it."""
+    """Each angle projected onto its limits by JointLimit.clamp's
+    comparisons, so an angle within them keeps its bits: -0.0 stays -0.0,
+    where np.clip would give 0.0."""
     return [h if v > h else l if v < l else v for v, l, h in zip(q, lo, hi)]
 
 

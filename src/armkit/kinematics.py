@@ -146,27 +146,31 @@ def quat_to_matrix(q: Sequence[float]) -> np.ndarray:
 
 
 def matrix_to_quat(R: np.ndarray) -> tuple[float, float, float, float]:
-    """Canonical unit quaternion (w, x, y, z) of a rotation matrix.
+    """Canonical unit quaternion (w, x, y, z) of a rotation matrix."""
+    return _canonical_quat(_quat(np.asarray(R, dtype=float)[:3, :3].ravel().tolist()))
 
-    Branches on the largest of trace/diagonal for numerical stability.  The
-    arithmetic runs on the matrix's entries as Python floats, the same IEEE
-    operations as on numpy scalars.
+
+def _quat(m: Sequence[float]) -> tuple[float, float, float, float]:
+    """Quaternion (w, x, y, z) of the rotation with row-major entries ``m``,
+    on Python floats, neither normalized nor signed (Shepperd 1978).
+
+    Branches on the largest of trace/diagonal for numerical stability: the
+    component it roots is at least half the quaternion's length, and the
+    others come from sums or differences of off-diagonal entries over it.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float)[:3, :3].tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = m
     tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
-    elif r00 >= r11 and r00 >= r22:
+        return 0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s
+    if r00 >= r11 and r00 >= r22:
         s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
-        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
-    elif r11 >= r22:
+        return (r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s
+    if r11 >= r22:
         s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
-        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
-        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
-    return _canonical_quat(q)
+        return (r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s
+    s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+    return (r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s
 
 
 @dataclass(frozen=True)
@@ -256,40 +260,26 @@ def pose_to_matrix(pose: Pose6D) -> np.ndarray:
 def rotation_log(R: np.ndarray) -> np.ndarray:
     """Axis-angle vector of a rotation matrix (magnitude = angle, radians).
 
-    Stable at both ends: near zero it falls back to the skew part, near pi it
-    recovers the axis from the symmetric part and signs it with the skew part.
+    One formula at every angle: with the matrix's quaternion (w, v) signed
+    so that w >= 0, the vector is 2 atan2(|v|, w) v / |v|, and zero when v
+    is.  At a half turn either sign of the axis is the rotation.
     """
     return np.array(_rotation_log(np.asarray(R, dtype=float)[:3, :3].ravel().tolist()))
 
 
 def _rotation_log(m: Sequence[float]) -> tuple[float, float, float]:
     """rotation_log of the 3x3 matrix with row-major entries ``m``, on
-    Python floats."""
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
-    cos_theta = min(1.0, max(-1.0, (m00 + m11 + m22 - 1.0) / 2.0))
-    theta = math.acos(cos_theta)
-    sx, sy, sz = m21 - m12, m02 - m20, m10 - m01
-    if theta < 1e-10:
-        return sx / 2.0, sy / 2.0, sz / 2.0
-    if theta > math.pi - 1e-6:
-        # B = (R + I) / 2 = u u^T for the unit axis u; its largest diagonal
-        # entry gives the best-conditioned component, the rest of its row the others.
-        B = (
-            ((m00 + 1.0) / 2.0, m01 / 2.0, m02 / 2.0),
-            (m10 / 2.0, (m11 + 1.0) / 2.0, m12 / 2.0),
-            (m20 / 2.0, m21 / 2.0, (m22 + 1.0) / 2.0),
-        )
-        u = [math.sqrt(max(B[j][j], 0.0)) for j in range(3)]
-        k = u.index(max(u))
-        u = [u[k] if j == k else B[k][j] / u[k] for j in range(3)]
-        n = _norm(u)
-        ux, uy, uz = u[0] / n, u[1] / n, u[2] / n
-        s = sx * ux + sy * uy + sz * uz
-        if s < 0.0 or (s == 0.0 and max((ux, uy, uz), key=abs) < 0.0):
-            ux, uy, uz = -ux, -uy, -uz
-        return theta * ux, theta * uy, theta * uz
-    f = theta / (2.0 * math.sin(theta))
-    return f * sx, f * sy, f * sz
+    Python floats.  atan2 reads the angle off both parts at once, so it
+    keeps full relative accuracy near 0 and near pi alike, and the
+    quaternion's length cancels."""
+    w, x, y, z = _quat(m)
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    n = _norm((x, y, z))
+    if n == 0.0:
+        return 0.0, 0.0, 0.0
+    f = 2.0 * math.atan2(n, w) / n
+    return f * x, f * y, f * z
 
 
 def _norm(v: Sequence[float]) -> float:

@@ -154,10 +154,13 @@ def interpolate_trajectory(
     intermediate knots are inserted; a gripper change contributes one extra
     zero-motion knot at the arrival configuration.  Every knot, the first
     and the gripper-change ones included, is clamped to the joint limits.  A
-    waypoint with a non-finite angle raises ValueError naming its index.
+    waypoint with a non-finite angle raises ValueError naming its index.  A
+    max_step_deg that is not positive and finite raises ValueError naming
+    it: an infinite step would take 0 steps per gap and end the trajectory
+    at the first configuration.
     """
-    if not (max_step_deg > 0.0):  # negated so NaN fails too
-        raise ValueError("max_step_deg must be positive")
+    if not (0.0 < max_step_deg < math.inf):  # negated so NaN fails too
+        raise ValueError(f"max_step_deg must be positive and finite, got {max_step_deg!r}")
     if not waypoints:
         raise ValueError("at least one waypoint required")
     for index, (config, _) in enumerate(waypoints):

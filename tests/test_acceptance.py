@@ -4,8 +4,10 @@ with its measured runtime.  Run with ``pytest tests/test_acceptance.py -v -s``.
 Criteria 2 and 8 share their batch runners with criterion 9, which re-executes
 them on identical inputs and demands bit-identical outputs.
 """
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,9 @@ ROUNDTRIP_TRIALS = 1000
 PICK_PAIRS = 50
 PICK_CLEARANCE = 0.02
 PAIR_FILTER_SETTINGS = IkSettings(restarts=2, max_iterations=120)
+# The benchmark's copy of criterion 2's full-pose restart indexes, -1 where
+# the solve fails; perfbench/acceptance_ref.py writes it from _roundtrip_batch.
+ROUNDTRIP_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "roundtrip_2025.json"
 
 _memo: dict = {}
 
@@ -148,6 +153,14 @@ def test_criterion_2_fk_ik_round_trip():
         assert o[4] <= 1e-3
     assert elapsed < 30.0
     _report(2, f"IK recovered {len(successes)}/{len(outcomes)} FK targets within 1e-4 m / 1e-3 rad", elapsed)
+
+
+def test_criterion_2_restart_indexes_match_the_benchmark_reference():
+    """The ik_cold workload checks each solve against this file, so a solver
+    change that moves any of the 1000 restart indexes must rewrite it."""
+    outcomes = _memo.get("roundtrip") or _roundtrip_batch()
+    indexes = [o[5] if o[0] == "ok" else -1 for o in outcomes]
+    assert indexes == json.loads(ROUNDTRIP_REFERENCE.read_text())
 
 
 def test_criterion_3_jacobian_cross_check():

@@ -498,18 +498,18 @@ def _pick_table():
 RESULT_PINS = [
     (0, False, 0, "3d306bedf3e730b74ea6f942fb050fbd0d635ac20cba6955113fd67cb108494d"),
     (0, True, 0, "d7a3afce18db5675b3db1e47a04e25896f17e81c12a4a6ae62a9f217b281fc86"),
-    (12, False, 7, "2fa829e01b4a1dc41ef907c3f8f6a45b55452dd43dcc709daccfd840dfc04bdd"),
+    (12, False, 7, "b8c8a0cd2c739a2cda3c165dd77812b671bd8788826bf3d918bde4c8ccd4b60a"),
     (12, True, 0, "c5855d7c4c7f659c76da551d759099cf966b2b8d569da629d717b9b68a895a81"),
-    (126, False, 2, "7137acac487d8e174fd458e5daa79ad259331fa5e234d51e40ef74ea7783b601"),
+    (126, False, 2, "437222e7a55b8b03b6da7526967da3e238fb442644106216f2d29df53fffe5e1"),
     (126, True, 0, "fbcfc594753c7bcb7520d612c454dc81367f53cb105694349dad9e078c50ad9d"),
-    (127, False, 4, "ef30fec6e7dca2c0ff975a41d4d22d9b5953d774dfdf13a6a1dafe7081ac091d"),
+    (127, False, 4, "c8a4a652e17a9480df659213322d6420f8ff740a614e2db55eac47e47b014cb2"),
     (127, True, 2, "d1d88b5692b26ff8fe6f0cf10553f91ab85ee74767517d5f470556c28d92741c"),
 ]
-BEST_RESIDUAL_PIN = "b7310c432e0cabb6ac0537170bffc03ba80f3379b43c268b749bb82438afe2c2"
+BEST_RESIDUAL_PIN = "589e18150ca60af050dae367f75b42e03d0882bd9a3de1a14a5c2c21f3ff7f73"
 PICK_PATH_PINS = [
-    (0, "208acdb6794e68ee3c5806c0cb58e101ad7cd01a3b9854a8fbcae43d9f60b2bf"),
-    (1, "1cdf22e20b012bdcba2c0cd3e0763da12964f074719122401c3db0772ba56b9c"),
-    (2, "067332ec634b37af9a6ae236c476beefe793fed0d103e26b0e0030b8155030fb"),
+    (0, "bbed86ac4e09893270261a3ead1743d4e3c3f1102e1beb936a2d1708d7744cdc"),
+    (1, "782b0eea06c4fed5c99964e71dfbcf9f5f2bd3a7595df54fcdb04c3993cc4392"),
+    (2, "c8b030e7aebb85f75fc72e551fa2efbdc02abbf7282f6e42b0ecefc9914e9344"),
     (3, "83dba331222324d458469ca6953ca6b4be73250a69a7e7ae41806ec4b35b2e70"),
 ]
 

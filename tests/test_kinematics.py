@@ -445,6 +445,12 @@ class TestPoseOracle:
             Pose6D((0.0, 0.0, 0.0), (0.0, -0.0, 0.0, 0.0))
 
 
+def rodrigues(axis, angle):
+    """Rotation by ``angle`` about the unit ``axis``: I + sin K + (1 - cos) K^2."""
+    K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
 class TestRotationLog:
     def test_identity_is_zero(self):
         assert np.array_equal(rotation_log(np.eye(3)), np.zeros(3))
@@ -456,7 +462,8 @@ class TestRotationLog:
             q /= np.linalg.norm(q)
             R = quat_to_matrix(q)
             angle = 2.0 * math.acos(min(1.0, abs(q[0])))
-            assert np.linalg.norm(rotation_log(R)) == pytest.approx(angle, abs=1e-7)
+            # 1.3e-15 measured, most of it the reference's acos.
+            assert np.linalg.norm(rotation_log(R)) == pytest.approx(angle, abs=5e-15)
 
     def test_half_turn_recovers_axis(self):
         for axis in (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0.6, 0.8, 0.0])):
@@ -480,22 +487,31 @@ class TestRotationLog:
 
 
     def test_just_under_half_turn_signs_the_axis(self):
-        """Within 1e-6 of pi the axis comes from the symmetric part, which
-        fixes it only up to sign; the skew part must pick the sign, or half
-        of these rotations come back as the opposite axis.  The angle's
-        distance from pi stays under 0.99e-6: the trace's rounding moves it
-        by up to about 1e-10, and every case must take the near-pi branch."""
+        """Just under pi the symmetric part of R fixes the axis only up to
+        sign, and the angle's cosine is nearly flat; the axis must still
+        come back with its sign and the angle to rounding, in every band of
+        distance from pi, with both signs of the dominant component."""
         rng = np.random.default_rng(2063)
-        flipped = 0
+        for lo, hi in ((1e-9, 1e-7), (1e-7, 1e-6), (1e-6, 2e-6), (2e-6, 1e-5), (1e-5, 1e-4)):
+            flipped = 0
+            for _ in range(2000):
+                axis = rng.normal(size=3)
+                axis /= np.linalg.norm(axis)
+                angle = math.pi - float(rng.uniform(lo, hi))
+                assert np.abs(rotation_log(rodrigues(axis, angle)) - angle * axis).max() <= 1e-14, (lo, hi)
+                flipped += axis[int(np.argmax(np.abs(axis)))] < 0.0
+            assert 800 < flipped < 1200  # both signs of the dominant component occur
+
+    def test_relative_accuracy_from_tiny_to_one_radian(self):
+        """Angles log-uniform over [1e-12, 1]: the log is angle * axis to a
+        relative 1e-15 (4.2e-16 measured)."""
+        rng = np.random.default_rng(71)
         for _ in range(2000):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            angle = math.pi - 0.99e-6 * (1.0 - rng.random())
-            K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-            R = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-            assert np.abs(rotation_log(R) - angle * axis).max() <= 1e-5
-            flipped += axis[int(np.argmax(np.abs(axis)))] < 0.0
-        assert 800 < flipped < 1200  # both signs of the dominant component occur
+            angle = 10.0 ** float(rng.uniform(-12.0, 0.0))
+            assert np.abs(rotation_log(rodrigues(axis, angle)) - angle * axis).max() <= 1e-15 * angle
+
 
 class TestJacobians:
     def test_planar_two_link_columns(self, planar2r):

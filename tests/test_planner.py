@@ -237,6 +237,15 @@ class TestInterpolation:
             with pytest.raises(ValueError, match="max_step_deg must be positive"):
                 interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_OPEN)], step)
 
+    def test_infinite_max_step_is_refused(self, arm):
+        """ceil(gap / inf) is 0 steps, which would drop every later waypoint."""
+        a = arm.mid_config()
+        b = JointConfig(tuple(v + 10.0 for v in a.angles_deg))
+        with pytest.raises(ValueError, match="max_step_deg must be positive and finite, got inf"):
+            interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_OPEN)], math.inf)
+        traj = interpolate_trajectory(arm, [(a, GRIPPER_OPEN), (b, GRIPPER_OPEN)], 1e308)
+        assert traj.knots[-1].tolist() == list(b.angles_deg)
+
 
 class TestTrajectory:
     def test_knots_are_a_read_only_copy(self, arm):
