@@ -135,13 +135,16 @@ def _canonical_quat(q: Sequence[float]) -> tuple[float, float, float, float]:
 
 def quat_to_matrix(q: Sequence[float]) -> np.ndarray:
     """Rotation matrix of a unit quaternion (w, x, y, z)."""
+    return np.array(_rotation(q)).reshape(3, 3)
+
+
+def _rotation(q: Sequence[float]) -> tuple[float, ...]:
+    """quat_to_matrix's entries, row-major, on Python floats."""
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     )
 
 

@@ -16,12 +16,13 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .dh_model import JOINT_COUNT, ArmModel, JointConfig
-from .kinematics import Pose6D, forward_kinematics, invert_transform, matrix_to_pose, pose_to_matrix
+from .kinematics import Pose6D, _end, _norm, _quat, _rotation, forward_kinematics
 from .planner import (
     DEFAULT_CLEARANCE_M,
     GRIPPER_CLOSED,
@@ -227,10 +228,16 @@ def _next_state(
     grasp_rel = state.grasp_rel
     changed = gripper != state.gripper
     if changed and gripper == GRIPPER_CLOSED and grasp_rel is None and pose is not None:
-        tool = forward_kinematics(model, JointConfig(current))
-        obj = pose_to_matrix(pose)
-        if float(np.linalg.norm(tool[:3, 3] - obj[:3, 3])) <= CAPTURE_RADIUS_M:
-            grasp_rel = tuple((invert_transform(tool) @ obj).reshape(-1).tolist())
+        r00, r01, r02, tx, r10, r11, r12, ty, r20, r21, r22, tz = _end(forward_kinematics(model, JointConfig(current)))
+        px, py, pz = pose.position
+        offset = (px - tx, py - ty, pz - tz)
+        if _norm(offset) <= CAPTURE_RADIUS_M:
+            # The tool's inverse times the object: R^T times the object's
+            # rotation columns and times its offset from the tool.
+            q00, q01, q02, q10, q11, q12, q20, q21, q22 = _rotation(pose.quaternion)
+            rows = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
+            columns = ((q00, q10, q20), (q01, q11, q21), (q02, q12, q22), offset)
+            grasp_rel = (*_products(rows, columns), 0.0, 0.0, 0.0, 1.0)
     elif changed and gripper == GRIPPER_OPEN and grasp_rel is not None:
         pose, grasp_rel = _held_pose(model, current, grasp_rel), None
     elif moved and grasp_rel is not None:
@@ -242,7 +249,32 @@ def _frame_target(model: ArmModel, last_seq: int, seq: int, centidegrees: Sequen
     """The joint targets of frame ``seq`` with angles ``centidegrees``,
     following frame ``last_seq``, in degrees; raises FrameError when the
     frame is out of order, has the wrong number of angles, or asks for a
-    target beyond float range or outside the joint limits."""
+    target beyond float range or outside the joint limits.
+
+    The checks run over named locals; when one fails, _checked_frame_target
+    runs them joint by joint and raises naming the first that fails."""
+    l0, l1, l2, l3, l4, l5 = model.limits
+    try:
+        c0, c1, c2, c3, c4, c5 = centidegrees
+        a0, a1, a2, a3, a4, a5 = c0 / 100.0, c1 / 100.0, c2 / 100.0, c3 / 100.0, c4 / 100.0, c5 / 100.0
+    except (TypeError, ValueError, OverflowError):  # not six numbers, or one beyond float range
+        pass
+    else:
+        if (
+            last_seq < seq
+            and l0.min_deg <= a0 <= l0.max_deg and l1.min_deg <= a1 <= l1.max_deg
+            and l2.min_deg <= a2 <= l2.max_deg and l3.min_deg <= a3 <= l3.max_deg
+            and l4.min_deg <= a4 <= l4.max_deg and l5.min_deg <= a5 <= l5.max_deg
+        ):
+            return a0, a1, a2, a3, a4, a5
+    return _checked_frame_target(model, last_seq, seq, centidegrees)
+
+
+def _checked_frame_target(
+    model: ArmModel, last_seq: int, seq: int, centidegrees: Sequence[int]
+) -> tuple[float, ...]:
+    """_frame_target one check at a time, in order: the sequence number, the
+    angle count, float range, then each joint's limits."""
     if seq <= last_seq:
         raise FrameError(
             f"frame sequence {seq} not greater than last applied {last_seq}"
@@ -278,9 +310,20 @@ def apply_frame(
 
 def _held_pose(model: ArmModel, current_deg: tuple[float, ...], grasp_rel: tuple[float, ...]) -> Pose6D:
     """Where the tool at joint angles ``current_deg`` holds an object at
-    ``grasp_rel`` in the tool frame."""
-    tool = forward_kinematics(model, JointConfig(current_deg))
-    return matrix_to_pose(tool @ np.array(grasp_rel).reshape(4, 4))
+    ``grasp_rel`` in the tool frame: the tool times the grasp."""
+    r00, r01, r02, tx, r10, r11, r12, ty, r20, r21, r22, tz = _end(forward_kinematics(model, JointConfig(current_deg)))
+    g00, g01, g02, gx, g10, g11, g12, gy, g20, g21, g22, gz = grasp_rel[:12]
+    rows = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22))
+    columns = ((g00, g10, g20), (g01, g11, g21), (g02, g12, g22), (gx, gy, gz))
+    m00, m01, m02, mx, m10, m11, m12, my, m20, m21, m22, mz = _products(rows, columns)
+    return Pose6D((mx + tx, my + ty, mz + tz), _quat((m00, m01, m02, m10, m11, m12, m20, m21, m22)))
+
+
+def _products(rows: Sequence[Sequence[float]], columns: Sequence[Sequence[float]]) -> list[float]:
+    """Each row times each column, row-major: three rows by four columns
+    of 3-vectors, each sum taken in order, on Python floats, so no BLAS
+    kernel reaches the capture or release bits."""
+    return [a * x + b * y + c * z for a, b, c in rows for x, y, z in columns]
 
 
 def _stepped_ticks(cur: float, tgt: float, max_move: float) -> int:
@@ -305,21 +348,57 @@ def _tick(
 
     Each tick of ``tick_s`` moves every joint toward its target by at most
     ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  The
-    joints move independently, so each one's ticks are counted on its own.
-    A gap of at most ``max_move`` takes one tick, none when it is zero.  A
-    longer gap takes ``ceil(gap / max_move)`` ticks, the count of steps of
-    exactly ``cur ± max_move`` plus the arrival tick, unless that ratio lies
-    within the steps' rounding bound of a whole number: then _stepped_ticks
-    counts the steps one by one.  The frame takes the largest count, N, and
-    the clock adds ``tick_s`` N times in order, the same bits as ticking all
-    joints together.  After N > 0 ticks every joint holds its target's bits:
-    a step never lands on a zero, so one that lands on the target equals it
+    joints move independently, so the frame takes the largest of their
+    counts, N, and the clock adds ``tick_s`` N times in order, the same bits
+    as ticking all joints together.  The frame's largest gap, at most
+    ``max_move``, takes one tick, none when it is zero.  A longer one takes
+    ``ceil(gap / max_move)`` ticks unless that ratio lies within the frame's
+    rounding bound of a whole number: then _ticks_by_joint counts each joint
+    on its own.  After N > 0 ticks every joint holds its target's bits: a
+    step never lands on a zero, so one that lands on the target equals it
     bit for bit.  The angles must be finite.  Raises ValueError when the
     simulated time is no longer finite; ``seq`` names the frame in that
     message.
     """
     tick_s = config.tick_s
     max_move = config.rate_limit_deg_s * tick_s
+    # fl(tgt - cur) is exactly -fl(cur - tgt), so each |tgt - cur| holds the
+    # bits of the joint's gap whichever way it moves.
+    gap = max(map(abs, map(sub, target, current)))
+    if gap > max_move:
+        # Each joint's count is ceil(r_j) outside its own rounding bound (see
+        # _ticks_by_joint), and never more than ceil(r_j + bound_j) inside
+        # it.  The bound below takes the largest count, ratio and angle of
+        # the frame, and grows with each, so it is at least every joint's
+        # own.  When r = gap / max_move lies farther than it from a whole
+        # number, the joint with the largest gap (r_j = r) counts ceil(r),
+        # and every other joint, r_j <= r < ceil(r) - bound, counts at most
+        # ceil(r_j + bound_j) <= ceil(r).
+        r = gap / max_move
+        ticks = math.ceil(r)
+        largest = max(map(abs, current + target))
+        bound = ((ticks + 1) * (largest + max_move) / max_move + 2.0 * r + 4.0) * 2.0**-53
+        if not (bound < ticks - r < 1.0 - bound):  # ticks - r is exact: ticks / 2 <= r <= ticks
+            ticks = _ticks_by_joint(current, target, max_move)
+    else:
+        ticks = 1 if gap else 0
+    for _ in range(ticks):
+        elapsed += tick_s
+    if ticks:
+        current = target
+    if not math.isfinite(elapsed):
+        raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
+    return current, elapsed
+
+
+def _ticks_by_joint(current: tuple[float, ...], target: tuple[float, ...], max_move: float) -> int:
+    """The largest of the joints' tick counts, each joint counted on its own.
+
+    A gap of at most ``max_move`` takes one tick, none when it is zero.  A
+    longer gap takes ``ceil(gap / max_move)`` ticks, the count of steps of
+    exactly ``cur ± max_move`` plus the arrival tick, unless that ratio lies
+    within the steps' rounding bound of a whole number: then _stepped_ticks
+    counts the steps one by one."""
     ticks = 0
     for cur, tgt in zip(current, target):
         if cur < tgt:
@@ -346,13 +425,7 @@ def _tick(
                 ticks = count
         elif gap and not ticks:
             ticks = 1
-    for _ in range(ticks):
-        elapsed += tick_s
-    if ticks:
-        current = target
-    if not math.isfinite(elapsed):
-        raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
-    return current, elapsed
+    return ticks
 
 
 def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) -> SimState:
@@ -367,12 +440,23 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     finite or has a magnitude over MAX_SETTLE_ANGLE_DEG (where a step of a
     huge angle would no longer move it), and when a tick takes the simulated
     time past the float range."""
-    for field, angles in (("current_deg", state.current_deg), ("target_deg", state.target_deg)):
-        for joint, angle in enumerate(angles):
-            if not (abs(angle) <= MAX_SETTLE_ANGLE_DEG):  # negated so NaN fails too
-                if not math.isfinite(angle):
-                    raise ValueError(f"{field} joint {joint} is not finite: {angle}")
-                raise ValueError(f"{field} joint {joint} has magnitude over {MAX_SETTLE_ANGLE_DEG} degrees: {angle}")
+    c0, c1, c2, c3, c4, c5 = state.current_deg
+    t0, t1, t2, t3, t4, t5 = state.target_deg
+    m = MAX_SETTLE_ANGLE_DEG
+    # Chained comparisons over named locals, each false for NaN; when one
+    # fails, the loop names the first angle that fails.
+    if not (
+        -m <= c0 <= m and -m <= c1 <= m and -m <= c2 <= m and -m <= c3 <= m and -m <= c4 <= m and -m <= c5 <= m
+        and -m <= t0 <= m and -m <= t1 <= m and -m <= t2 <= m and -m <= t3 <= m and -m <= t4 <= m and -m <= t5 <= m
+    ):
+        for field, angles in (("current_deg", state.current_deg), ("target_deg", state.target_deg)):
+            for joint, angle in enumerate(angles):
+                if not (abs(angle) <= MAX_SETTLE_ANGLE_DEG):  # negated so NaN fails too
+                    if not math.isfinite(angle):
+                        raise ValueError(f"{field} joint {joint} is not finite: {angle}")
+                    raise ValueError(
+                        f"{field} joint {joint} has magnitude over {MAX_SETTLE_ANGLE_DEG} degrees: {angle}"
+                    )
     if state.current_deg == state.target_deg:
         return state
     current, elapsed = _tick(state.current_deg, state.target_deg, state.elapsed_s, config, state.last_seq)
@@ -454,10 +538,7 @@ def run_pick_cycle(
     frames = _frame_rows(plan_to_trajectory(model, plan))
     state, count = _run_frames(model, initial_state(model, object_pose=object_pose), frames, SimConfig())
     final = state.object_pose
-    success = final is not None and (
-        float(np.linalg.norm(np.array(final.position) - np.array(place_pose.position)))
-        <= PLACE_TOLERANCE_M
-    )
+    success = final is not None and _norm(tuple(map(sub, final.position, place_pose.position))) <= PLACE_TOLERANCE_M
     return CycleReport(
         success=success,
         final_object_pose=final,

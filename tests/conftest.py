@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -59,6 +60,19 @@ def random_config(rng: np.random.Generator, model: ArmModel):
 
     lo, hi = model.limits_deg
     return JointConfig(tuple(rng.uniform(lo, hi)))
+
+
+def perfbench_run():
+    """perfbench/run.py as a module; perfbench/ is only read."""
+    # run.py imports its sibling modules by their bare names.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
 def fk_pose(model, q):

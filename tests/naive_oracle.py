@@ -7,11 +7,11 @@ difference Jacobian checks the analytic one from the FK chain alone, and
 oracle is a per-pixel flood fill, the straightforward counterpart of the
 library's run-based labeling, and ``naive_subtract`` compares a signed
 int16 difference with the float threshold, where the library stays in
-uint8.  ``naive_sim_step`` writes out the servo tick
-rule and carries an attached object on every tick, ``naive_settle`` repeats
-it, ``naive_tick`` is the simulator's tick kernel one six-joint tick at a
-time, ``naive_joint_ticks`` counts one joint's ticks step by step where the
-kernel takes a closed form, ``naive_interpolate`` builds and clamps one
+uint8.  ``naive_sim_step`` writes out the servo tick rule and carries an
+attached object on every tick (with ``rigid_product``), ``naive_settle``
+repeats it, ``naive_tick`` is the simulator's tick kernel one six-joint
+tick at a time, ``naive_joint_ticks`` counts one joint's ticks step by step
+where the kernel takes a closed form, ``naive_interpolate`` builds and clamps one
 knot at a time, and ``naive_encode`` rounds one angle at a time: the
 per-step forms of the simulator's and planner's batched code, sharing no
 arithmetic with ``armkit.simulator``.  ``naive_matrix_to_pose`` and ``naive_pose_quaternion``
@@ -31,7 +31,12 @@ frames of ``naive_frames``, the list-based chain behind ``naive_fk``, and
 ``naive_dh_matrices`` builds the DH joint transforms from scratch on every
 call; the library's kernel must match each within float64 tolerances.
 ``loop_dls_step`` is the same step as a row-by-row Cholesky loop over lists,
-the form the library's written-out step must equal bit for bit."""
+the form the library's written-out step must equal bit for bit.
+``loop_frame_target`` checks a wire frame's sequence number, angle count,
+float range and limits one joint at a time, where the simulator checks
+named locals first; ``rigid_product`` multiplies two transforms one nested-
+list entry at a time, in the operand order of the simulator's capture and
+release."""
 import json
 import math
 from dataclasses import replace
@@ -46,6 +51,7 @@ from armkit import (
     BinaryMask,
     Blob,
     DHRow,
+    FrameError,
     GrayImage,
     JointConfig,
     JointLimit,
@@ -300,9 +306,20 @@ def naive_sim_step(model, state, dt, config):
     state = replace(state, current_deg=tuple(current), elapsed_s=state.elapsed_s + dt)
     if state.grasp_rel is None:
         return state
-    tool = forward_kinematics(model, JointConfig(state.current_deg))
-    obj = tool @ np.array(state.grasp_rel).reshape(4, 4)
-    return replace(state, object_pose=matrix_to_pose(obj))
+    tool = forward_kinematics(model, JointConfig(state.current_deg)).tolist()
+    grasp = np.array(state.grasp_rel).reshape(4, 4).tolist()
+    return replace(state, object_pose=matrix_to_pose(rigid_product(tool, grasp)))
+
+
+def rigid_product(A, B):
+    """The product of two rigid transforms given as nested lists, one entry
+    at a time: each sum runs k = 0, 1, 2 in order, and A's translation is
+    added last to the translation column.  The bottom rows [0, 0, 0, 1]
+    contribute nothing else, so they are left out."""
+    out = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] + A[i][2] * B[2][j] for j in range(4)] for i in range(3)]
+    for i in range(3):
+        out[i][3] += A[i][3]
+    return np.array(out + [[0.0, 0.0, 0.0, 1.0]])
 
 
 def naive_settle(model, state, config):
@@ -329,6 +346,30 @@ def naive_tick(current, target, elapsed, config, seq):
     if not math.isfinite(elapsed):
         raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
     return current, elapsed
+
+
+def loop_frame_target(model, last_seq, seq, centidegrees):
+    """The joint targets of frame ``seq`` with angles ``centidegrees``,
+    following frame ``last_seq``, in degrees; raises FrameError when the
+    frame is out of order, has the wrong number of angles, or asks for a
+    target beyond float range or outside the joint limits."""
+    if seq <= last_seq:
+        raise FrameError(
+            f"frame sequence {seq} not greater than last applied {last_seq}"
+        )
+    if len(centidegrees) != JOINT_COUNT:
+        raise FrameError(f"frame {seq}: expected {JOINT_COUNT} angles")
+    try:
+        target = tuple([c / 100.0 for c in centidegrees])
+    except OverflowError as exc:
+        raise FrameError(f"frame {seq}: target beyond float range") from exc
+    for i, (angle, lim) in enumerate(zip(target, model.limits)):
+        if not (lim.min_deg <= angle <= lim.max_deg):
+            raise FrameError(
+                f"frame {seq}: joint {i} target {angle} outside "
+                f"[{lim.min_deg}, {lim.max_deg}]"
+            )
+    return target
 
 
 def naive_joint_ticks(cur, tgt, max_move):

@@ -6,25 +6,14 @@ solver outcomes, knots, ticks and foreground pixels.  Pinning both digests here 
 a change alters what the benchmark's ops return, or breaks a traced name or
 the counters read through it, without running the benchmark.  perfbench/ is
 only read."""
-import importlib.util
-import sys
-
 import pytest
 
-from conftest import PERFBENCH
+from conftest import perfbench_run
 
 
 @pytest.fixture(scope="module")
 def run():
-    # run.py imports its sibling modules by their bare names.
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return module
+    return perfbench_run()
 
 
 def build(run, workload):
@@ -35,7 +24,7 @@ def build(run, workload):
 
 @pytest.mark.parametrize(
     "workload, digest",
-    [("pick_table", "b24f3d6faa74c78b"), ("sim_replay", "c1eb5b2eb6cbd069"), ("ik_cold", "aeeedffc94cd0e86")],
+    [("pick_table", "8f322a127a6465b0"), ("sim_replay", "c1eb5b2eb6cbd069"), ("ik_cold", "aeeedffc94cd0e86")],
 )
 def test_warm_up_records_are_pinned(run, workload, digest):
     bench = build(run, workload)
@@ -45,7 +34,7 @@ def test_warm_up_records_are_pinned(run, workload, digest):
 
 
 @pytest.mark.parametrize(
-    "workload, digest", [("pick_table", "8c86cdfdae9b9287"), ("sim_replay", "f4388d6fce2e4b84")]
+    "workload, digest", [("pick_table", "2a785bae6d950b24"), ("sim_replay", "f4388d6fce2e4b84")]
 )
 def test_traced_warm_up_counters_are_pinned(run, workload, digest):
     bench = build(run, workload)

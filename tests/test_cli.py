@@ -450,7 +450,7 @@ class TestPick:
         assert code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a49e9fa92bf9d7379afb9864017f73311bf3ec313b19490eed9c6fc35764ee57"
+            "156319ba7de7e89837648683a2ddd02ce12ef33a98529de204cb1ad52dbc3aec"
         )
 
     def test_empty_scene_exits_4(self, wide_config_path, scene, capsys):

@@ -34,7 +34,7 @@ from armkit.dh_model import MAX_LINK_M
 from armkit.ik_solver import STEP_LIMIT_RAD, _dls_step, _norm
 from armkit.kinematics import _chain, _jacobian, euler_zyx_to_matrix
 
-from conftest import PERFBENCH, fk_pose, make_arm, random_arm, random_config
+from conftest import PERFBENCH, fk_pose, make_arm, perfbench_run, random_arm, random_config
 from naive_oracle import loop_dls_step, naive_dls_step, naive_jacobian
 
 
@@ -547,12 +547,24 @@ def pick_path_bits(pick_table, pair):
 
 
 def pinned_bits(arm, pick_table):
-    """The values of all 13 TestPinnedBits cases, in the order of the pins."""
+    """The values of all 13 TestPinnedBits cases, in the order of the pins,
+    then the record digest of sim_replay's warm-up ops that
+    tests/test_benchmark_records.py pins."""
     return (
         [list(result_bits(arm, index, position_only)) for index, position_only, _, _ in RESULT_PINS]
         + [best_residual_bits(arm)]
         + [pick_path_bits(pick_table, pair) for pair, _ in PICK_PATH_PINS]
+        + [sim_replay_digest()]
     )
+
+
+def sim_replay_digest():
+    """perfbench/run.py's digest of the records of sim_replay's warm-up ops
+    at its default seed: every stream's ticks, clock and released object
+    position."""
+    run = perfbench_run()
+    bench = run.WORKLOADS["sim_replay"](run.Env(), run.WORKLOADS["sim_replay"].default_seed)
+    return run.digest(run.run_pass(bench, count=bench.warmup_ops).records)
 
 
 class TestPinnedBits:
@@ -591,9 +603,10 @@ def _openblas_is_dynamic_arch():
 
 @pytest.mark.skipif(not _openblas_is_dynamic_arch(), reason="numpy's OpenBLAS picks no kernel at run time")
 def test_pins_hold_on_every_openblas_core(arm, pick_table):
-    """The pinned solves run no BLAS or LAPACK kernel: a child process per
-    OpenBLAS core, with OPENBLAS_CORETYPE set in its environment only, gives
-    the same 13 values as this process."""
+    """The pinned solves and the servo bus run no BLAS or LAPACK kernel: a
+    child process per OpenBLAS core, with OPENBLAS_CORETYPE set in its
+    environment only, gives the same 13 values and sim_replay digest as
+    this process."""
     path = os.pathsep.join([str(Path(__file__).parent), str(Path(armkit.__file__).parents[1])])
     children = {
         core: subprocess.Popen(

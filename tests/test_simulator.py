@@ -1,10 +1,14 @@
 import copy
 import inspect
+import io
 import json
 import math
 import pickle
 import re
+import sys
+import time
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from operator import sub
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from armkit import (
     SimState,
     UnreachableError,
     apply_frame,
+    dump_arm_config,
     encode_servo_frames,
     forward_kinematics,
     frames_to_text,
@@ -32,8 +37,10 @@ from armkit import (
     settle,
     top_down_pose,
 )
-from armkit.kinematics import invert_transform, pose_to_matrix
+from armkit.cli import main
+from armkit.kinematics import _norm, invert_transform, pose_to_matrix
 from armkit.simulator import (
+    CAPTURE_RADIUS_M,
     MAX_SETTLE_ANGLE_DEG,
     MIN_MOVE_PER_TICK_DEG,
     PLACE_TOLERANCE_M,
@@ -43,7 +50,7 @@ from armkit.simulator import (
 )
 
 from conftest import QUICK, feasible_pair, fk_pose, float_bits, make_trajectory, mutate, random_config
-from naive_oracle import naive_joint_ticks, naive_settle, naive_sim_step, naive_tick
+from naive_oracle import loop_frame_target, naive_joint_ticks, naive_settle, naive_sim_step, naive_tick
 
 
 def random_sim_config(rng):
@@ -154,6 +161,39 @@ class TestApplyFrame:
         frame = ServoFrame(0, (0, 13500, 4500, 13500, 9000, 9100), False)
         with pytest.raises(FrameError, match="joint 5"):
             apply_frame(arm, initial_state(arm), frame)
+
+
+def points_at_distance(center, distance, count):
+    """``count`` points whose offsets from ``center`` have a _norm of
+    exactly ``distance``, each found by walking x one ulp at a time from
+    where the exact offset would put it."""
+    cx, cy, cz = center
+    points = []
+    for k in range(1, 400):
+        dy, dz = distance * k / 400.0, distance * (k % 7) / 10.0
+        x = cx + math.sqrt(max(distance * distance - dy * dy - dz * dz, 0.0))
+        y, z = cy + dy, cz - dz
+        for _ in range(64):
+            n = _norm((x - cx, y - cy, z - cz))
+            if n == distance:
+                points.append((x, y, z))
+                break
+            x = math.nextafter(x, math.inf if n < distance else -math.inf)
+        if len(points) == count:
+            return points
+    raise AssertionError(f"found {len(points)} of {count} points")
+
+
+def every_joint(values, short_joint):
+    """(value, field, joint) cases for each value, field and joint.  Their
+    ids end in the joint, except at ``short_joint``, whose cases keep the
+    shorter ids that already name them."""
+    return [
+        pytest.param(bad, field, joint, id=f"{bad}-{field}" + ("" if joint == short_joint else f"-joint{joint}"))
+        for joint in range(6)
+        for field in ("current_deg", "target_deg")
+        for bad in values
+    ]
 
 
 def counting(function, calls):
@@ -267,6 +307,136 @@ class TestFrameFuzz:
         expected = outcome(frame_by_frame, arm, text, config)
         assert outcome(replayed, arm, text, config) == expected
         assert expected == (ValueError if tick_s > 1.0 else FrameError, message)
+
+
+class TestWireMutationSweep:
+    """Seeded mutants of valid wire frames: huge integers, -0, flipped
+    signs, out-of-order sequence numbers, angles past the joint limits,
+    truncation, extra spaces, and five or seven angles.  Each mutated stream
+    goes through parse_frame and apply_frame, where every frame's targets
+    or FrameError message must equal loop_frame_target's, and through
+    ``armkit sim``, which must exit 0 with the frame-by-frame report, or 2
+    with that run's message, naming the frame."""
+
+    MUTANTS = 400
+    # Each of _frame_target's and parse_frame's refusals, as its message reads.
+    REFUSALS = ("malformed servo frame: '", "too many digits", "not greater than", "beyond float range", "outside [")
+
+    @staticmethod
+    def mutate_frame(rng, model, line, last_seq):
+        """One mutation of the frame ``line`` that follows frame ``last_seq``."""
+        tokens = line.split(" ")
+        kind = int(rng.integers(8))
+        at = int(rng.integers(1, 8))  # the sequence number or an angle
+        if kind == 0:
+            digits = int(rng.choice([15, 19, 20, 308, 309, 310, 311, 400, 5000]))
+            tokens[at] = str(rng.choice(["", "-"])) + "9" * digits
+        elif kind == 1:
+            tokens[at] = "-0"
+        elif kind == 2:
+            tokens[at] = tokens[at][1:] if tokens[at].startswith("-") else "-" + tokens[at]
+        elif kind == 3:
+            tokens[1] = str(last_seq - int(rng.integers(0, 3)))
+        elif kind == 4:
+            joint = at - 2 if at > 1 else 0
+            lim = model.limits[joint]
+            edge = [lim.min_deg, lim.max_deg][int(rng.integers(2))]
+            tokens[joint + 2] = str(round(edge * 100) + int(rng.integers(-1, 2)))
+        elif kind == 5:
+            return line[: int(rng.integers(len(line)))]
+        elif kind == 6:
+            cut = int(rng.integers(len(line) + 1))
+            return line[:cut] + " " * int(rng.integers(1, 3)) + line[cut:]
+        elif int(rng.integers(2)):
+            del tokens[int(rng.integers(2, 8))]
+        else:
+            tokens.insert(int(rng.integers(2, 9)), str(int(rng.integers(0, 18000))))
+        return " ".join(tokens)
+
+    @staticmethod
+    def frame_by_frame(model, lines):
+        """The in-process run: ("ok", frames, clock), or ("error", message,
+        the line that failed).  Every frame that parses must get the same
+        targets, or the same FrameError message, from apply_frame as from
+        loop_frame_target."""
+        state = initial_state(model)
+        lines = [line for line in lines if line.strip()]  # as replay_frames skips blank lines
+        for line in lines:
+            try:
+                frame = parse_frame(line)
+                want = outcome(loop_frame_target, model, state.last_seq, frame.seq, frame.centidegrees)
+                try:
+                    state = apply_frame(model, state, frame)
+                except FrameError as exc:
+                    assert want == (FrameError, str(exc)), line
+                    raise
+                assert float_bits(want) == float_bits(state.target_deg), line
+                state = settle(model, state)
+            except FrameError as exc:
+                return "error", str(exc), line
+        return "ok", len(lines), state.elapsed_s
+
+    @staticmethod
+    def names_the_frame(message, line):
+        """Whether ``message`` names the frame ``line``: by its sequence
+        number, or, for a line that does not parse, by its text."""
+        seq = line.split(" ")[1] if line.count(" ") else None
+        return (
+            f"frame {seq}:" in message
+            or f"frame sequence {seq} " in message
+            or repr(line[:40])[:-1] in message
+        )
+
+    def test_mutants_match_the_loop_and_the_cli(self, arm, tmp_path, monkeypatch, capsys):
+        config_path = tmp_path / "arm.json"
+        config_path.write_text(dump_arm_config(arm))
+        rng = np.random.default_rng(6373)
+        lo, hi = (np.rint(100.0 * arm.limits_deg)).astype(int)
+        kinds = {"ok": 0, "error": 0}
+        refusals = dict.fromkeys(self.REFUSALS, 0)
+        started = time.perf_counter()
+        for _ in range(self.MUTANTS):
+            lines = [
+                f"F {seq} {' '.join(str(v) for v in rng.integers(lo, hi + 1))} G {int(rng.integers(2))}"
+                for seq in range(3)
+            ]
+            k = int(rng.integers(len(lines)))
+            lines[k] = self.mutate_frame(rng, arm, lines[k], k - 1)
+            want = self.frame_by_frame(arm, lines)
+            kinds[want[0]] += 1
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+            code = main(["sim", "--config", str(config_path), "--frames", "-"])
+            out, err = capsys.readouterr()
+            if want[0] == "ok":
+                assert code == 0, err
+                report = json.loads(out)
+                assert (report["frames_sent"], report["sim_time_s"]) == want[1:]
+            else:
+                assert code == 2, lines
+                assert err == f"error: {want[1]}\n"
+                assert self.names_the_frame(want[1], want[2]), want
+                refusals.update({r: refusals[r] + 1 for r in self.REFUSALS if r in want[1]})
+        assert min(kinds.values()) > self.MUTANTS // 10, kinds
+        assert min(refusals.values()) > 0, refusals
+        assert time.perf_counter() - started < 10.0
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_rows_of_five_or_seven_angles_match_the_loop(self, arm, count):
+        """Rows that the wire cannot carry reach _frame_target through
+        apply_frame: the wrong number of angles, alone and with a bad
+        sequence number or an angle beyond float range, is refused with
+        loop_frame_target's message."""
+        angles = (9000, 13500, 4500, 13500, 9000, 4500, 9000)[:count]
+        for seq, last_seq, row in [
+            (1, 0, angles),
+            (0, 0, angles),
+            (3, 0, (10**400,) + angles[1:]),
+            (0, 2, (-(10**400),) + angles[1:]),
+        ]:
+            state = replace(initial_state(arm), last_seq=last_seq)
+            want = outcome(loop_frame_target, arm, last_seq, seq, row)
+            assert outcome(apply_frame, arm, state, ServoFrame(seq, row, False)) == want
+            assert want[0] is FrameError
 
 
 class TestSimConfig:
@@ -433,26 +603,50 @@ class TestSettle:
         assert state.object_pose is not obj
         assert len(fk) == 2
 
-    @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_angle_is_named(self, arm, field, bad):
+    @pytest.mark.parametrize("bad, field, joint", every_joint([math.nan, math.inf, -math.inf], 2))
+    def test_non_finite_angle_is_named(self, arm, field, bad, joint):
         state = initial_state(arm)
         angles = list(getattr(state, field))
-        angles[2] = bad
+        angles[joint] = bad
         state = replace(state, **{field: tuple(angles)})
-        with pytest.raises(ValueError, match=f"{field} joint 2 is not finite: {bad}"):
+        with pytest.raises(ValueError, match=f"{field} joint {joint} is not finite: {bad}"):
             settle(arm, state)
 
-    @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
-    @pytest.mark.parametrize("bad", [1e17, 720.0001, -720.0001])
-    def test_huge_angle_is_named(self, arm, field, bad):
+    @pytest.mark.parametrize("bad, field, joint", every_joint([1e17, 720.0001, -720.0001], 0))
+    def test_huge_angle_is_named(self, arm, field, bad, joint):
         """At 1e17 degrees a 3-degree step no longer changes the angle, so
         ticking would never end; settle refuses such a state up front."""
         state = initial_state(arm)
         angles = list(getattr(state, field))
-        angles[0] = bad
+        angles[joint] = bad
         state = replace(state, **{field: tuple(angles)})
-        with pytest.raises(ValueError, match=re.escape(f"{field} joint 0 has magnitude over 720.0 degrees: {bad}")):
+        with pytest.raises(
+            ValueError, match=re.escape(f"{field} joint {joint} has magnitude over 720.0 degrees: {bad}")
+        ):
+            settle(arm, state)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"target_deg": {0: math.nan}, "current_deg": {5: 1e17}}, "current_deg joint 5 has magnitude"),
+            ({"current_deg": {4: math.nan, 1: -math.inf}}, "current_deg joint 1 is not finite: -inf"),
+            ({"current_deg": {3: math.nan, 4: 800.0}}, "current_deg joint 3 is not finite: nan"),
+            ({"target_deg": {5: math.nan, 2: 1e17}}, "target_deg joint 2 has magnitude"),
+            ({"target_deg": {1: math.nan, 5: math.nan}}, "target_deg joint 1 is not finite: nan"),
+            ({"current_deg": {5: math.nan}, "target_deg": {0: math.nan}}, "current_deg joint 5 is not finite: nan"),
+        ],
+    )
+    def test_first_bad_angle_is_named(self, arm, bad, message):
+        """With two bad angles, the message names current_deg before
+        target_deg, and the lower joint first; a NaN after a finite angle
+        is caught as at the front."""
+        state = initial_state(arm)
+        for field, joints in bad.items():
+            angles = list(getattr(state, field))
+            for joint, value in joints.items():
+                angles[joint] = value
+            state = replace(state, **{field: tuple(angles)})
+        with pytest.raises(ValueError, match=re.escape(message)):
             settle(arm, state)
 
     @pytest.mark.parametrize("angle", [MAX_SETTLE_ANGLE_DEG, -MAX_SETTLE_ANGLE_DEG, 45.0])
@@ -623,6 +817,53 @@ class TestTickKernel:
         if count <= 36_000:
             self.assert_matches(currents, targets, 0.0, SimConfig(rate_limit_deg_s=1.0, tick_s=move))
 
+    def test_frames_match_stepping_around_whole_multiples(self):
+        """20,000 six-joint frames against naive_tick.  In each, one joint's
+        gap and up to three others', tied to the same whole number of moves
+        or to one fewer, sit up to 1.5 of their rounding drifts either side
+        of it; each of the rest moves less, repeats the first joint's move,
+        or sits on signed zeros."""
+        rng = np.random.default_rng(257)
+        frames = 20_000
+        moves = np.where(rng.random(frames) < 0.5, rng.uniform(1e-3, 0.05, frames), 1e-3 * rng.integers(1, 10, frames))
+        counts = rng.integers(2, 16, frames)
+        ties = rng.integers(1, 5, frames)
+        wholes = counts[:, None] - (rng.random((frames, 6)) < 0.3) * (np.arange(6) > 0)
+        starts = rng.uniform(-MAX_SETTLE_ANGLE_DEG, MAX_SETTLE_ANGLE_DEG - counts * moves, (6, frames)).T
+        offsets = rng.uniform(-1.5, 1.5, (frames, 6))
+        shorter = rng.uniform(0.0, counts[:, None] - 1, (frames, 6))
+        kinds = rng.random((frames, 6))
+        zeros = np.where(rng.random((frames, 6, 2)) < 0.5, 0.0, -0.0)
+        flips = rng.random((frames, 6, 2)) < 0.5
+        orders = rng.permuted(np.tile(np.arange(6), (frames, 1)), axis=1)
+        stepped_away = 0
+        for f, (move, count) in enumerate(zip(moves.tolist(), counts.tolist())):
+            pairs = []
+            for joint in range(6):
+                cur = float(starts[f, joint])
+                if joint < ties[f]:
+                    tgt = cur + int(wholes[f, joint]) * move
+                    tgt += float(offsets[f, joint]) * self.drift(cur, tgt, move) * move
+                elif kinds[f, joint] < 0.4:
+                    tgt = cur + float(shorter[f, joint]) * move
+                elif kinds[f, joint] < 0.6:
+                    cur, tgt = pairs[0]
+                else:
+                    cur, tgt = float(zeros[f, joint, 0]), float(zeros[f, joint, 1])
+                if flips[f, joint, 0]:
+                    cur, tgt = -cur, -tgt
+                if flips[f, joint, 1]:
+                    cur, tgt = tgt, cur
+                pairs.append((cur, tgt))
+            current, target = zip(*[pairs[j] for j in orders[f].tolist()])
+            # With a 1-second tick the clock counts the ticks exactly.
+            config = SimConfig(rate_limit_deg_s=move, tick_s=1.0)
+            got = _tick(current, target, 0.0, config, 0)
+            want = naive_tick(current, target, 0.0, config, 0)
+            assert float_bits(got) == float_bits(want), (current, target, move)
+            stepped_away += want[1] != math.ceil(max(abs(t - c) for c, t in zip(current, target)) / move)
+        assert stepped_away > 100
+
     def test_rounding_drift_just_inside_the_bound(self):
         """Steps of 0.001 degrees in [256, 512) all round down by 0.416 ulp,
         so their drift nears its bound.  Gaps 0.3 to 1.2 drifts beside a
@@ -699,6 +940,21 @@ class TestGrasping:
         state = apply_frame(arm, state, close)
         assert not state.attached
         assert state.gripper == GRIPPER_CLOSED
+
+
+    def test_capture_radius_is_inclusive_by_norm(self, arm):
+        """An object whose offset from the tool has a _norm of exactly
+        CAPTURE_RADIUS_M is captured; one whose offset is one ulp longer is
+        not."""
+        start = arm.mid_config()
+        tool = fk_pose(arm, start)
+        close = encode_servo_frames(make_trajectory((start, GRIPPER_CLOSED)))[0]
+        past = math.nextafter(CAPTURE_RADIUS_M, math.inf)
+        cases = [(p, True) for p in points_at_distance(tool.position, CAPTURE_RADIUS_M, 60)]
+        cases += [(p, False) for p in points_at_distance(tool.position, past, 60)]
+        for position, attached in cases:
+            state = apply_frame(arm, initial_state(arm, object_pose=Pose6D(position, tool.quaternion)), close)
+            assert state.attached is attached, position
 
 
 class TestSettleOracle:
@@ -906,6 +1162,26 @@ class TestPickCycle:
             np.array(report.final_object_pose.position) - np.array(place.position)
         )
         assert err <= PLACE_TOLERANCE_M
+
+    def test_place_tolerance_is_inclusive_by_norm(self, wide_arm, monkeypatch):
+        """The cycle places its object at one final position; a requested
+        place whose _norm distance from it is exactly PLACE_TOLERANCE_M
+        succeeds, and one a rounding past it fails."""
+        import armkit.simulator
+
+        obj, planned = top_down_pose(0.12, 0.05, 0.02), top_down_pose(-0.05, 0.12, 0.02)
+        final = run_pick_cycle(wide_arm, obj, planned).final_object_pose.position
+        plan = armkit.simulator.plan_pick_place
+        monkeypatch.setattr(
+            armkit.simulator, "plan_pick_place", lambda model, o, p, **kw: plan(model, o, planned, **kw)
+        )
+        past = math.nextafter(PLACE_TOLERANCE_M, math.inf)
+        cases = [(p, True) for p in points_at_distance(final, PLACE_TOLERANCE_M, 20)]
+        cases += [(p, False) for p in points_at_distance(final, past, 20)]
+        for place, success in cases:
+            report = run_pick_cycle(wide_arm, obj, Pose6D(place, planned.quaternion))
+            assert report.final_object_pose.position == final
+            assert report.success is success, place
 
     def test_place_equals_object_is_a_tiny_move(self, arm):
         rng = np.random.default_rng(181)
