@@ -15,9 +15,11 @@ import pytest
 
 from armkit import (
     GRIPPER_CLOSED,
+    ArmModel,
     GRIPPER_OPEN,
     FrameError,
     JointConfig,
+    NoConvergenceError,
     Pose6D,
     ServoFrame,
     SimConfig,
@@ -29,6 +31,7 @@ from armkit import (
     forward_kinematics,
     frames_to_text,
     initial_state,
+    matrix_to_pose,
     parse_frame,
     plan_pick_place,
     plan_to_trajectory,
@@ -38,7 +41,7 @@ from armkit import (
     top_down_pose,
 )
 from armkit.cli import main
-from armkit.kinematics import _norm, invert_transform, pose_to_matrix
+from armkit.kinematics import _norm, euler_zyx_to_matrix, invert_transform, pose_to_matrix
 from armkit.simulator import (
     CAPTURE_RADIUS_M,
     MAX_SETTLE_ANGLE_DEG,
@@ -1182,6 +1185,56 @@ class TestPickCycle:
             report = run_pick_cycle(wide_arm, obj, Pose6D(place, planned.quaternion))
             assert report.final_object_pose.position == final
             assert report.success is success, place
+
+    def test_turning_the_scene_about_the_base_turns_the_cycle(self, wide_arm, monkeypatch):
+        """Turning the object, the place point and q1's seed by phi about
+        base z turns the whole cycle: the plan's angles agree to rounding,
+        the same frames are sent and the object is placed within tolerance.
+        q1's seed turns through joint 1's theta offset, so mid_config() and
+        the home pose turn with the scene.  The limits do not turn: a pair
+        whose q1 meets one is skipped and counted."""
+        import armkit.simulator
+
+        plans = []
+        plan = armkit.simulator.plan_pick_place
+        monkeypatch.setattr(
+            armkit.simulator, "plan_pick_place", lambda *args, **kw: plans.append(plan(*args, **kw)) or plans[-1]
+        )
+        rng = np.random.default_rng(2609)
+        lo, hi = wide_arm.limits_deg
+        pairs = skipped = failed = 0
+        for _ in range(32):
+            phi = float(rng.uniform(-180.0, 180.0))
+            turn = np.eye(4)
+            turn[:3, :3] = euler_zyx_to_matrix(phi, 0.0, 0.0)
+            turned_arm = ArmModel(
+                (replace(wide_arm.rows[0], theta_offset_deg=phi),) + wide_arm.rows[1:], wide_arm.limits
+            )
+            r = np.sqrt(rng.uniform(0.06**2, 0.19**2, 2))
+            a = rng.uniform(-math.pi, math.pi, 2)
+            obj = top_down_pose(r[0] * math.cos(a[0]), r[0] * math.sin(a[0]), 0.02)
+            place = top_down_pose(r[1] * math.cos(a[1]), r[1] * math.sin(a[1]), 0.02)
+            turned = [matrix_to_pose(turn @ pose_to_matrix(p)) for p in (obj, place)]
+            plans.clear()
+            try:
+                plain = run_pick_cycle(wide_arm, obj, place)
+            except NoConvergenceError:
+                with pytest.raises(NoConvergenceError):
+                    run_pick_cycle(turned_arm, *turned)
+                failed += 1
+                continue
+            report = run_pick_cycle(turned_arm, *turned)
+            q1s = [wp.config.angles_deg[0] for p in plans for wp in p.waypoints]
+            if any(min(q1 - lo[0], hi[0] - q1) <= 1e-9 for q1 in q1s):
+                skipped += 1
+                continue
+            pairs += 1
+            for a_wp, b_wp in zip(*(p.waypoints for p in plans)):
+                assert np.allclose(a_wp.config.angles_deg, b_wp.config.angles_deg, rtol=0.0, atol=1e-6)
+            assert plain.success and report.success
+            assert report.frames_sent == plain.frames_sent
+        assert pairs >= 24
+        assert skipped + failed <= 8
 
     def test_place_equals_object_is_a_tiny_move(self, arm):
         rng = np.random.default_rng(181)
