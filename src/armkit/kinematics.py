@@ -286,9 +286,18 @@ def _rotation_log(m: Sequence[float]) -> tuple[float, float, float]:
 
 
 def _norm(v: Sequence[float]) -> float:
-    """Euclidean length of a 3-vector: the squares summed in order, then the root."""
+    """Euclidean length of a 3-vector: the squares summed in order, then the
+    root.  Only when that sum overflows are the components first divided by
+    the largest magnitude, so a finite vector past 1e154 gets a finite length
+    and every length below overflow keeps its bits."""
     x, y, z = v
-    return math.sqrt(x * x + y * y + z * z)
+    squares = x * x + y * y + z * z
+    if squares == math.inf:
+        largest = max(abs(x), abs(y), abs(z))
+        if largest < math.inf:
+            x, y, z = x / largest, y / largest, z / largest
+            return largest * math.sqrt(x * x + y * y + z * z)
+    return math.sqrt(squares)
 
 
 def _jacobian(chain: Chain) -> list[tuple[float, float, float, float, float, float]]:

@@ -197,6 +197,12 @@ class TestIk:
         assert main(["ik", "--config", config_path, "--pos", "2,0,0"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_huge_target_names_a_finite_distance(self, config_path, capsys):
+        assert main(["ik", "--config", config_path, "--pos", "1e200,0,0"]) == 3
+        assert capsys.readouterr().err == (
+            "error: target at 1e+200 m from the base exceeds the reach bound 0.368 m\n"
+        )
+
     def test_link_past_bound_is_usage_error(self, tmp_path, capsys):
         """A 1e10 m link once drowned the DLS damping: every solve raised
         numpy's 'Singular matrix', naming no field."""
@@ -284,6 +290,15 @@ class TestPlanAndSim:
         )
         assert code == 3
         assert "error: waypoint 'grasp': target at 0.368 m" in capsys.readouterr().err
+
+    def test_huge_clearance_names_a_finite_distance(self, config_path, capsys):
+        code = main(
+            ["plan", "--config", config_path, "--object-pos=0.1,0,0.05", "--place-pos=0,0.1,0.05", "--clearance=1e300"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: waypoint 'pre_grasp': target at 1e+300 m from the base exceeds the reach bound 0.368 m\n"
+        )
 
     @pytest.mark.parametrize(
         "object_pos, place_pos, frame_count, sha256",

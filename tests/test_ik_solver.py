@@ -408,6 +408,28 @@ class TestKernelOracle:
                 got, want = _norm(v.tolist()), float(np.linalg.norm(v))
                 assert got == want or abs(got - want) <= NORM_ULPS * math.ulp(want)
 
+    def test_norm_rescales_only_past_overflow(self):
+        """Below overflow _norm is the root of the squares summed in order,
+        bit for bit; past it, a finite vector still has a finite length,
+        within a few ulps of math.hypot's, and an infinite one has length
+        inf."""
+        rng = np.random.default_rng(2611)
+        overflowed = 0
+        for _ in range(3000):
+            v = (rng.normal(0.0, 10.0 ** rng.uniform(100.0, 307.5), 3) * (rng.random(3) < 0.8)).tolist()
+            x, y, z = v
+            squares = x * x + y * y + z * z
+            if squares < math.inf:
+                assert _norm(v) == math.sqrt(squares)
+                continue
+            overflowed += 1
+            want = math.hypot(*v)
+            assert _norm(v) == want if want == math.inf else abs(_norm(v) - want) <= 2 * math.ulp(want)
+        assert overflowed >= 1000
+        assert _norm((math.inf, 1.0, 0.0)) == math.inf
+        assert _norm((-1e308, 1e308, 1e308)) == math.hypot(1e308, 1e308, 1e308)
+        assert math.isnan(_norm((math.nan, 1e200, 0.0)))
+
 
 class TestWrittenOutStep:
     """``_dls_step`` against ``loop_dls_step``, the row-by-row Cholesky it is
