@@ -439,9 +439,17 @@ def settle(model: ArmModel, state: SimState, config: SimConfig = SimConfig()) ->
     ValueError, before any tick, when a current or target angle is not
     finite or has a magnitude over MAX_SETTLE_ANGLE_DEG (where a step of a
     huge angle would no longer move it), and when a tick takes the simulated
-    time past the float range."""
-    c0, c1, c2, c3, c4, c5 = state.current_deg
-    t0, t1, t2, t3, t4, t5 = state.target_deg
+    time past the float range.  A state whose current or target angles are
+    not six raises ValueError naming the field."""
+    try:
+        c0, c1, c2, c3, c4, c5 = state.current_deg
+        t0, t1, t2, t3, t4, t5 = state.target_deg
+    except ValueError:
+        for field in ("current_deg", "target_deg"):
+            count = len(getattr(state, field))
+            if count != JOINT_COUNT:
+                raise ValueError(f"{field} must hold {JOINT_COUNT} angles, got {count}") from None
+        raise
     m = MAX_SETTLE_ANGLE_DEG
     # Chained comparisons over named locals, each false for NaN; when one
     # fails, the loop names the first angle that fails.

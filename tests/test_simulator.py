@@ -652,6 +652,13 @@ class TestSettle:
         with pytest.raises(ValueError, match=re.escape(message)):
             settle(arm, state)
 
+    @pytest.mark.parametrize("field", ["current_deg", "target_deg"])
+    @pytest.mark.parametrize("count", [0, 5, 7])
+    def test_wrong_angle_count_is_named(self, arm, field, count):
+        state = replace(initial_state(arm), **{field: (90.0,) * count})
+        with pytest.raises(ValueError, match=f"^{field} must hold 6 angles, got {count}$"):
+            settle(arm, state)
+
     @pytest.mark.parametrize("angle", [MAX_SETTLE_ANGLE_DEG, -MAX_SETTLE_ANGLE_DEG, 45.0])
     def test_angles_within_the_bound_settle(self, arm, angle):
         state = initial_state(arm)
