@@ -8,6 +8,7 @@ bit-exactly.  Calibration files are JSON arrays of >= 4 objects
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,25 +193,75 @@ class Homography:
         if abs(H[2, 2]) < 1e-12:
             raise HomographyError("homography cannot be normalized (corner entry ~ 0)")
         H = H / H[2, 2]
-        if abs(float(np.linalg.det(H))) <= 1e-12:
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = H.tolist()
+        det = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20) + h02 * (h10 * h21 - h11 * h20)
+        if not (abs(det) > 1e-12):  # negated so NaN fails too
             raise HomographyError("homography is singular")
         H.flags.writeable = False
         object.__setattr__(self, "matrix", H)
 
 
-def _normalization(points: np.ndarray) -> np.ndarray:
-    """Hartley conditioning: translate the centroid to the origin and scale
-    the mean distance to sqrt(2)."""
-    centroid = points.mean(axis=0)
-    dist = np.linalg.norm(points - centroid, axis=1).mean()
-    scale = math.sqrt(2.0) / dist if dist > 0 else 1.0
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+def _normalization(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+    """Hartley conditioning as (scale, cx, cy): translate the centroid
+    (cx, cy) to the origin, then scale the mean distance to sqrt(2).  fsum
+    rounds each mean once, in any order."""
+    n = len(xs)
+    cx, cy = math.fsum(xs) / n, math.fsum(ys) / n
+    dist = math.fsum(map(math.hypot, [x - cx for x in xs], [y - cy for y in ys])) / n
+    return (math.sqrt(2.0) / dist if dist > 0 else 1.0), cx, cy
+
+
+# Jacobi converges quadratically; the sweep cap is a guard that no fit seen
+# comes near.
+_JACOBI_MAX_SWEEPS = 60
+
+
+def _jacobi_svd(columns: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """One-sided (Hestenes) Jacobi SVD of the matrix whose columns are
+    ``columns``, on Python floats: column pairs are rotated in a fixed
+    (i, j) order, i < j, sweep after sweep, until a sweep rotates none.
+    Returns the singular values (the final column lengths, one per column,
+    unsorted) and the matching right singular vectors, each a list of
+    ``len(columns)`` entries.  Works for fewer rows than columns: the
+    surplus columns end at rounding level.  Jacobi keeps the small singular
+    values to high relative accuracy (Demmel & Veselic 1992), which an
+    eigen-solve of A^T A, with its squared condition number, would not.
+
+    A pair counts as orthogonal when its cosine is within sqrt(rows) * u
+    (u = 2**-53) of 0, LAPACK's dgesvj test.  A column shorter than
+    rows * u times the whole matrix's Frobenius norm is rounding noise of
+    random direction and is rotated no further: its right singular vector,
+    orthogonal to the others, is already the null vector they leave."""
+    k, m = len(columns), len(columns[0])
+    a = [list(c) for c in columns]
+    v = [[1.0 if r == c else 0.0 for r in range(k)] for c in range(k)]
+    cosine_tol = math.sqrt(m) * 2.0**-53
+    noise = (m * 2.0**-53) ** 2 * math.fsum(x * x for c in a for x in c)
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                ai, aj = a[i], a[j]
+                alpha = sum(map(operator.mul, ai, ai))
+                beta = sum(map(operator.mul, aj, aj))
+                if alpha <= noise or beta <= noise:
+                    continue
+                gamma = sum(map(operator.mul, ai, aj))
+                if not abs(gamma) > cosine_tol * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cs = 1.0 / math.sqrt(1.0 + t * t)
+                sn = cs * t
+                a[i] = [cs * p - sn * q for p, q in zip(ai, aj)]
+                a[j] = [sn * p + cs * q for p, q in zip(ai, aj)]
+                vi, vj = v[i], v[j]
+                v[i] = [cs * p - sn * q for p, q in zip(vi, vj)]
+                v[j] = [sn * p + cs * q for p, q in zip(vi, vj)]
+        if not rotated:
+            break
+    return [math.sqrt(sum(map(operator.mul, c, c))) for c in a], v
 
 
 def _first_duplicate(pts: np.ndarray) -> tuple[int, int] | None:
@@ -269,35 +320,60 @@ def estimate_homography(pixel_points, world_points) -> Homography:
         pair = _first_duplicate(pts)
         if pair is not None:
             raise HomographyError(f"duplicate {label} points at indices {pair[0]} and {pair[1]}")
-    Tp = _normalization(px)
-    Tw = _normalization(wd)
-    px_n = (Tp @ np.column_stack([px, np.ones(n)]).T).T
-    wd_n = (Tw @ np.column_stack([wd, np.ones(n)]).T).T
-    A = np.zeros((2 * n, 9))
-    for i in range(n):
-        x, y = px_n[i, 0], px_n[i, 1]
-        u, v = wd_n[i, 0], wd_n[i, 1]
-        A[2 * i] = [x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y, -u]
-        A[2 * i + 1] = [0.0, 0.0, 0.0, x, y, 1.0, -v * x, -v * y, -v]
-    # A thin SVD of the 8 x 9 system of four points would drop the null vector.
-    _, s, Vt = np.linalg.svd(A, full_matrices=2 * n < 9)
-    if s[7] <= 1e-10 * s[0]:
+    xs, ys = px.T.tolist()
+    us, vs = wd.T.tolist()
+    sp, cpx, cpy = _normalization(xs, ys)
+    sw, cwx, cwy = _normalization(us, vs)
+    xs = [sp * (x - cpx) for x in xs]
+    ys = [sp * (y - cpy) for y in ys]
+    us = [sw * (u - cwx) for u in us]
+    vs = [sw * (v - cwy) for v in vs]
+    # The DLT system's nine columns, rows 2i and 2i + 1 interleaved:
+    # [x, y, 1, 0, 0, 0, -ux, -uy, -u] and [0, 0, 0, x, y, 1, -vx, -vy, -v].
+    zeros = [0.0] * n
+    ones = [1.0] * n
+
+    def rows(even: list[float], odd: list[float]) -> list[float]:
+        return [e for pair in zip(even, odd) for e in pair]
+
+    columns = [
+        rows(xs, zeros), rows(ys, zeros), rows(ones, zeros),
+        rows(zeros, xs), rows(zeros, ys), rows(zeros, ones),
+        rows([-u * x for u, x in zip(us, xs)], [-v * x for v, x in zip(vs, xs)]),
+        rows([-u * y for u, y in zip(us, ys)], [-v * y for v, y in zip(vs, ys)]),
+        rows([-u for u in us], [-v for v in vs]),
+    ]
+    s, v = _jacobi_svd(columns)
+    # Largest first; equal values keep column order, so the pick is fixed.
+    order = sorted(range(9), key=lambda c: -s[c])
+    if s[order[7]] <= 1e-10 * s[order[0]]:
         raise HomographyError("degenerate correspondence configuration (collinear points?)")
-    Hn = Vt[-1].reshape(3, 3)
-    H = np.linalg.inv(Tw) @ Hn @ Tp
+    # The null vector Hn, mapped back: H = Tw^-1 Hn Tp, where
+    # Tp = [[sp, 0, -sp cpx], [0, sp, -sp cpy], [0, 0, 1]] and
+    # Tw^-1 = [[1/sw, 0, cwx], [0, 1/sw, cwy], [0, 0, 1]].
+    h00, h01, h02, h10, h11, h12, h20, h21, h22 = v[order[8]]
+    r0 = (h00 * sp, h01 * sp, h02 - sp * (h00 * cpx + h01 * cpy))
+    r1 = (h10 * sp, h11 * sp, h12 - sp * (h10 * cpx + h11 * cpy))
+    r2 = (h20 * sp, h21 * sp, h22 - sp * (h20 * cpx + h21 * cpy))
+    H = [
+        [a / sw + cwx * c for a, c in zip(r0, r2)],
+        [b / sw + cwy * c for b, c in zip(r1, r2)],
+        list(r2),
+    ]
     try:
-        return Homography(H)
+        return Homography(np.array(H))
     except HomographyError as exc:
         raise HomographyError(f"degenerate correspondence configuration: {exc}") from exc
 
 
 def pixel_to_world(h: Homography, p, table_height: float) -> np.ndarray:
     """Map a pixel to table-plane meters; z is the configured table height."""
-    p = np.asarray(p, dtype=float).reshape(2)
-    v = h.matrix @ np.array([p[0], p[1], 1.0])
-    if abs(v[2]) < 1e-12:
-        raise ValueError(f"pixel {tuple(p)} maps to infinity under this homography")
-    return np.array([v[0] / v[2], v[1] / v[2], float(table_height)])
+    x, y = np.asarray(p, dtype=float).reshape(2).tolist()
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.matrix.tolist()
+    w = h20 * x + h21 * y + h22
+    if abs(w) < 1e-12:
+        raise ValueError(f"pixel {(x, y)} maps to infinity under this homography")
+    return np.array([(h00 * x + h01 * y + h02) / w, (h10 * x + h11 * y + h12) / w, float(table_height)])
 
 
 def detect_object(
