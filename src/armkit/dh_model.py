@@ -101,6 +101,27 @@ def dh_terms(row: DHRow) -> DHTerms:
     return (math.radians(row.theta_offset_deg), math.cos(alpha), math.sin(alpha), float(row.a_m), float(row.d_m))
 
 
+# The twists of the wrist-partitioned family, joint by joint.
+_WRIST_PARTITIONED_ALPHA_DEG = (90.0, 0.0, 0.0, 90.0, -90.0, 0.0)
+
+
+def wrist_partitioned(rows: Sequence[DHRow]) -> tuple[float, float, float, float, float] | None:
+    """The links (d1, a2, a3, d4, d6) of an arm in the family both stock
+    arms belong to, or None for any other arm.  The family's rows have the
+    twists (90, 0, 0, 90, -90, 0) degrees, a1 = a4 = a5 = a6 = 0 and
+    d2 = d3 = d5 = 0, any theta offsets, and two nonzero planar links a2
+    and a3.  The last three joint axes then meet in one point, the wrist
+    centre (Pieper's condition), so a pose has closed-form inverse
+    kinematics."""
+    if tuple(row.alpha_deg for row in rows) != _WRIST_PARTITIONED_ALPHA_DEG:
+        return None
+    a1, a2, a3, a4, a5, a6 = (row.a_m for row in rows)
+    d1, d2, d3, d4, d5, d6 = (row.d_m for row in rows)
+    if a1 or a4 or a5 or a6 or d2 or d3 or d5 or not (a2 and a3):
+        return None
+    return float(d1), float(a2), float(a3), float(d4), float(d6)
+
+
 @dataclass(frozen=True)
 class ArmModel:
     """Immutable geometric identity of a six-joint arm: DH rows plus limits.
@@ -108,7 +129,8 @@ class ArmModel:
     Row and limit ``i`` both describe joint/motor ``i``.  ``dh`` holds each
     row's ``dh_terms``, derived once here and read by every kinematics
     routine; ``a``, ``d`` and ``limits_deg`` are read-only array views of the
-    link lengths, offsets and limits.
+    link lengths, offsets and limits.  ``wrist_links`` is
+    ``wrist_partitioned(rows)``, also decided once here.
     """
 
     rows: tuple[DHRow, ...]
@@ -119,6 +141,8 @@ class ArmModel:
     a: np.ndarray = field(init=False, repr=False, compare=False)
     d: np.ndarray = field(init=False, repr=False, compare=False)
     limits_deg: np.ndarray = field(init=False, repr=False, compare=False)
+    wrist_links: tuple[float, float, float, float, float] | None = field(init=False, repr=False, compare=False)
+    _workspace_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
@@ -155,10 +179,12 @@ class ArmModel:
         lim_arr = np.array([[l.min_deg for l in limits], [l.max_deg for l in limits]], dtype=float)
         lim_arr.flags.writeable = False
         object.__setattr__(self, "limits_deg", lim_arr)
+        object.__setattr__(self, "wrist_links", wrist_partitioned(rows))
+        object.__setattr__(self, "_workspace_bound", float(np.sum(self.a + np.abs(self.d))))
 
     def workspace_bound(self) -> float:
         """Conservative reach radius: no target farther out is attainable."""
-        return float(np.sum(self.a + np.abs(self.d)))
+        return self._workspace_bound
 
     def mid_config(self) -> JointConfig:
         """Configuration at every limit midpoint; the canonical solver seed."""

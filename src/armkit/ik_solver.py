@@ -18,9 +18,11 @@ from .kinematics import (
     _jacobian,
     _norm,
     _radians,
+    _rotation,
     _rotation_log,
-    forward_kinematics,
-    pose_to_matrix,
+    # Module globals for perfbench/tracing.py to rebind.
+    forward_kinematics,  # noqa: F401
+    pose_to_matrix,  # noqa: F401
 )
 
 # Restart seeds are drawn from a per-call generator with this fixed seed, so
@@ -135,6 +137,71 @@ def _pose_error(end: Sequence[float], target_end: Sequence[float]) -> tuple[floa
     )
 
 
+def _target_end(pose: Pose6D) -> tuple[float, ...]:
+    """The end frame of ``pose``, as ``_end(pose_to_matrix(pose))`` gives
+    it, without the 4x4 array."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation(pose.quaternion)
+    px, py, pz = pose.position
+    return r00, r01, r02, px, r10, r11, r12, py, r20, r21, r22, pz
+
+
+def _closed_form(model: ArmModel, pose: Pose6D) -> list[list[float]]:
+    """The exact joint angles (radians, not put in limits) that reach
+    ``pose`` on a wrist-partitioned arm (``ArmModel.wrist_links``): up to 8,
+    from two shoulder, two elbow and two wrist branches (Pieper 1968; the
+    set IKFast generates, Diankov 2010).  Empty for any other arm, and for
+    a pose whose wrist centre no branch reaches.  Python floats and math
+    only.
+
+    The wrist centre w = p - d6 z_tool is where the last three axes meet.
+    With theta the joint variables (angle plus theta offset) and
+    r = a2 cos t2 + a3 cos t23, h = a2 sin t2 + a3 sin t23, the first three
+    joints put it at (r c1 + d4 s1, r s1 - d4 c1, d1 + h): t1 solves
+    wx s1 - wy c1 = d4, then (r, h) is a planar two-link problem.  The
+    wrist's rotation R03^T R is Rz(t4) Ry(-t5) Rz(t6), read off for t4 and
+    t4 + pi."""
+    links = model.wrist_links
+    if links is None:
+        return []
+    d1, a2, a3, d4, d6 = links
+    r00, r01, r02, px, r10, r11, r12, py, r20, r21, r22, pz = _target_end(pose)
+    wx, wy, h = px - d6 * r02, py - d6 * r12, pz - d6 * r22 - d1
+    rho = math.hypot(wx, wy)
+    if not rho > abs(d4):  # on or inside the cylinder d4 sweeps: no t1, or every t1
+        return []
+    phi = math.atan2(wy, wx)
+    lateral = math.asin(d4 / rho)
+    reach = math.sqrt((rho - d4) * (rho + d4))
+    o1, o2, o3, o4, o5, o6 = (row[0] for row in model.dh)
+    candidates = []
+    for t1, r in ((phi + lateral, reach), (phi + math.pi - lateral, -reach)):
+        c1, s1 = math.cos(t1), math.sin(t1)
+        c3 = (r * r + h * h - a2 * a2 - a3 * a3) / (2.0 * a2 * a3)
+        if not abs(c3) <= 1.0:
+            continue
+        for s3 in (math.sqrt(1.0 - c3 * c3), -math.sqrt(1.0 - c3 * c3)):
+            t2 = math.atan2(h, r) - math.atan2(a3 * s3, a2 + a3 * c3)
+            t3 = math.atan2(s3, c3)
+            c23, s23 = math.cos(t2 + t3), math.sin(t2 + t3)
+            # R03's columns: x3 = (c23 c1, c23 s1, s23),
+            # y3 = (-s23 c1, -s23 s1, c23), z3 = (s1, -c1, 0); m = R03^T R.
+            xx, xy, yx, yy = c23 * c1, c23 * s1, -s23 * c1, -s23 * s1
+            m00 = xx * r00 + xy * r10 + s23 * r20
+            m01 = xx * r01 + xy * r11 + s23 * r21
+            m02 = xx * r02 + xy * r12 + s23 * r22
+            m10 = yx * r00 + yy * r10 + c23 * r20
+            m11 = yx * r01 + yy * r11 + c23 * r21
+            m12 = yx * r02 + yy * r12 + c23 * r22
+            m22 = s1 * r02 - c1 * r12
+            first = math.atan2(-m12, -m02)
+            for t4 in (first, first + math.pi):
+                c4, s4 = math.cos(t4), math.sin(t4)
+                t5 = math.atan2(-(c4 * m02 + s4 * m12), m22)
+                t6 = math.atan2(c4 * m10 - s4 * m00, c4 * m11 - s4 * m01)
+                candidates.append([t1 - o1, t2 - o2, t3 - o3, t4 - o4, t5 - o5, t6 - o6])
+    return candidates
+
+
 def solve_ik(
     model: ArmModel,
     target: Pose6D,
@@ -154,7 +221,7 @@ def solve_ik(
     or the seed a non-finite angle, UnreachableError when the target position
     lies beyond the reach bound, NoConvergenceError when every attempt fails.
     """
-    target_end = _end(pose_to_matrix(target))
+    target_end = _target_end(target)
 
     def residual(end: Sequence[float]) -> tuple[tuple[float, ...], float, float]:
         e = _pose_error(end, target_end)
@@ -316,7 +383,7 @@ def _attempt(
             best = (pos_err, ori_err)
         if _converged(pos_err, ori_err, settings):
             config = clamp_to_limits(model, JointConfig.from_radians(q))
-            _, final_pos, final_ori = residual(_end(forward_kinematics(model, config)))
+            _, final_pos, final_ori = residual(_chain(model.dh, _radians(config))[1])
             if _converged(final_pos, final_ori, settings):
                 return IkResult(config, it, final_pos, final_ori, restart_index), best
         if it == settings.max_iterations:

@@ -9,7 +9,7 @@ import numpy as np
 
 # clamp_to_limits stays a module global for perfbench/tracing.py to rebind.
 from .dh_model import JOINT_COUNT, ArmModel, JointConfig, clamp_to_limits  # noqa: F401
-from .ik_solver import IkSettings, NoConvergenceError, UnreachableError, solve_ik
+from .ik_solver import IkSettings, NoConvergenceError, UnreachableError, _closed_form, solve_ik
 from .kinematics import Pose6D, _norm, forward_kinematics, matrix_to_pose
 
 GripperState = Literal["open", "closed"]
@@ -76,15 +76,37 @@ def _raised(pose: Pose6D, dz: float) -> Pose6D:
     return Pose6D((x, y, z + dz), pose.quaternion)
 
 
+def _closed_form_start(model: ArmModel, pose: Pose6D, previous: JointConfig) -> JointConfig:
+    """The closed-form solution of ``pose`` within the limits that lies
+    nearest ``previous`` (the least sum of squared degree differences; the
+    first of equal ones), or ``previous`` itself when the arm has no closed
+    form or no solution lies within the limits.  Each angle is shifted by
+    whole turns into [min, min + 360) and kept only if it is <= max."""
+    best, nearest = math.inf, previous
+    for candidate in _closed_form(model, pose):
+        angles = []
+        for q, limit in zip(candidate, model.limits):
+            angle = limit.min_deg + (math.degrees(q) - limit.min_deg) % 360.0
+            if not angle <= limit.max_deg:
+                break
+            angles.append(angle)
+        else:
+            distance = math.fsum((a - b) * (a - b) for a, b in zip(angles, previous.angles_deg))
+            if distance < best:
+                best, nearest = distance, JointConfig(tuple(angles))
+    return nearest
+
+
 def _solve_waypoint(
-    model: ArmModel, name: str, pose: Pose6D, seed: JointConfig, ik_settings: IkSettings
+    model: ArmModel, name: str, pose: Pose6D, previous: JointConfig, ik_settings: IkSettings
 ) -> JointConfig:
-    """IK for one waypoint; a NoConvergenceError is re-raised naming the
-    waypoint.  The solver's own reach check cannot fire here: plan_pick_place
-    has already checked every waypoint against the same workspace bound,
-    measured with the same norm."""
+    """IK for one waypoint, seeded by _closed_form_start; a
+    NoConvergenceError is re-raised naming the waypoint.  The solver's own
+    reach check cannot fire here: plan_pick_place has already checked every
+    waypoint against the same workspace bound, measured with the same
+    norm."""
     try:
-        return solve_ik(model, pose, seed, ik_settings).solution
+        return solve_ik(model, pose, _closed_form_start(model, pose, previous), ik_settings).solution
     except NoConvergenceError as exc:
         raise NoConvergenceError(
             exc.best_position_error, exc.best_orientation_error, exc.attempts, waypoint=name
@@ -105,10 +127,14 @@ def plan_pick_place(
     place); pre/post waypoints sit ``clearance`` meters above their targets
     along world +z.  Each distinct pose is solved once: a waypoint whose pose
     equals an earlier one's (lift, retreat, and more at zero clearance) takes
-    that waypoint's configuration.  Every other waypoint's IK is seeded with
-    the previous waypoint's configuration, starting from ``mid_config()``, so
-    the whole plan stays on one branch.  Raises UnreachableError or
-    NoConvergenceError naming the first offending waypoint.
+    that waypoint's configuration.  Every other waypoint's IK starts from the
+    exact closed-form solution within the limits nearest the previous
+    waypoint's configuration, starting from ``mid_config()``, so the whole
+    plan stays on one branch and the solver's first check accepts it.  An
+    arm without a closed form, or a pose with no solution within the limits,
+    seeds the solver with the previous configuration itself.  Raises
+    UnreachableError or NoConvergenceError naming the first offending
+    waypoint.
     """
     if not (clearance >= 0.0):  # negated so NaN fails too
         raise ValueError("clearance must be >= 0")

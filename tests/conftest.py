@@ -1,7 +1,12 @@
+import contextlib
 import dataclasses
+import hashlib
 import importlib.util
+import io
+import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +17,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 from armkit import (
     ArmModel,
     DHRow,
+    GrayImage,
     IkSettings,
     JointLimit,
     NoConvergenceError,
     Trajectory,
     UnreachableError,
     default_arm,
+    dump_arm_config,
     forward_kinematics,
     matrix_to_pose,
     plan_pick_place,
+    write_pgm,
 )
 
 WIDE_LIMITS = tuple(JointLimit(0.0, 359.0) for _ in range(6))
@@ -73,6 +81,89 @@ def perfbench_run():
     finally:
         sys.path.remove(str(PERFBENCH))
     return module
+
+
+def warm_up_digest(run, workload, traced=False):
+    """perfbench/run.py's digest of the records of ``workload``'s warm-up
+    ops at its default seed (ik_cold loads its reference restart indexes
+    only for that seed); ``traced`` adds each op's work counters, read off
+    the calls that perfbench/tracing.py wraps."""
+    bench = run.WORKLOADS[workload](run.Env(), run.WORKLOADS[workload].default_seed)
+    if not traced:
+        warm = run.run_pass(bench, count=bench.warmup_ops)
+        assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
+        return run.digest(warm.records)
+    tracer = run.Tracer()
+    with tracer.installed():
+        warm = run.run_pass(bench, count=bench.warmup_ops, tracer=tracer)
+    assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
+    counters = run.op_counters(tracer.spans)
+    return run.digest((warm.records[i], counters.get(i)) for i in range(bench.warmup_ops))
+
+
+def write_wide_config(directory: Path) -> str:
+    """The default geometry with wide-open limits, as an arm document."""
+    base = default_arm()
+    path = directory / "wide.json"
+    path.write_text(dump_arm_config(ArmModel(rows=base.rows, limits=WIDE_LIMITS, name="wide-6dof")))
+    return str(path)
+
+
+def write_scene(directory: Path) -> dict:
+    """60x60 workspace, 0.01 m/px calibration centered at (-0.3, -0.3), one
+    5x5 block whose centroid sits at pixel (10, 30) = world (-0.2, 0.0)."""
+    background = GrayImage.from_array(np.zeros((60, 60), dtype=np.uint8))
+    px = np.zeros((60, 60), dtype=np.uint8)
+    px[28:33, 8:13] = 220
+    frame = GrayImage.from_array(px)
+    bg_path = directory / "bg.pgm"
+    frame_path = directory / "frame.pgm"
+    write_pgm(background, bg_path)
+    write_pgm(frame, frame_path)
+    calib = [
+        {"px": 0, "py": 0, "wx_m": -0.3, "wy_m": -0.3},
+        {"px": 60, "py": 0, "wx_m": 0.3, "wy_m": -0.3},
+        {"px": 60, "py": 60, "wx_m": 0.3, "wy_m": 0.3},
+        {"px": 0, "py": 60, "wx_m": -0.3, "wy_m": 0.3},
+    ]
+    calib_path = directory / "calib.json"
+    calib_path.write_text(json.dumps(calib))
+    return {
+        "background": str(bg_path),
+        "frame": str(frame_path),
+        "calib": str(calib_path),
+    }
+
+
+def detect_args(scene, threshold="50", min_area="10", table_z="0.02"):
+    return [
+        "--background",
+        scene["background"],
+        "--frame",
+        scene["frame"],
+        "--calib",
+        scene["calib"],
+        "--threshold",
+        threshold,
+        "--min-area",
+        min_area,
+        "--table-z",
+        table_z,
+    ]
+
+
+def pick_output_sha256():
+    """sha256 of what ``armkit pick`` prints for write_scene's block placed
+    at (-0.15, -0.1, 0.02) by the wide arm."""
+    from armkit.cli import main
+
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        args = ["pick", "--config", write_wide_config(directory), *detect_args(write_scene(directory))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args + ["--place-pos=-0.15,-0.1,0.02"]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def fk_pose(model, q):

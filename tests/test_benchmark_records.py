@@ -8,7 +8,7 @@ the counters read through it, without running the benchmark.  perfbench/ is
 only read."""
 import pytest
 
-from conftest import perfbench_run
+from conftest import perfbench_run, warm_up_digest
 
 
 @pytest.fixture(scope="module")
@@ -16,31 +16,16 @@ def run():
     return perfbench_run()
 
 
-def build(run, workload):
-    """The workload with its own default seed: ik_cold loads its reference
-    restart indexes only for that seed."""
-    return run.WORKLOADS[workload](run.Env(), run.WORKLOADS[workload].default_seed)
-
-
 @pytest.mark.parametrize(
     "workload, digest",
-    [("pick_table", "8f322a127a6465b0"), ("sim_replay", "c1eb5b2eb6cbd069"), ("ik_cold", "aeeedffc94cd0e86")],
+    [("pick_table", "83a499e37389435e"), ("sim_replay", "c1eb5b2eb6cbd069"), ("ik_cold", "aeeedffc94cd0e86")],
 )
 def test_warm_up_records_are_pinned(run, workload, digest):
-    bench = build(run, workload)
-    warm = run.run_pass(bench, count=bench.warmup_ops)
-    assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
-    assert run.digest(warm.records) == digest
+    assert warm_up_digest(run, workload) == digest
 
 
 @pytest.mark.parametrize(
-    "workload, digest", [("pick_table", "2a785bae6d950b24"), ("sim_replay", "f4388d6fce2e4b84")]
+    "workload, digest", [("pick_table", "467942af032e8d54"), ("sim_replay", "f4388d6fce2e4b84")]
 )
 def test_traced_warm_up_counters_are_pinned(run, workload, digest):
-    bench = build(run, workload)
-    tracer = run.Tracer()
-    with tracer.installed():
-        warm = run.run_pass(bench, count=bench.warmup_ops, tracer=tracer)
-    assert [o.wrong for o in warm.outcomes] == [None] * bench.warmup_ops
-    counters = run.op_counters(tracer.spans)
-    assert run.digest((warm.records[i], counters.get(i)) for i in range(bench.warmup_ops)) == digest
+    assert warm_up_digest(run, workload, traced=True) == digest

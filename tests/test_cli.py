@@ -6,12 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from armkit import GrayImage, default_arm, dump_arm_config, forward_kinematics, matrix_to_pose, write_pgm
+from armkit import default_arm, dump_arm_config, forward_kinematics, matrix_to_pose
 from armkit.cli import main
-from armkit.dh_model import ArmModel, JointLimit
+
+from conftest import detect_args, pick_output_sha256, write_scene, write_wide_config
 
 MID = "90,135,45,135,90,45"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -26,59 +26,12 @@ def config_path(tmp_path):
 
 @pytest.fixture
 def wide_config_path(tmp_path):
-    base = default_arm()
-    wide = ArmModel(
-        rows=base.rows,
-        limits=tuple(JointLimit(0.0, 359.0) for _ in range(6)),
-        name="wide-6dof",
-    )
-    path = tmp_path / "wide.json"
-    path.write_text(dump_arm_config(wide))
-    return str(path)
+    return write_wide_config(tmp_path)
 
 
 @pytest.fixture
 def scene(tmp_path):
-    """60x60 workspace, 0.01 m/px calibration centered at (-0.3, -0.3), one
-    5x5 block whose centroid sits at pixel (10, 30) = world (-0.2, 0.0)."""
-    background = GrayImage.from_array(np.zeros((60, 60), dtype=np.uint8))
-    px = np.zeros((60, 60), dtype=np.uint8)
-    px[28:33, 8:13] = 220
-    frame = GrayImage.from_array(px)
-    bg_path = tmp_path / "bg.pgm"
-    frame_path = tmp_path / "frame.pgm"
-    write_pgm(background, bg_path)
-    write_pgm(frame, frame_path)
-    calib = [
-        {"px": 0, "py": 0, "wx_m": -0.3, "wy_m": -0.3},
-        {"px": 60, "py": 0, "wx_m": 0.3, "wy_m": -0.3},
-        {"px": 60, "py": 60, "wx_m": 0.3, "wy_m": 0.3},
-        {"px": 0, "py": 60, "wx_m": -0.3, "wy_m": 0.3},
-    ]
-    calib_path = tmp_path / "calib.json"
-    calib_path.write_text(json.dumps(calib))
-    return {
-        "background": str(bg_path),
-        "frame": str(frame_path),
-        "calib": str(calib_path),
-    }
-
-
-def detect_args(scene, threshold="50", min_area="10", table_z="0.02"):
-    return [
-        "--background",
-        scene["background"],
-        "--frame",
-        scene["frame"],
-        "--calib",
-        scene["calib"],
-        "--threshold",
-        threshold,
-        "--min-area",
-        min_area,
-        "--table-z",
-        table_z,
-    ]
+    return write_scene(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -303,10 +256,11 @@ class TestPlanAndSim:
     @pytest.mark.parametrize(
         "object_pos, place_pos, frame_count, sha256",
         [
-            # every waypoint solved from the caller's seed chain
-            ("0.12,0.05,0.02", "-0.05,0.12,0.02", 151, "8ad3263b3f5ac2c5f90a2d618fec91164b08985177bd630fe3edb19604e63fb2"),
-            # pre_place is solved by restart 8
-            ("0.17,0.0,0.02", "0.0,-0.12,0.02", 242, "6e508b41056a0c4ebe2c5c243b15874753fee824e114808d438ccd3625cf3749"),
+            # every waypoint solved from its closed-form start
+            ("0.12,0.05,0.02", "-0.05,0.12,0.02", 151, "0ad192c46afc5eef356b9d6611d4b123b54a7056ba2b0a9b21ffb8f0eec0f9b7"),
+            # pre_place, which the previous configuration alone solves only by
+            # restart 8, starts on the branch nearest it
+            ("0.17,0.0,0.02", "0.0,-0.12,0.02", 162, "814f4e1096d0c4a813f93d2120eff5acd56d5f2f618a1742cda2630aa355651b"),
         ],
     )
     def test_plan_output_is_pinned(self, wide_config_path, capsys, object_pos, place_pos, frame_count, sha256):
@@ -320,7 +274,7 @@ class TestPlanAndSim:
         "object_pos, place_pos, sha256",
         [
             ("0.12,0.05,0.02", "-0.05,0.12,0.02", "d35d53e785cc7cd4de8832f0e7d9927c759900fce9b280601c988c75a8e6efae"),
-            ("0.17,0.0,0.02", "0.0,-0.12,0.02", "1f2ac273c45f1d7bbd66ec9753462d5bd94d2732f7b8306c9ffe47e3b640a67e"),
+            ("0.17,0.0,0.02", "0.0,-0.12,0.02", "23fc0b7107180fd47d5bd16ab477b02ed18d57ff0e1dda5ded1eaf9557b22bf2"),
         ],
     )
     def test_sim_output_is_pinned(self, wide_config_path, tmp_path, capsys, object_pos, place_pos, sha256):
@@ -461,12 +415,7 @@ class TestPick:
         assert final[1] == pytest.approx(-0.1, abs=0.002)
 
     def test_pick_output_is_pinned(self, wide_config_path, scene, capsys):
-        code = main(["pick", "--config", wide_config_path, *detect_args(scene), "--place-pos=-0.15,-0.1,0.02"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "156319ba7de7e89837648683a2ddd02ce12ef33a98529de204cb1ad52dbc3aec"
-        )
+        assert pick_output_sha256() == "440d3bb23cc29bb87994752f21ed8dec799613caa691d4010183d96adb7a373d"
 
     def test_empty_scene_exits_4(self, wide_config_path, scene, capsys):
         args = detect_args(scene)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,21 @@ from armkit import (
     solve_ik_position_only,
     top_down_pose,
 )
-from armkit.dh_model import MAX_LINK_M
-from armkit.ik_solver import STEP_LIMIT_RAD, _dls_step, _norm
+from armkit.dh_model import MAX_LINK_M, ArmModel
+from armkit.ik_solver import STEP_LIMIT_RAD, _closed_form, _dls_step, _norm
+from armkit.planner import _closed_form_start
 from armkit.kinematics import _chain, _jacobian, euler_zyx_to_matrix
 
-from conftest import PERFBENCH, fk_pose, make_arm, perfbench_run, random_arm, random_config
+from conftest import (
+    PERFBENCH,
+    fk_pose,
+    make_arm,
+    perfbench_run,
+    pick_output_sha256,
+    random_arm,
+    random_config,
+    warm_up_digest,
+)
 from naive_oracle import loop_dls_step, naive_dls_step, naive_jacobian
 
 
@@ -346,6 +357,70 @@ class TestStep:
 SPECIAL_DEG = (0.0, -0.0, 90.0, -90.0, 180.0, -180.0)
 
 
+class TestClosedForm:
+    """_closed_form against forward kinematics: every candidate reaches its
+    pose, and the configuration the pose came from is among them."""
+
+    @staticmethod
+    def offset_arms(model, rng, count):
+        """``model`` and ``count`` copies of it with random theta offsets."""
+        arms = [model]
+        for _ in range(count):
+            offsets = rng.uniform(-179.0, 180.0, 6)
+            rows = tuple(replace(r, theta_offset_deg=float(o)) for r, o in zip(model.rows, offsets))
+            arms.append(ArmModel(rows, model.limits, model.name))
+        return arms
+
+    def test_every_candidate_reaches_its_pose(self, arm, wide_arm):
+        rng = np.random.default_rng(2617)
+        worst = 0.0
+        for model in self.offset_arms(arm, rng, 4) + self.offset_arms(wide_arm, rng, 4):
+            assert model.wrist_links is not None
+            for _ in range(60):
+                q = random_config(rng, model)
+                T = forward_kinematics(model, q)
+                candidates = _closed_form(model, matrix_to_pose(T))
+                assert 1 <= len(candidates) <= 8
+                for candidate in candidates:
+                    gap = float(np.abs(forward_kinematics(model, JointConfig.from_radians(candidate)) - T).max())
+                    worst = max(worst, gap)
+                turns = np.array(candidates) - np.radians(q.angles_deg)
+                assert np.abs(np.angle(np.exp(1j * turns))).max(axis=1).min() <= 1e-9
+        # Measured: 5.6e-15 at worst over these 600 poses.
+        assert worst <= 1e-9
+
+    def test_other_arms_have_no_closed_form(self, arm):
+        rng = np.random.default_rng(2621)
+        pose = fk_pose(arm, arm.mid_config())
+        for _ in range(20):
+            model = random_arm(rng)
+            assert model.wrist_links is None
+            assert _closed_form(model, pose) == []
+        # One wrist link off the family's pattern is enough.
+        rows = list(arm.rows)
+        rows[4] = replace(rows[4], d_m=0.001)
+        assert ArmModel(tuple(rows), arm.limits).wrist_links is None
+
+    def test_start_is_within_limits_and_solves_at_once(self, arm):
+        """On the stock limits, the planner's start for a pose drawn within
+        them lies within them, no farther from the previous configuration
+        than the drawn one, and solve_ik accepts it without a step."""
+        rng = np.random.default_rng(2633)
+        previous = arm.mid_config()
+        lo, hi = arm.limits_deg
+        for _ in range(100):
+            q = random_config(rng, arm)
+            pose = fk_pose(arm, q)
+            start = _closed_form_start(arm, pose, previous)
+            assert not check_limits(arm, start)
+            assert np.sum((np.array(start.angles_deg) - previous.angles_deg) ** 2) <= (
+                np.sum((np.array(q.angles_deg) - previous.angles_deg) ** 2) + 1e-9
+            )
+            result = solve_ik(arm, pose, start)
+            assert (result.restart_index, result.iterations) == (0, 0)
+            previous = result.solution
+
+
 def _kernel_configs(rng, model, count):
     """``count`` radian configurations within the model's limits, in which
     about half of the joints sit on a SPECIAL_DEG angle instead."""
@@ -529,10 +604,10 @@ RESULT_PINS = [
 ]
 BEST_RESIDUAL_PIN = "589e18150ca60af050dae367f75b42e03d0882bd9a3de1a14a5c2c21f3ff7f73"
 PICK_PATH_PINS = [
-    (0, "bbed86ac4e09893270261a3ead1743d4e3c3f1102e1beb936a2d1708d7744cdc"),
-    (1, "782b0eea06c4fed5c99964e71dfbcf9f5f2bd3a7595df54fcdb04c3993cc4392"),
-    (2, "c8b030e7aebb85f75fc72e551fa2efbdc02abbf7282f6e42b0ecefc9914e9344"),
-    (3, "83dba331222324d458469ca6953ca6b4be73250a69a7e7ae41806ec4b35b2e70"),
+    (0, "4c0a57285f919a399f72580bc43e68647b5eb6200dfa76a5dc32f9dacb588536"),
+    (1, "0d6a3737281726836652c33031d71790865d604f4e9243cd7edc17d4313556df"),
+    (2, "d270c768df9f3675de93cd564767afcd14103422d9aef9fbdb452bcc5741eff6"),
+    (3, "f46568beb9c59b9bde4d694df9888e4688ec5d65d1052c2375d0c0d9f2015098"),
 ]
 
 
@@ -569,24 +644,18 @@ def pick_path_bits(pick_table, pair):
 
 
 def pinned_bits(arm, pick_table):
-    """The values of all 13 TestPinnedBits cases, in the order of the pins,
-    then the record digest of sim_replay's warm-up ops that
-    tests/test_benchmark_records.py pins."""
+    """The values of all 13 TestPinnedBits cases, in the order of the pins;
+    then the warm-up digests that tests/test_benchmark_records.py pins for
+    sim_replay and pick_table (the latter also traced), and the sha256 of
+    the pinned ``armkit pick`` output."""
+    run = perfbench_run()
     return (
         [list(result_bits(arm, index, position_only)) for index, position_only, _, _ in RESULT_PINS]
         + [best_residual_bits(arm)]
         + [pick_path_bits(pick_table, pair) for pair, _ in PICK_PATH_PINS]
-        + [sim_replay_digest()]
+        + [warm_up_digest(run, "sim_replay"), warm_up_digest(run, "pick_table")]
+        + [warm_up_digest(run, "pick_table", traced=True), pick_output_sha256()]
     )
-
-
-def sim_replay_digest():
-    """perfbench/run.py's digest of the records of sim_replay's warm-up ops
-    at its default seed: every stream's ticks, clock and released object
-    position."""
-    run = perfbench_run()
-    bench = run.WORKLOADS["sim_replay"](run.Env(), run.WORKLOADS["sim_replay"].default_seed)
-    return run.digest(run.run_pass(bench, count=bench.warmup_ops).records)
 
 
 class TestPinnedBits:
@@ -625,10 +694,10 @@ def _openblas_is_dynamic_arch():
 
 @pytest.mark.skipif(not _openblas_is_dynamic_arch(), reason="numpy's OpenBLAS picks no kernel at run time")
 def test_pins_hold_on_every_openblas_core(arm, pick_table):
-    """The pinned solves and the servo bus run no BLAS or LAPACK kernel: a
-    child process per OpenBLAS core, with OPENBLAS_CORETYPE set in its
-    environment only, gives the same 13 values and sim_replay digest as
-    this process."""
+    """The pinned solves, the servo bus and the calibration fit run no BLAS
+    or LAPACK kernel: a child process per OpenBLAS core, with
+    OPENBLAS_CORETYPE set in its environment only, gives the same 13 values,
+    benchmark digests and pick output as this process."""
     path = os.pathsep.join([str(Path(__file__).parent), str(Path(armkit.__file__).parents[1])])
     children = {
         core: subprocess.Popen(

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import inspect
 import io
 import json
@@ -1358,10 +1359,10 @@ class TestPickCycle:
         assert len(frames) > 100
         assert len(built) == 0
 
-    def test_dls_steps_per_cycle_are_pinned(self, wide_arm, monkeypatch):
-        """The planner's IK takes 27 damped-least-squares steps on this cycle
-        (lift and retreat reuse solved configurations); a faster solver must
-        do the same steps, each of them cheaper."""
+    @staticmethod
+    def dls_steps(model, monkeypatch):
+        """The damped-least-squares steps that planning and running the
+        cycle of test_states_built_per_cycle take on ``model``."""
         import armkit.ik_solver
 
         calls = []
@@ -1374,8 +1375,32 @@ class TestPickCycle:
         monkeypatch.setattr(armkit.ik_solver, "_dls_step", counting_step)
         obj = top_down_pose(0.12, 0.05, 0.02)
         place = top_down_pose(-0.05, 0.12, 0.02)
-        assert run_pick_cycle(wide_arm, obj, place).success
-        assert len(calls) == 27
+        assert run_pick_cycle(model, obj, place).success
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_dls_steps_per_cycle_are_pinned(self, wide_arm, monkeypatch):
+        """Every solve of this cycle starts from an exact closed-form
+        solution, which the solver's first check accepts: no
+        damped-least-squares step (27 when each solve started from the
+        previous waypoint's configuration)."""
+        assert self.dls_steps(wide_arm, monkeypatch) == 0
+
+    def test_arm_without_closed_form_plans_as_before(self, wide_arm, monkeypatch):
+        """Joint 5 offset 2 mm along its axis takes the wide arm out of the
+        wrist-partitioned family.  Its solves start from the previous
+        configuration: the same 27 steps, and every plan angle pinned from
+        before closed-form starts existed."""
+        rows = list(wide_arm.rows)
+        rows[4] = replace(rows[4], d_m=0.002)
+        model = ArmModel(tuple(rows), wide_arm.limits)
+        assert model.wrist_links is None
+        assert self.dls_steps(model, monkeypatch) == 27
+        plan = plan_pick_place(model, top_down_pose(0.12, 0.05, 0.02), top_down_pose(-0.05, 0.12, 0.02))
+        angles = tuple(a.hex() for wp in plan.waypoints for a in wp.config.angles_deg)
+        assert hashlib.sha256(repr(angles).encode()).hexdigest() == (
+            "fa95251c23fc7afc328fefa79db7e95a52ab6c4dc5a49e043882fed814a2f0bc"
+        )
 
     def test_report_serializes_to_json(self, arm):
         rng = np.random.default_rng(193)
