@@ -105,7 +105,7 @@ def dh_terms(row: DHRow) -> DHTerms:
 _WRIST_PARTITIONED_ALPHA_DEG = (90.0, 0.0, 0.0, 90.0, -90.0, 0.0)
 
 
-def wrist_partitioned(rows: Sequence[DHRow]) -> tuple[float, float, float, float, float] | None:
+def _wrist_links(rows: Sequence[DHRow]) -> tuple[float, float, float, float, float] | None:
     """The links (d1, a2, a3, d4, d6) of an arm in the family both stock
     arms belong to, or None for any other arm.  The family's rows have the
     twists (90, 0, 0, 90, -90, 0) degrees, a1 = a4 = a5 = a6 = 0 and
@@ -130,7 +130,7 @@ class ArmModel:
     row's ``dh_terms``, derived once here and read by every kinematics
     routine; ``a``, ``d`` and ``limits_deg`` are read-only array views of the
     link lengths, offsets and limits.  ``wrist_links`` is
-    ``wrist_partitioned(rows)``, also decided once here.
+    ``_wrist_links(rows)``, also decided once here.
     """
 
     rows: tuple[DHRow, ...]
@@ -179,7 +179,7 @@ class ArmModel:
         lim_arr = np.array([[l.min_deg for l in limits], [l.max_deg for l in limits]], dtype=float)
         lim_arr.flags.writeable = False
         object.__setattr__(self, "limits_deg", lim_arr)
-        object.__setattr__(self, "wrist_links", wrist_partitioned(rows))
+        object.__setattr__(self, "wrist_links", _wrist_links(rows))
         object.__setattr__(self, "_workspace_bound", float(np.sum(self.a + np.abs(self.d))))
 
     def workspace_bound(self) -> float:

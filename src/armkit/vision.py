@@ -195,7 +195,7 @@ class Homography:
         H = H / H[2, 2]
         (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = H.tolist()
         det = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20) + h02 * (h10 * h21 - h11 * h20)
-        if not (abs(det) > 1e-12):  # negated so NaN fails too
+        if abs(det) <= 1e-12:
             raise HomographyError("homography is singular")
         H.flags.writeable = False
         object.__setattr__(self, "matrix", H)
