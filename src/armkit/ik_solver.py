@@ -20,8 +20,8 @@ from .kinematics import (
     _radians,
     _rotation,
     _rotation_log,
-    # Module globals for perfbench/tracing.py to rebind.
-    forward_kinematics,  # noqa: F401
+    forward_kinematics,
+    # pose_to_matrix stays a module global for perfbench/tracing.py to rebind.
     pose_to_matrix,  # noqa: F401
 )
 
@@ -383,7 +383,7 @@ def _attempt(
             best = (pos_err, ori_err)
         if _converged(pos_err, ori_err, settings):
             config = clamp_to_limits(model, JointConfig.from_radians(q))
-            _, final_pos, final_ori = residual(_chain(model.dh, _radians(config))[1])
+            _, final_pos, final_ori = residual(_end(forward_kinematics(model, config)))
             if _converged(final_pos, final_ori, settings):
                 return IkResult(config, it, final_pos, final_ori, restart_index), best
         if it == settings.max_iterations:
