@@ -142,6 +142,7 @@ class ArmModel:
     d: np.ndarray = field(init=False, repr=False, compare=False)
     limits_deg: np.ndarray = field(init=False, repr=False, compare=False)
     wrist_links: tuple[float, float, float, float, float] | None = field(init=False, repr=False, compare=False)
+    _workspace_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
@@ -179,10 +180,11 @@ class ArmModel:
         lim_arr.flags.writeable = False
         object.__setattr__(self, "limits_deg", lim_arr)
         object.__setattr__(self, "wrist_links", _wrist_links(rows))
+        object.__setattr__(self, "_workspace_bound", float(np.sum(self.a + np.abs(self.d))))
 
     def workspace_bound(self) -> float:
         """Conservative reach radius: no target farther out is attainable."""
-        return float(np.sum(self.a + np.abs(self.d)))
+        return self._workspace_bound
 
     def mid_config(self) -> JointConfig:
         """Configuration at every limit midpoint; the canonical solver seed."""
