@@ -18,7 +18,7 @@ from .ik_solver import IkResult, NoConvergenceError, UnreachableError, solve_ik,
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
 from .planner import DEFAULT_CLEARANCE_M, plan_pick_place, plan_to_trajectory, top_down_pose
 from .simulator import SimConfig, encode_servo_frames, frames_to_text, replay_frames, run_pick_cycle
-from .vision import Detection, detect_object, estimate_homography, load_calibration, read_pgm
+from .vision import Detection, GrayImage, detect_object, estimate_homography, load_calibration, read_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,9 +111,23 @@ def _cmd_ik(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_image(flag: str, path: str) -> GrayImage:
+    """The PGM at ``path``; a malformed one raises ValueError naming the
+    flag and the file."""
+    try:
+        return read_pgm(path)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from exc
+
+
 def _detect(args: argparse.Namespace) -> Detection | None:
-    background = read_pgm(args.background)
-    frame = read_pgm(args.frame)
+    background = _read_image("--background", args.background)
+    frame = _read_image("--frame", args.frame)
+    if (frame.width, frame.height) != (background.width, background.height):
+        raise ValueError(
+            f"--frame {args.frame}: image is {frame.width}x{frame.height}, "
+            f"but --background {args.background} is {background.width}x{background.height}"
+        )
     pixel_pts, world_pts = load_calibration(Path(args.calib).read_text(encoding="utf-8"))
     homography = estimate_homography(pixel_pts, world_pts)
     return detect_object(

@@ -9,7 +9,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dh_model import ArmModel, JointConfig, clamp_to_limits
+# clamp_to_limits, forward_kinematics and pose_to_matrix stay module globals
+# for perfbench/tracing.py to rebind.
+from .dh_model import ArmModel, JointConfig, clamp_to_limits  # noqa: F401
 from .kinematics import (
     Chain,
     Pose6D,
@@ -20,8 +22,7 @@ from .kinematics import (
     _radians,
     _rotation,
     _rotation_log,
-    forward_kinematics,
-    # pose_to_matrix stays a module global for perfbench/tracing.py to rebind.
+    forward_kinematics,  # noqa: F401
     pose_to_matrix,  # noqa: F401
 )
 
@@ -368,12 +369,22 @@ def _attempt(
     q0_rad: Sequence[float],
     lo_rad: list[float],
     hi_rad: list[float],
+    lo_deg: list[float],
+    hi_deg: list[float],
     settings: IkSettings,
     restart_index: int,
 ) -> tuple[IkResult | None, tuple[float, float]]:
     """Iterate from one start; returns (result-or-None, best residual pair).
-    A converged iterate counts only if its clamped degree configuration, the
-    value the caller sees, passes the tolerances again through FK."""
+    The joint limits come in radians and in degrees.  A converged iterate
+    counts only if its clamped degree configuration, the value the caller
+    sees, passes the tolerances again through FK.
+
+    That configuration is the iterate in degrees clamped by JointLimit's
+    comparisons, the bits of ``clamp_to_limits(model,
+    JointConfig.from_radians(q))``.  When its radians equal the iterate,
+    their chains are the same, so the residual just computed is its own:
+    the round trip keeps the sign of zero, and no NaN reaches a converged
+    check, so equal floats here are equal bits."""
     q = _clamp(q0_rad, lo_rad, hi_rad)
     best = (math.inf, math.inf)
     for it in range(settings.max_iterations + 1):
@@ -382,10 +393,14 @@ def _attempt(
         if pos_err + ori_err < best[0] + best[1]:
             best = (pos_err, ori_err)
         if _converged(pos_err, ori_err, settings):
-            config = clamp_to_limits(model, JointConfig.from_radians(q))
-            _, final_pos, final_ori = residual(_end(forward_kinematics(model, config)))
+            angles = _clamp([math.degrees(v) for v in q], lo_deg, hi_deg)
+            q_final = [math.radians(a) for a in angles]
+            if q_final == q:
+                final_pos, final_ori = pos_err, ori_err
+            else:
+                _, final_pos, final_ori = residual(_chain(model.dh, q_final)[1])
             if _converged(final_pos, final_ori, settings):
-                return IkResult(config, it, final_pos, final_ori, restart_index), best
+                return IkResult(JointConfig(tuple(angles)), it, final_pos, final_ori, restart_index), best
         if it == settings.max_iterations:
             break
         q = _clamp([a + b for a, b in zip(q, _dls_step(model, q, e, chain))], lo_rad, hi_rad)
@@ -420,12 +435,14 @@ def _solve(
     if distance > bound:
         raise UnreachableError(distance, bound)
 
-    lo_rad = [math.radians(lim.min_deg) for lim in model.limits]
-    hi_rad = [math.radians(lim.max_deg) for lim in model.limits]
+    lo_deg = [lim.min_deg for lim in model.limits]
+    hi_deg = [lim.max_deg for lim in model.limits]
+    lo_rad = [math.radians(a) for a in lo_deg]
+    hi_rad = [math.radians(a) for a in hi_deg]
     best = (math.inf, math.inf)
     solved: list[IkResult] = []
     for k, q0 in enumerate(_starts(seed_rad, lo_rad, hi_rad, settings.restarts)):
-        result, attempt_best = _attempt(model, residual, q0, lo_rad, hi_rad, settings, k)
+        result, attempt_best = _attempt(model, residual, q0, lo_rad, hi_rad, lo_deg, hi_deg, settings, k)
         if attempt_best[0] + attempt_best[1] < best[0] + best[1]:
             best = attempt_best
         if result is not None:

@@ -81,20 +81,36 @@ def _closed_form_start(model: ArmModel, pose: Pose6D, previous: JointConfig) -> 
     nearest ``previous`` (the least sum of squared degree differences; the
     first of equal ones), or ``previous`` itself when the arm has no closed
     form or no solution lies within the limits.  Each angle is shifted by
-    whole turns into [min, min + 360) and kept only if it is <= max."""
-    best, nearest = math.inf, previous
-    for candidate in _closed_form(model, pose):
-        angles = []
-        for q, limit in zip(candidate, model.limits):
-            angle = limit.min_deg + (math.degrees(q) - limit.min_deg) % 360.0
-            if not angle <= limit.max_deg:
-                break
-            angles.append(angle)
-        else:
-            distance = math.fsum((a - b) * (a - b) for a, b in zip(angles, previous.angles_deg))
+    whole turns into [min, min + 360) and kept only if it is <= max.
+
+    Written out over named locals, a candidate at a time: the shifts and
+    limit tests stop at the first joint outside its limits, fsum rounds the
+    distance once, and only the winner becomes a JointConfig.  The tests
+    keep the loop form as the reference (``loop_closed_form_start``)."""
+    l0, l1, l2, l3, l4, l5 = model.limits
+    lo0, lo1, lo2, lo3, lo4, lo5 = l0.min_deg, l1.min_deg, l2.min_deg, l3.min_deg, l4.min_deg, l5.min_deg
+    hi0, hi1, hi2, hi3, hi4, hi5 = l0.max_deg, l1.max_deg, l2.max_deg, l3.max_deg, l4.max_deg, l5.max_deg
+    p0, p1, p2, p3, p4, p5 = previous.angles_deg
+    degrees, fsum = math.degrees, math.fsum
+    best, nearest = math.inf, None
+    for q0, q1, q2, q3, q4, q5 in _closed_form(model, pose):
+        # Each test reads only its own joint, so the chain stops at the
+        # first joint outside its limits.
+        if (
+            (a0 := lo0 + (degrees(q0) - lo0) % 360.0) <= hi0
+            and (a1 := lo1 + (degrees(q1) - lo1) % 360.0) <= hi1
+            and (a2 := lo2 + (degrees(q2) - lo2) % 360.0) <= hi2
+            and (a3 := lo3 + (degrees(q3) - lo3) % 360.0) <= hi3
+            and (a4 := lo4 + (degrees(q4) - lo4) % 360.0) <= hi4
+            and (a5 := lo5 + (degrees(q5) - lo5) % 360.0) <= hi5
+        ):
+            distance = fsum((
+                (a0 - p0) * (a0 - p0), (a1 - p1) * (a1 - p1), (a2 - p2) * (a2 - p2),
+                (a3 - p3) * (a3 - p3), (a4 - p4) * (a4 - p4), (a5 - p5) * (a5 - p5),
+            ))
             if distance < best:
-                best, nearest = distance, JointConfig(tuple(angles))
-    return nearest
+                best, nearest = distance, (a0, a1, a2, a3, a4, a5)
+    return previous if nearest is None else JointConfig(nearest)
 
 
 def _solve_waypoint(

@@ -350,22 +350,31 @@ def _tick(
     ``rate_limit_deg_s * tick_s``, arriving exactly (no overshoot).  The
     joints move independently, so the frame takes the largest of their
     counts, N, and the clock adds ``tick_s`` N times in order, the same bits
-    as ticking all joints together.  The frame's largest gap, at most
-    ``max_move``, takes one tick, none when it is zero.  A longer one takes
-    ``ceil(gap / max_move)`` ticks unless that ratio lies within the frame's
-    rounding bound of a whole number: then _ticks_by_joint counts each joint
-    on its own.  After N > 0 ticks every joint holds its target's bits: a
-    step never lands on a zero, so one that lands on the target equals it
-    bit for bit.  The angles must be finite.  Raises ValueError when the
-    simulated time is no longer finite; ``seq`` names the frame in that
-    message.
+    as ticking all joints together.  A frame whose every gap is at most
+    ``max_move`` takes one tick, none when every gap is zero.  Otherwise its
+    largest gap takes ``ceil(gap / max_move)`` ticks unless that ratio lies
+    within the frame's rounding bound of a whole number: then
+    _ticks_by_joint counts each joint on its own.  After N > 0 ticks every
+    joint holds its target's bits: a step never lands on a zero, so one that
+    lands on the target equals it bit for bit.  The six angles of each must
+    be finite.  Raises ValueError when the simulated time is no longer
+    finite; ``seq`` names the frame in that message.
     """
     tick_s = config.tick_s
     max_move = config.rate_limit_deg_s * tick_s
-    # fl(tgt - cur) is exactly -fl(cur - tgt), so each |tgt - cur| holds the
-    # bits of the joint's gap whichever way it moves.
-    gap = max(map(abs, map(sub, target, current)))
-    if gap > max_move:
+    c0, c1, c2, c3, c4, c5 = current
+    t0, t1, t2, t3, t4, t5 = target
+    # fl(tgt - cur) is exactly -fl(cur - tgt), so each tgt - cur holds the
+    # bits of the joint's gap, up to sign, whichever way it moves.  Finite
+    # angles differ exactly when their gap is nonzero.
+    if (
+        -max_move <= t0 - c0 <= max_move and -max_move <= t1 - c1 <= max_move
+        and -max_move <= t2 - c2 <= max_move and -max_move <= t3 - c3 <= max_move
+        and -max_move <= t4 - c4 <= max_move and -max_move <= t5 - c5 <= max_move
+    ):
+        ticks = 1 if t0 != c0 or t1 != c1 or t2 != c2 or t3 != c3 or t4 != c4 or t5 != c5 else 0
+    else:
+        gap = max(abs(t0 - c0), abs(t1 - c1), abs(t2 - c2), abs(t3 - c3), abs(t4 - c4), abs(t5 - c5))
         # Each joint's count is ceil(r_j) outside its own rounding bound (see
         # _ticks_by_joint), and never more than ceil(r_j + bound_j) inside
         # it.  The bound below takes the largest count, ratio and angle of
@@ -376,12 +385,12 @@ def _tick(
         # ceil(r_j + bound_j) <= ceil(r).
         r = gap / max_move
         ticks = math.ceil(r)
-        largest = max(map(abs, current + target))
+        largest = max(
+            abs(c0), abs(c1), abs(c2), abs(c3), abs(c4), abs(c5), abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5)
+        )
         bound = ((ticks + 1) * (largest + max_move) / max_move + 2.0 * r + 4.0) * 2.0**-53
         if not (bound < ticks - r < 1.0 - bound):  # ticks - r is exact: ticks / 2 <= r <= ticks
             ticks = _ticks_by_joint(current, target, max_move)
-    else:
-        ticks = 1 if gap else 0
     for _ in range(ticks):
         elapsed += tick_s
     if ticks:

@@ -190,6 +190,9 @@ class Homography:
         H = np.asarray(self.matrix, dtype=float)
         if H.shape != (3, 3):
             raise ValueError("homography must be 3x3")
+        # A NaN entry would pass both tests below and reach every mapped point.
+        if not np.isfinite(H).all():
+            raise HomographyError("homography entries must be finite")
         if abs(H[2, 2]) < 1e-12:
             raise HomographyError("homography cannot be normalized (corner entry ~ 0)")
         H = H / H[2, 2]

@@ -32,6 +32,9 @@ frames of ``naive_frames``, the list-based chain behind ``naive_fk``, and
 call; the library's kernel must match each within float64 tolerances.
 ``loop_dls_step`` is the same step as a row-by-row Cholesky loop over lists,
 the form the library's written-out step must equal bit for bit.
+``loop_closed_form_start`` picks the planner's closed-form start with a
+loop over the joints of each candidate, where the planner writes the six
+joints out, and must give the same bits.
 ``loop_frame_target`` checks a wire frame's sequence number, angle count,
 float range and limits one joint at a time, where the simulator checks
 named locals first; ``rigid_product`` multiplies two transforms one nested-
@@ -61,7 +64,7 @@ from armkit import (
     matrix_to_pose,
 )
 from armkit.dh_model import JOINT_COUNT, clamp_to_limits
-from armkit.ik_solver import DLS_DAMPING, STEP_LIMIT_RAD
+from armkit.ik_solver import DLS_DAMPING, STEP_LIMIT_RAD, _closed_form
 from armkit.kinematics import rotation_log
 
 # Central-difference step for the finite-difference Jacobian, radians.
@@ -346,6 +349,27 @@ def naive_tick(current, target, elapsed, config, seq):
     if not math.isfinite(elapsed):
         raise ValueError(f"tick_s {tick_s} overflows the simulated time at frame {seq}")
     return current, elapsed
+
+
+def loop_closed_form_start(model, pose, previous):
+    """The closed-form solution of ``pose`` within the limits that lies
+    nearest ``previous`` (the least fsum of squared degree differences; the
+    first of equal ones), or ``previous`` itself when none does.  Each angle
+    is shifted by whole turns into [min, min + 360) and kept only if it is
+    <= max, one joint at a time."""
+    best, nearest = math.inf, previous
+    for candidate in _closed_form(model, pose):
+        angles = []
+        for q, limit in zip(candidate, model.limits):
+            angle = limit.min_deg + (math.degrees(q) - limit.min_deg) % 360.0
+            if not angle <= limit.max_deg:
+                break
+            angles.append(angle)
+        else:
+            distance = math.fsum((a - b) * (a - b) for a, b in zip(angles, previous.angles_deg))
+            if distance < best:
+                best, nearest = distance, JointConfig(tuple(angles))
+    return nearest
 
 
 def loop_frame_target(model, last_seq, seq, centidegrees):

@@ -1,21 +1,25 @@
-"""Seeded mutation sweep of the two outside JSON documents, the arm
-configuration and the calibration file.
+"""Seeded mutation sweep of the outside documents: the two JSON documents,
+the arm configuration and the calibration file, and the PGM images.
 
-Each mutated document must load to the same result as the per-document
-reader in ``naive_oracle``, or fail with the same exception type and
-message.  Through the CLI (``fk --config``, ``detect --calib``) every
-mutant must end with a documented exit code, and every exit-2 message must
-name the document, its top-level field, or an entry and its field."""
+Each mutated JSON document must load to the same result as the
+per-document reader in ``naive_oracle``, or fail with the same exception
+type and message.  Through the CLI (``fk --config``, ``detect --calib``,
+``detect``/``pick`` with ``--background`` or ``--frame``) every mutant must
+end with a documented exit code, and every exit-2 message must name the
+document, its top-level field, or an entry and its field, or for an image
+its flag."""
 import copy
 import json
 import re
+import time
+from pathlib import Path
 
 import numpy as np
 
 from armkit import ArmConfigError, GrayImage, default_arm, dump_arm_config, load_arm_config, load_calibration, write_pgm
 from armkit.cli import main
 
-from conftest import float_bits
+from conftest import detect_args, float_bits, write_scene, write_wide_config
 from naive_oracle import naive_load_arm_config, naive_load_calibration
 
 # JSON text put in place of a value: numbers out of range or at the bounds,
@@ -225,3 +229,58 @@ class TestCliOnMutatedDocuments:
             codes.add(code)
         assert codes == {0, 2}
 
+
+class TestCliOnMutatedImages:
+    """``armkit detect`` and ``armkit pick`` on write_scene's images with one
+    of them mutated: its payload cut at a random byte or extended, its
+    header giving dimensions that differ from the other image's, or a header
+    token of 0, -1 or 10**30.  Exit codes stay documented, every exit-2
+    message names the mutated image's flag, and no case is slow."""
+
+    CASE_BOUND_S = 0.25
+    SWEEP_BOUND_S = 1.5
+
+    @staticmethod
+    def mutate(rng, data):
+        """``data``, a P5 image of write_scene, with one seeded mutation."""
+        header, payload = data[: data.index(b"255\n") + 4], data[data.index(b"255\n") + 4 :]
+        kind = int(rng.integers(4))
+        if kind == 0:
+            return data[: int(rng.integers(len(data)))]
+        if kind == 1:
+            return data + rng.integers(0, 256, int(rng.integers(1, 100)), dtype=np.uint8).tobytes()
+        if kind == 2:
+            width, height = int(rng.integers(1, 80)), int(rng.integers(1, 80))
+            if (width, height) == (60, 60):
+                width += 1
+            return f"P5\n{width} {height}\n255\n".encode() + bytes(width * height)
+        tokens = header.split()
+        tokens[int(rng.integers(1, 4))] = (b"0", b"-1", b"1" + b"0" * 30)[int(rng.integers(3))]
+        return b" ".join(tokens) + b"\n" + payload
+
+    def test_detect_and_pick(self, tmp_path, capsys):
+        scene = write_scene(tmp_path)
+        config = write_wide_config(tmp_path)
+        images = {"--background": Path(scene["background"]), "--frame": Path(scene["frame"])}
+        originals = {flag: path.read_bytes() for flag, path in images.items()}
+        rng = np.random.default_rng(2929)
+        codes = set()
+        sweep = time.perf_counter()
+        for case in range(120):
+            flag = ("--background", "--frame")[case % 2]
+            images[flag].write_bytes(self.mutate(rng, originals[flag]))
+            argv = ["detect", *detect_args(scene)]
+            if case % 4 >= 2:
+                argv = ["pick", "--config", config, *argv[1:], "--place-pos=-0.15,-0.1,0.02"]
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            images[flag].write_bytes(originals[flag])
+            assert code in (0, 2, 3, 4), (argv, err)
+            if code == 2:
+                assert re.fullmatch(rf"error: .*{flag} {re.escape(str(images[flag]))}.*\n", err), err
+            assert elapsed < self.CASE_BOUND_S, (argv, elapsed)
+            codes.add(code)
+        assert time.perf_counter() - sweep < self.SWEEP_BOUND_S
+        assert codes == {0, 2}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import armkit.ik_solver
+import armkit.planner
 
 from armkit import (
     IkResult,
@@ -31,7 +32,7 @@ from armkit import (
     solve_ik_position_only,
     top_down_pose,
 )
-from armkit.dh_model import MAX_LINK_M, ArmModel
+from armkit.dh_model import MAX_LINK_M, ArmModel, JointLimit
 from armkit.ik_solver import STEP_LIMIT_RAD, _closed_form, _dls_step, _norm
 from armkit.planner import _closed_form_start
 from armkit.kinematics import _chain, _jacobian, euler_zyx_to_matrix
@@ -46,7 +47,7 @@ from conftest import (
     random_config,
     warm_up_digest,
 )
-from naive_oracle import loop_dls_step, naive_dls_step, naive_jacobian
+from naive_oracle import loop_closed_form_start, loop_dls_step, naive_dls_step, naive_jacobian
 
 
 def _solve_pose(model, target, seed, position_only):
@@ -419,6 +420,125 @@ class TestClosedForm:
             result = solve_ik(arm, pose, start)
             assert (result.restart_index, result.iterations) == (0, 0)
             previous = result.solution
+
+
+    def test_start_matches_the_loop_form(self, arm, wide_arm):
+        """The planner's written-out start against loop_closed_form_start,
+        bit for bit, on 2,400 seeded pose/previous pairs: the stock and wide
+        arms, copies of each with narrowed limits that keep some candidates
+        out (and for some poses every one), and an arm with no closed form,
+        whose start is ``previous`` itself."""
+        rng = np.random.default_rng(2647)
+        narrowed = []
+        for model in (arm, wide_arm):
+            for _ in range(2):
+                lo = rng.uniform(0.0, 150.0, 6)
+                hi = lo + rng.uniform(120.0, 200.0, 6)
+                narrowed.append(ArmModel(model.rows, tuple(JointLimit(*pair) for pair in zip(lo.tolist(), hi.tolist()))))
+        rows = list(wide_arm.rows)
+        rows[4] = replace(rows[4], d_m=0.002)
+        no_closed_form = ArmModel(tuple(rows), wide_arm.limits)
+        assert no_closed_form.wrist_links is None
+        excluded = unplaced = 0
+        for model in (arm, wide_arm, *narrowed, no_closed_form):
+            lo, hi = model.limits_deg
+            for k in range(300):
+                # Half the poses come from anywhere on the wide limits, so on
+                # a narrowed copy no candidate may fit.
+                pose = fk_pose(model, random_config(rng, wide_arm if k % 2 else model))
+                previous = random_config(rng, model)
+                got = _closed_form_start(model, pose, previous)
+                want = loop_closed_form_start(model, pose, previous)
+                assert [a.hex() for a in got.angles_deg] == [a.hex() for a in want.angles_deg]
+                assert (got is previous) == (want is previous)
+                if model is no_closed_form:
+                    assert got is previous
+                    continue
+                unplaced += got is previous
+                candidates = np.degrees(np.array(_closed_form(model, pose)).reshape(-1, 6))
+                excluded += int(((lo + (candidates - lo) % 360.0) > hi).any(axis=1).sum())
+        # Measured: 11,117 candidates kept out, 718 poses with none in limits.
+        assert excluded > 5000 and unplaced > 300
+
+    def test_first_of_equally_near_candidates_is_kept(self, wide_arm, monkeypatch):
+        """Two candidates 10 degrees either side of ``previous`` on joint 0,
+        the same elsewhere: the first one returned wins, in either order."""
+
+        def exact_radians(deg):
+            """A radian angle that math.degrees turns into exactly ``deg``."""
+            q = math.radians(deg)
+            for _ in range(8):
+                if math.degrees(q) == deg:
+                    return q
+                q = math.nextafter(q, math.inf if math.degrees(q) < deg else -math.inf)
+            raise AssertionError(f"no radian angle gives exactly {deg} degrees")
+
+        previous = JointConfig((180.0,) * 6)
+        rest = [exact_radians(180.0)] * 5
+        up, down = [exact_radians(190.0), *rest], [exact_radians(170.0), *rest]
+        for candidates, first in (([up, down], 190.0), ([down, up], 170.0)):
+            monkeypatch.setattr(armkit.planner, "_closed_form", lambda model, pose: candidates)
+            start = _closed_form_start(wide_arm, fk_pose(wide_arm, previous), previous)
+            assert start.angles_deg == (first,) + (180.0,) * 5
+
+
+class TestConvergedCheck:
+    """The converged check takes the iterate in degrees, clamped, as the
+    caller's configuration.  It reuses the iterate's residual when that
+    configuration's radians equal the iterate, and otherwise evaluates the
+    configuration's own chain; either way the reported errors are the
+    residuals of the returned configuration."""
+
+    @staticmethod
+    def fk_residual(model, target, solution):
+        """The position and orientation residual of ``solution`` through
+        forward_kinematics, as hex."""
+        e = pose_error(forward_kinematics(model, solution), pose_to_matrix(target)).tolist()
+        return _norm(e[:3]).hex(), _norm(e[3:]).hex()
+
+    def test_reported_errors_are_the_residuals_of_the_solution(self, arm, pick_table, monkeypatch):
+        """Every solve of pick_table's 64 layouts and of the criterion-2
+        batch.  A seed-path solve evaluates one chain per iteration, plus one
+        when the round trip is not exact: both happen at least 20 times."""
+        chains = []
+        chain = armkit.ik_solver._chain
+
+        def counting_chain(*args):
+            chains.append(None)
+            return chain(*args)
+
+        solves = []
+
+        def recording_solve(model, target, seed, settings=IkSettings()):
+            before = len(chains)
+            result = solve_ik(model, target, seed, settings)
+            solves.append((model, target, result, len(chains) - before))
+            return result
+
+        monkeypatch.setattr(armkit.ik_solver, "_chain", counting_chain)
+        monkeypatch.setattr(armkit.planner, "solve_ik", recording_solve)
+        wide, pairs = pick_table
+        for obj, place in pairs[:64]:  # the workload's inputs
+            plan_pick_place(wide, obj, place)
+        assert len(solves) == 5 * 64
+        rng = np.random.default_rng(2025)
+        lo, hi = arm.limits_deg
+        for _ in range(1000):
+            target = fk_pose(arm, JointConfig(tuple(rng.uniform(lo, hi))))
+            try:
+                recording_solve(arm, target, arm.mid_config())
+            except NoConvergenceError:
+                pass
+        assert len(solves) > 1300
+        extra_chains = []
+        for model, target, result, calls in solves:
+            reported = (result.final_position_error.hex(), result.final_orientation_error.hex())
+            assert reported == self.fk_residual(model, target, result.solution)
+            if result.restart_index == 0:
+                extra_chains.append(calls - result.iterations - 1)
+        assert min(extra_chains) >= 0
+        exact = extra_chains.count(0)
+        assert exact >= 20 and len(extra_chains) - exact >= 20
 
 
 def _kernel_configs(rng, model, count):

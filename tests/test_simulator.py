@@ -762,12 +762,68 @@ class TestTickKernel:
             with pytest.raises(ValueError, match="tick_s 1e[+]307 overflows the simulated time at frame 7"):
                 kernel(current, target, 1.79e308, config, 7)
 
+    def test_largest_gap_at_the_move_and_one_ulp_either_side(self):
+        """3,000 six-joint frames at the one-tick test's boundary: one joint's
+        gap exactly ``max_move`` where its target can make it so, or its
+        target one ulp either side, moving up or down; each other joint
+        moves less, ties it, sits on signed zeros or rests; one frame in ten
+        rests on every joint, some on zeros of opposite sign."""
+        rng = np.random.default_rng(263)
+        exact, by_ticks = 0, [0, 0, 0]
+        zeros = (0.0, -0.0)
+        for f in range(3000):
+            if f % 2:
+                config = random_sim_config(rng)
+            else:  # with a 1-second tick the clock counts the ticks exactly
+                config = SimConfig(rate_limit_deg_s=float(rng.uniform(0.1, 4.0)), tick_s=1.0)
+            max_move = config.rate_limit_deg_s * config.tick_s
+            # Near zero the target's ulp is finer, so the exact gap is there more often.
+            cur = float(rng.uniform(0.0, 1.0) if rng.random() < 0.5 else rng.uniform(-700.0, 700.0 - 2.0 * max_move))
+            tgt = cur + max_move
+            for _ in range(4):
+                if tgt - cur == max_move:
+                    break
+                tgt = math.nextafter(tgt, math.inf if tgt - cur < max_move else -math.inf)
+            exact += tgt - cur == max_move
+            tgt = (math.nextafter(tgt, -math.inf), tgt, math.nextafter(tgt, math.inf))[int(rng.integers(3))]
+            pairs = [(cur, tgt)]
+            for _ in range(5):
+                kind = rng.random()
+                if kind < 0.3:
+                    other = float(rng.uniform(-700.0, 700.0))
+                    pairs.append((other, other + float(rng.uniform(-1.0, 1.0)) * max_move))
+                elif kind < 0.5:
+                    pairs.append(pairs[0])
+                elif kind < 0.8:
+                    pairs.append((zeros[int(rng.integers(2))], zeros[int(rng.integers(2))]))
+                else:
+                    rest = float(rng.uniform(-700.0, 700.0))
+                    pairs.append((rest, rest))
+            if f % 10 == 0:
+                pairs = [(c, c) if rng.random() < 0.5 else (zeros[int(rng.integers(2))],) * 2 for c, _ in pairs]
+                pairs[0] = (0.0, -0.0)
+            flipped = []
+            for c, t in pairs:
+                if rng.random() < 0.5:
+                    c, t = -c, -t
+                if rng.random() < 0.5:
+                    c, t = t, c
+                flipped.append((c, t))
+            current, target = zip(*[flipped[j] for j in rng.permutation(6).tolist()])
+            got = _tick(current, target, 0.0, config, 0)
+            want = naive_tick(current, target, 0.0, config, 0)
+            assert float_bits(got) == float_bits(want), (current, target, config)
+            by_ticks[min(round(want[1] / config.tick_s), 2)] += 1
+        # Measured: 1,133 exact gaps; 300, 1,731 and 969 frames of 0, 1 and 2 ticks.
+        assert exact > 500 and min(by_ticks) > 200
+
     @staticmethod
     def joint_ticks(cur, tgt, move):
-        """_tick's count for one joint: with a 1-second tick the clock
-        counts the ticks exactly."""
-        angles, elapsed = _tick((cur,), (tgt,), 0.0, SimConfig(rate_limit_deg_s=move, tick_s=1.0), 0)
-        assert angles == ((tgt,) if elapsed else (cur,))
+        """_tick's count for one joint, the other five at rest on 0.0: with a
+        1-second tick the clock counts the ticks exactly."""
+        rest = (0.0,) * 5
+        angles, elapsed = _tick((cur, *rest), (tgt, *rest), 0.0, SimConfig(rate_limit_deg_s=move, tick_s=1.0), 0)
+        assert angles == ((tgt, *rest) if elapsed else (cur, *rest))
         return elapsed
 
     @staticmethod
@@ -1385,6 +1441,31 @@ class TestPickCycle:
         damped-least-squares step (27 when each solve started from the
         previous waypoint's configuration)."""
         assert self.dls_steps(wide_arm, monkeypatch) == 0
+
+    def test_chain_evaluations_per_cycle_are_pinned(self, wide_arm, monkeypatch):
+        """The kinematic chains the cycle of test_dls_steps_per_cycle_are_pinned
+        evaluates: one per solve in the solver, whose first iterate converges
+        with an exact degree round trip, so the converged check reuses its
+        chain; and three through forward_kinematics, for the home pose, the
+        capture and the release.  A forward_kinematics of each returned
+        configuration took five more (5 and 8)."""
+        import armkit.ik_solver
+        import armkit.kinematics
+
+        calls = {"ik_solver": 0, "kinematics": 0}
+        chain = armkit.kinematics._chain
+
+        def counting(module):
+            def counted(*args):
+                calls[module] += 1
+                return chain(*args)
+
+            return counted
+
+        monkeypatch.setattr(armkit.ik_solver, "_chain", counting("ik_solver"))
+        monkeypatch.setattr(armkit.kinematics, "_chain", counting("kinematics"))
+        assert run_pick_cycle(wide_arm, top_down_pose(0.12, 0.05, 0.02), top_down_pose(-0.05, 0.12, 0.02)).success
+        assert calls == {"ik_solver": 5, "kinematics": 3}
 
     def test_arm_without_closed_form_plans_as_before(self, wide_arm, monkeypatch):
         """Joint 5 offset 2 mm along its axis takes the wide arm out of the

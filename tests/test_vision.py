@@ -372,6 +372,16 @@ class TestHomography:
         with pytest.raises(HomographyError):
             Homography(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]]))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", range(9))
+    def test_non_finite_entry_rejected(self, entry, value):
+        # A NaN determinant or corner passes the singular and corner tests,
+        # and pixel_to_world would then map points to NaN.
+        H = np.eye(3)
+        H.flat[entry] = value
+        with pytest.raises(HomographyError, match="^homography entries must be finite$"):
+            Homography(H)
+
 
 class TestPixelToWorld:
     def test_identity(self):
