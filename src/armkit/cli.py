@@ -17,7 +17,7 @@ from .dh_model import ArmModel, JointConfig, load_arm_config
 from .ik_solver import IkResult, NoConvergenceError, UnreachableError, solve_ik, solve_ik_position_only
 from .kinematics import Pose6D, forward_kinematics, matrix_to_pose
 from .planner import DEFAULT_CLEARANCE_M, plan_pick_place, plan_to_trajectory, top_down_pose
-from .simulator import SimConfig, encode_servo_frames, frames_to_text, replay_frames, run_pick_cycle
+from .simulator import FrameError, SimConfig, encode_servo_frames, frames_to_text, replay_frames, run_pick_cycle
 from .vision import Detection, GrayImage, detect_object, estimate_homography, load_calibration, read_pgm
 
 EXIT_OK = 0
@@ -33,6 +33,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """An intensity threshold: subtract_images's range, [0, 255]."""
+    value = _finite_float(text)
+    if not 0.0 <= value <= 255.0:
+        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 255], got {text!r}")
     return value
 
 
@@ -166,8 +174,16 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         # newline="" keeps the bytes as written, as stdin does on POSIX.
         with open(args.frames, encoding="utf-8", newline="") as f:
             text = f.read()
-    config = SimConfig(rate_limit_deg_s=args.rate, tick_s=args.tick)
-    report = replay_frames(model, text, config)
+    try:
+        config = SimConfig(rate_limit_deg_s=args.rate, tick_s=args.tick)
+    except ValueError as exc:
+        raise ValueError(f"--rate {args.rate} and --tick {args.tick}: {exc}") from exc
+    try:
+        report = replay_frames(model, text, config)
+    except FrameError:
+        raise
+    except ValueError as exc:  # the stream's ticks took the clock past float range
+        raise ValueError(f"--tick {args.tick}: {exc}") from exc
     print(report.to_json())
     return EXIT_OK
 
@@ -189,7 +205,7 @@ def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--background", required=True, help="background PGM (empty workspace)")
     parser.add_argument("--frame", required=True, help="live PGM frame")
     parser.add_argument("--calib", required=True, help="pixel/world calibration JSON")
-    parser.add_argument("--threshold", required=True, type=float, help="intensity threshold (0..255)")
+    parser.add_argument("--threshold", required=True, type=_threshold, help="intensity threshold (0..255)")
     parser.add_argument("--min-area", required=True, type=int, help="minimum blob area, pixels")
     parser.add_argument("--table-z", required=True, type=_finite_float, help="table plane height, meters")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -74,15 +75,22 @@ class ServoFrame(NamedTuple):
         return f"F {self.seq} {a[0]} {a[1]} {a[2]} {a[3]} {a[4]} {a[5]} G {g}\n"
 
 
+def _centidegrees(trajectory: Trajectory) -> np.ndarray:
+    """The knots' angles rounded half-up to whole centidegrees, an (N, 6)
+    float array; raises ValueError for an angle beyond 64-bit centidegrees."""
+    centi = np.floor(trajectory.knots * 100.0 + 0.5)
+    beyond = np.abs(centi) >= 2.0**63
+    if beyond.any():
+        raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
+    return centi
+
+
 def _frame_rows(trajectory: Trajectory) -> Iterator[tuple[int, list[int], bool]]:
     """Each knot's frame row: its sequence number counting from 0, its angles
     rounded half-up to integer centidegrees, and whether the gripper is
     closed.  Raises ValueError, before the first row, for an angle beyond
     64-bit centidegrees."""
-    centi = np.floor(trajectory.knots * 100.0 + 0.5)
-    beyond = np.abs(centi) >= 2.0**63
-    if beyond.any():
-        raise ValueError(f"knot {int(np.argmax(beyond.any(axis=1)))} has an angle beyond 64-bit centidegrees")
+    centi = _centidegrees(trajectory)
     closed = [gripper == GRIPPER_CLOSED for gripper in trajectory.grippers]
     return zip(range(len(closed)), centi.astype(np.int64).tolist(), closed)
 
@@ -538,6 +546,79 @@ def _run_frames(
     return _next_state(model, state, current, target, elapsed, last_seq, state.gripper, carried), count
 
 
+def _one_tick_moves(model: ArmModel, state: SimState, targets: np.ndarray, max_move: float) -> list[int] | None:
+    """The frames that move the joints, when every frame of ``targets``
+    (N, 6), applied after ``state``, passes _frame_target's checks and
+    takes at most one tick of ``max_move``; otherwise None."""
+    joints = state.current_deg
+    lo, hi = model.limits_deg
+    if not (
+        state.last_seq < 0  # the frames count from 0
+        # A list never equals a frame's tuple, so the row loop would tick it.
+        and type(joints) is tuple and len(joints) == JOINT_COUNT
+        # Any other gripper changes at frame 0, whatever the frame asks.
+        and state.gripper in (GRIPPER_OPEN, GRIPPER_CLOSED)
+        and ((lo <= targets) & (targets <= hi)).all()
+    ):
+        return None
+    start = np.array(joints, dtype=np.float64)
+    if not np.isfinite(start).all():  # checked first: no subtraction meets an inf or NaN
+        return None
+    gaps = targets - np.concatenate((start[None], targets[:-1]))
+    if not (np.abs(gaps) <= max_move).all():
+        return None
+    return np.flatnonzero(gaps.any(axis=1)).tolist()
+
+
+def _run_trajectory(
+    model: ArmModel, state: SimState, trajectory: Trajectory, config: SimConfig
+) -> tuple[SimState, int]:
+    """_run_frames over the frame rows of ``trajectory``, as a few array
+    operations over its knots: the same final state, frame count and errors.
+
+    When _one_tick_moves finds every frame one tick or none away from the
+    one before, each frame that moves takes exactly one tick and leaves the
+    joints equal to its target in value.  The previous target then stands in
+    for the joints in every gap, where a signed zero changes no check.  The
+    clock adds ``tick_s`` once per moving frame, in order, and Python runs
+    only where the gripper changes and for the final state: each _next_state
+    gets the joints of the last frame that moved (``state``'s when none
+    did), the clock and the carried flag that the row loop would pass it.
+    Any other trajectory, or a clock that leaves float range, runs the row
+    loop, which raises naming the frame."""
+    centi = _centidegrees(trajectory)
+    targets = centi / 100.0  # the bits of c / 100.0 on the row's int: float(int(c)) == c
+    tick_s = config.tick_s
+    moved = _one_tick_moves(model, state, targets, config.rate_limit_deg_s * tick_s)
+    if moved is None:
+        return _run_frames(model, state, _frame_rows(trajectory), config)
+    closed = [gripper == GRIPPER_CLOSED for gripper in trajectory.grippers]
+    # The frames whose gripper differs from the one before, the state's for
+    # frame 0: found by list.index, each the next of the other bit.
+    changes, seq, bit = [], 0, state.gripper == GRIPPER_OPEN
+    while bit in closed[seq:]:
+        seq = closed.index(bit, seq)
+        changes.append(seq)
+        bit = not bit
+    count = len(closed)
+    bus, elapsed, carried = state, state.elapsed_s, False
+    ticks = 0  # the moving frames ahead of the last state built
+    for seq in changes + [count]:
+        before = bisect_left(moved, seq)  # the moving frames ahead of frame seq
+        for _ in range(before - ticks):
+            elapsed += tick_s
+        carried = bus.attached and (carried or before > ticks)
+        ticks = before
+        current = tuple(targets[moved[before - 1]].tolist()) if before else state.current_deg
+        if seq < count:
+            gripper = GRIPPER_CLOSED if closed[seq] else GRIPPER_OPEN
+            bus = _next_state(model, bus, current, tuple(targets[seq].tolist()), elapsed, seq, gripper, carried)
+    if moved and not math.isfinite(elapsed):
+        return _run_frames(model, state, _frame_rows(trajectory), config)
+    final = _next_state(model, bus, current, tuple(targets[-1].tolist()), elapsed, count - 1, bus.gripper, carried)
+    return final, count
+
+
 def run_pick_cycle(
     model: ArmModel,
     object_pose: Pose6D,
@@ -549,11 +630,13 @@ def run_pick_cycle(
 
     Success means the object's final position lies within PLACE_TOLERANCE_M of
     the requested place position.  Planning failures raise before any frame is
-    sent; execution itself never errors.
+    sent; execution itself never errors.  The planned knots run through
+    _run_trajectory: at the default SimConfig every frame is at most one
+    tick, so the array pass runs them all.
     """
     plan = plan_pick_place(model, object_pose, place_pose, clearance=clearance)
-    frames = _frame_rows(plan_to_trajectory(model, plan))
-    state, count = _run_frames(model, initial_state(model, object_pose=object_pose), frames, SimConfig())
+    trajectory = plan_to_trajectory(model, plan)
+    state, count = _run_trajectory(model, initial_state(model, object_pose=object_pose), trajectory, SimConfig())
     final = state.object_pose
     success = final is not None and _norm(tuple(map(sub, final.position, place_pose.position))) <= PLACE_TOLERANCE_M
     return CycleReport(
@@ -571,7 +654,13 @@ def replay_frames(model: ArmModel, text: str, config: SimConfig = SimConfig()) -
     Lines end at ``"\n"`` only, and one ``"\r"`` at the end of a line is
     dropped, so CRLF text replays too.  Blank lines are skipped.  Any other
     line break, such as a lone ``"\r"``, ``"\x85"`` or ``"\u2028"``, stays
-    inside its line, which then fails to parse."""
+    inside its line, which then fails to parse.
+
+    The stream runs through the row loop, frame by frame, not through
+    _run_trajectory's array pass: its lines are parsed as the loop reaches
+    them, so a frame that fails ahead of a malformed line raises first; its
+    integers may exceed 64 bits; and its frames may take many ticks each,
+    which the array pass hands to the row loop anyway."""
     lines = (line[:-1] if line.endswith("\r") else line for line in text.split("\n"))
     frames = (parse_frame(line) for line in lines if line.strip())
     state, count = _run_frames(model, initial_state(model), frames, config)

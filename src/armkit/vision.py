@@ -171,7 +171,9 @@ def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
     area = np.bincount(label, weights=length, minlength=runs)
     sum_r = np.bincount(label, weights=run_row * length, minlength=runs)
     sum_c = np.bincount(label, weights=(start + end - 1) * length // 2, minlength=runs)
-    eligible = (label == np.arange(runs)) & (area >= min_area)
+    # Every area lies in [1, bits.size]: min_area clamped to [1, bits.size + 1]
+    # picks the same components, and an int beyond float range never reaches numpy.
+    eligible = (label == np.arange(runs)) & (area >= min(max(min_area, 1), bits.size + 1))
     if not eligible.any():
         return None
     best = int(np.argmax(np.where(eligible, area, -1.0)))  # first maximum: lowest root

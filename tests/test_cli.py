@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from armkit import default_arm, dump_arm_config, forward_kinematics, matrix_to_pose
@@ -433,3 +435,63 @@ class TestPick:
         )
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestNumericFlagSweep:
+    """Every numeric flag of fk, ik, plan, sim, detect and pick, through
+    cli.main with one seeded bad value each time: NaN, infinities, 1e308,
+    -0.0, huge integers, empty fields, words and a truncated list.  Exit
+    codes stay documented, every exit-2 message names the flag, and no case
+    is slow."""
+
+    CASE_BOUND_S = 0.25
+    SWEEP_BOUND_S = 1.5
+    VALUES = ["nan", "-inf", "inf", "1e308", "-0.0", "9" * 400, "-" + "9" * 400, "1" + "0" * 30, "", "ten", "0x10", "[1]"]
+
+    @staticmethod
+    def commands(tmp_path):
+        """Each command's arguments, and its numeric flags with a value that
+        runs."""
+        config = write_wide_config(tmp_path)
+        scene = detect_args(write_scene(tmp_path))
+        frames = tmp_path / "two.frames"
+        frames.write_text("F 0 9000 13500 4500 13500 9000 4500 G 0\nF 1 9300 13500 4500 13500 9000 4500 G 1\n")
+        pose = {"--pos": "0.12,0.05,0.02", "--euler-zyx": "0,0,180", "--seed": MID}
+        place = {"--place-pos": "-0.05,0.12,0.02"}
+        detect = dict(zip(scene[6::2], scene[7::2]))
+        return [
+            (["fk", "--config", config], {"--joints": MID}),
+            (["ik", "--config", config], pose),
+            (["plan", "--config", config], {"--object-pos": "0.12,0.05,0.02", **place, "--clearance": "0.05"}),
+            (["sim", "--config", config, "--frames", str(frames)], {"--rate": "300", "--tick": "0.01"}),
+            (["detect", *scene[:6]], detect),
+            (["pick", "--config", config, *scene[:6]], {**detect, **place}),
+        ]
+
+    def test_every_flag_with_bad_values(self, tmp_path, capsys):
+        rng = np.random.default_rng(3030)
+        codes = set()
+        sweep = time.perf_counter()
+        for argv, flags in self.commands(tmp_path):
+            for flag in flags:
+                for value in self.VALUES + [None]:
+                    fields = flags[flag].split(",")
+                    if value is None:  # a list cut short, or a lone value left empty
+                        fields = fields[:-1] if len(fields) > 1 else [""]
+                    else:
+                        fields[int(rng.integers(len(fields)))] = value
+                    case = argv + [f"{k}={v}" for k, v in flags.items() if k != flag] + [f"{flag}={','.join(fields)}"]
+                    start = time.perf_counter()
+                    try:
+                        code = main(case)
+                    except SystemExit as exc:
+                        code = exc.code
+                    elapsed = time.perf_counter() - start
+                    err = capsys.readouterr().err
+                    assert code in (0, 2, 3, 4), (case, err)
+                    if code == 2:
+                        assert flag in err, (case, err)
+                    assert elapsed < self.CASE_BOUND_S, (case, elapsed)
+                    codes.add(code)
+        assert time.perf_counter() - sweep < self.SWEEP_BOUND_S
+        assert codes == {0, 2, 3, 4}

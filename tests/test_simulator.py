@@ -20,11 +20,13 @@ from armkit import (
     GRIPPER_OPEN,
     FrameError,
     JointConfig,
+    JointLimit,
     NoConvergenceError,
     Pose6D,
     ServoFrame,
     SimConfig,
     SimState,
+    Trajectory,
     UnreachableError,
     apply_frame,
     dump_arm_config,
@@ -1483,6 +1485,41 @@ class TestPickCycle:
             "fa95251c23fc7afc328fefa79db7e95a52ab6c4dc5a49e043882fed814a2f0bc"
         )
 
+    def test_cycle_runs_no_row_loop(self, wide_arm, monkeypatch):
+        """The cycle of test_states_built_per_cycle runs its 151 frames as
+        one array pass: no _run_frames, _frame_target or _tick call (1, 151
+        and 148 when each frame went through the row loop)."""
+        import armkit.simulator
+
+        calls = {name: [] for name in ("_run_frames", "_frame_target", "_tick")}
+        for name, made in calls.items():
+            monkeypatch.setattr(armkit.simulator, name, counting(getattr(armkit.simulator, name), made))
+        report = run_pick_cycle(wide_arm, top_down_pose(0.12, 0.05, 0.02), top_down_pose(-0.05, 0.12, 0.02))
+        assert report.success
+        assert report.frames_sent == 151
+        assert {name: len(made) for name, made in calls.items()} == {"_run_frames": 0, "_frame_target": 0, "_tick": 0}
+
+    def test_multi_tick_frames_run_the_row_loop(self, wide_arm, monkeypatch):
+        """At a sixth of the default rate the same cycle's moving frames take
+        several ticks each: _run_trajectory hands all 151 frames to the row
+        loop, which ticks the 148 that move, with the row loop's bits."""
+        import armkit.simulator
+        from armkit.simulator import _frame_rows, _run_trajectory
+
+        obj = top_down_pose(0.12, 0.05, 0.02)
+        trajectory = plan_to_trajectory(wide_arm, plan_pick_place(wide_arm, obj, top_down_pose(-0.05, 0.12, 0.02)))
+        slow = SimConfig(rate_limit_deg_s=50.0)
+        want = _run_frames(wide_arm, initial_state(wide_arm, object_pose=obj), _frame_rows(trajectory), slow)
+        calls = {name: [] for name in ("_run_frames", "_frame_target", "_tick")}
+        for name, made in calls.items():
+            monkeypatch.setattr(armkit.simulator, name, counting(getattr(armkit.simulator, name), made))
+        got = _run_trajectory(wide_arm, initial_state(wide_arm, object_pose=obj), trajectory, slow)
+        assert float_bits(got) == float_bits(want)
+        assert got[1] == 151
+        assert {name: len(made) for name, made in calls.items()} == {
+            "_run_frames": 1, "_frame_target": 151, "_tick": 148
+        }
+
     def test_report_serializes_to_json(self, arm):
         rng = np.random.default_rng(193)
         obj, place = feasible_pair(arm, rng)
@@ -1491,6 +1528,137 @@ class TestPickCycle:
         assert doc["success"] is True
         assert doc["frames_sent"] == report.frames_sent
         assert len(doc["final_object_pose"]["position_m"]) == 3
+
+
+class TestTrajectoryPass:
+    """_run_trajectory against the row loop it stands for, _run_frames over
+    _frame_rows, on seeded trajectories: the same final state bit for bit
+    and frame count, or the same error type and message.  The trajectories
+    mix one-tick moves with moves a hair over a tick, pauses, gripper
+    changes at and away from the object, knots at the joint limits, and
+    starts the pass must hand to the row loop: frames out of sequence,
+    multi-tick configs and a clock that overflows."""
+
+    CASES = 2400
+
+    @staticmethod
+    def odd_arm(wide_arm):
+        """The wide arm with limits that are not whole centidegrees: a knot
+        on the low limit rounds 0.4 centidegrees under it, one on the high
+        limit 0.4 over it."""
+        limits = [JointLimit(lo + 0.004, hi - 0.006) for lo, hi in ((0.0, 120.0), (40.0, 359.0), (0.0, 90.0))] * 2
+        return ArmModel(wide_arm.rows, tuple(limits), name="odd-limits")
+
+    @staticmethod
+    def start(rng, model):
+        """Whole-centidegree joint angles within the limits: mid-range, or
+        for some joints up to 3 degrees in from a limit, some on it."""
+        lo, hi = np.ceil(100.0 * model.limits_deg) / 100.0, np.floor(100.0 * model.limits_deg) / 100.0
+        lo, hi = lo[0], hi[1]
+        mid = np.floor(50.0 * (lo + hi) + 0.5) / 100.0
+        offset = rng.integers(0, 300, 6) / 100.0 * (rng.random(6) < 0.7)
+        edge = np.where(rng.random(6) < 0.5, lo + offset, hi - offset)
+        return np.where(rng.random(6) < 0.3, edge, mid)
+
+    @staticmethod
+    def trajectory(rng, model, start, step):
+        """Knots from ``start``: moves of up to ``step`` degrees per joint,
+        clipped to the limits, pauses, gripper changes on zero-motion
+        knots, and walks back along the path to ``start``."""
+        lo, hi = model.limits_deg
+        q, path = start, []
+        knots, grippers, closed = [], [], False
+        for _ in range(int(rng.integers(1, 30))):
+            r = rng.random()
+            if r < 0.15:
+                closed = not closed
+            elif r < 0.25 and path:
+                for back in reversed(path[:-1]):
+                    knots.append(back)
+                    grippers.append(GRIPPER_CLOSED if closed else GRIPPER_OPEN)
+                q, path = start, []
+            elif r >= 0.35:  # else a pause: the knot repeats the angles
+                q = np.clip(q + rng.uniform(-step, step, 6), lo, hi)
+                path.append(q)
+            knots.append(q)
+            grippers.append(GRIPPER_CLOSED if closed else GRIPPER_OPEN)
+        return Trajectory(np.array(knots), tuple(grippers))
+
+    @staticmethod
+    def start_state(rng, model, obj, start):
+        """initial_state with the object at the tool, parked at ``start``;
+        now and then a last frame applied, a random sign on each joint at
+        zero, a clock near the float maximum, the joints as a list, or the
+        gripper closed or at a value of neither state."""
+        state = replace(initial_state(model, object_pose=obj), current_deg=tuple(start.tolist()))
+        r = rng.random()
+        if r < 0.1:
+            state = replace(state, last_seq=int(rng.integers(0, 3)))
+        elif r < 0.4:
+            signs = rng.choice([-1.0, 1.0], 6)
+            state = replace(state, current_deg=tuple(a or math.copysign(0.0, s) for a, s in zip(start.tolist(), signs)))
+        elif r < 0.5:
+            state = replace(state, elapsed_s=sys.float_info.max - float(rng.integers(0, 40)) * 1e306)
+        elif r < 0.55:
+            state = replace(state, current_deg=list(state.current_deg))  # never equal to a frame's tuple
+        elif r < 0.65:
+            state = replace(state, gripper=(GRIPPER_CLOSED, "ajar")[int(rng.integers(2))])
+        return state
+
+    def test_pass_matches_the_row_loop(self, arm, wide_arm, monkeypatch):
+        import armkit.simulator
+        from armkit.simulator import _frame_rows, _next_state, _run_trajectory
+
+        handed = []
+        monkeypatch.setattr(armkit.simulator, "_run_frames", counting(_run_frames, handed))
+        events = []
+
+        def watched_next_state(model, state, current, target, elapsed, last_seq, gripper, moved):
+            built = _next_state(model, state, current, target, elapsed, last_seq, gripper, moved)
+            events.append((gripper != state.gripper, gripper, state.attached, built.attached))
+            return built
+
+        monkeypatch.setattr(armkit.simulator, "_next_state", watched_next_state)
+        rng = np.random.default_rng(2828)
+        models = [arm, wide_arm, self.odd_arm(wide_arm)]
+        tallies = dict.fromkeys(
+            ("capture", "missed", "release", "regrasp", "no change", "outside [", "overflows", "signed zeros"), 0
+        )
+        for case in range(self.CASES):
+            model = models[case % 3]
+            start = self.start(rng, model)
+            obj = fk_pose(model, JointConfig(tuple(start.tolist())))
+            trajectory = self.trajectory(rng, model, start, float(rng.choice([1.0, 2.0, 3.0, 3.0, 3.01, 5.0])))
+            state = self.start_state(rng, model, obj, start)
+            config = SimConfig()
+            r = rng.random()
+            if state.elapsed_s > 1e308:
+                config = SimConfig(rate_limit_deg_s=3e-306, tick_s=1e306)
+            elif r < 0.15:
+                config = SimConfig(rate_limit_deg_s=50.0)
+            elif r < 0.3:
+                config = random_sim_config(rng)
+            events.clear()
+            want = outcome(_run_frames, model, state, _frame_rows(trajectory), config)
+            seen = list(events)
+            fallbacks = len(handed)
+            got = outcome(_run_trajectory, model, state, trajectory, config)
+            assert float_bits(got) == float_bits(want), case
+            if len(handed) > fallbacks:  # the errors, and the starts the pass hands on
+                if type(want[0]) is type:
+                    for kind in ("outside [", "overflows"):
+                        tallies[kind] += kind in want[1]
+                continue
+            captures = sum(changed and gripper == GRIPPER_CLOSED and after for changed, gripper, _, after in seen)
+            tallies["capture"] += captures > 0
+            tallies["regrasp"] += captures > 1
+            tallies["missed"] += any(c and g == GRIPPER_CLOSED and not after for c, g, _, after in seen)
+            tallies["release"] += any(c and g == GRIPPER_OPEN and before for c, g, before, _ in seen)
+            tallies["no change"] += not any(c for c, *_ in seen)
+            tallies["signed zeros"] += any(math.copysign(1.0, a) < 0.0 for a in state.current_deg)
+        passes = self.CASES - len(handed)
+        assert passes >= 200 and len(handed) >= 200, (passes, len(handed))
+        assert min(tallies.values()) >= 20, tallies
 
 
 class TestReplay:
