@@ -446,7 +446,9 @@ class TestNumericFlagSweep:
 
     CASE_BOUND_S = 0.25
     SWEEP_BOUND_S = 1.5
-    VALUES = ["nan", "-inf", "inf", "1e308", "-0.0", "9" * 400, "-" + "9" * 400, "1" + "0" * 30, "", "ten", "0x10", "[1]"]
+    VALUES = [
+        "nan", "-inf", "inf", "1e308", "-0.0", "9" * 400, "-" + "9" * 400, "1" + "0" * 30, "", "ten", "0x10", "[1]"
+    ]
 
     @staticmethod
     def commands(tmp_path):

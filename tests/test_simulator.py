@@ -51,7 +51,10 @@ from armkit.simulator import (
     MIN_MOVE_PER_TICK_DEG,
     PLACE_TOLERANCE_M,
     _Held,
+    _frame_rows,
+    _next_state,
     _run_frames,
+    _run_trajectory,
     _tick,
 )
 
@@ -1485,15 +1488,22 @@ class TestPickCycle:
             "fa95251c23fc7afc328fefa79db7e95a52ab6c4dc5a49e043882fed814a2f0bc"
         )
 
-    def test_cycle_runs_no_row_loop(self, wide_arm, monkeypatch):
-        """The cycle of test_states_built_per_cycle runs its 151 frames as
-        one array pass: no _run_frames, _frame_target or _tick call (1, 151
-        and 148 when each frame went through the row loop)."""
+    @staticmethod
+    def count_row_loop_calls(monkeypatch):
+        """Counters, filled as the calls happen, of the row loop's
+        functions: _run_frames and, per frame, _frame_target and _tick."""
         import armkit.simulator
 
         calls = {name: [] for name in ("_run_frames", "_frame_target", "_tick")}
         for name, made in calls.items():
             monkeypatch.setattr(armkit.simulator, name, counting(getattr(armkit.simulator, name), made))
+        return calls
+
+    def test_cycle_runs_no_row_loop(self, wide_arm, monkeypatch):
+        """The cycle of test_states_built_per_cycle runs its 151 frames as
+        one array pass: no _run_frames, _frame_target or _tick call (1, 151
+        and 148 when each frame went through the row loop)."""
+        calls = self.count_row_loop_calls(monkeypatch)
         report = run_pick_cycle(wide_arm, top_down_pose(0.12, 0.05, 0.02), top_down_pose(-0.05, 0.12, 0.02))
         assert report.success
         assert report.frames_sent == 151
@@ -1503,16 +1513,11 @@ class TestPickCycle:
         """At a sixth of the default rate the same cycle's moving frames take
         several ticks each: _run_trajectory hands all 151 frames to the row
         loop, which ticks the 148 that move, with the row loop's bits."""
-        import armkit.simulator
-        from armkit.simulator import _frame_rows, _run_trajectory
-
         obj = top_down_pose(0.12, 0.05, 0.02)
         trajectory = plan_to_trajectory(wide_arm, plan_pick_place(wide_arm, obj, top_down_pose(-0.05, 0.12, 0.02)))
         slow = SimConfig(rate_limit_deg_s=50.0)
         want = _run_frames(wide_arm, initial_state(wide_arm, object_pose=obj), _frame_rows(trajectory), slow)
-        calls = {name: [] for name in ("_run_frames", "_frame_target", "_tick")}
-        for name, made in calls.items():
-            monkeypatch.setattr(armkit.simulator, name, counting(getattr(armkit.simulator, name), made))
+        calls = self.count_row_loop_calls(monkeypatch)
         got = _run_trajectory(wide_arm, initial_state(wide_arm, object_pose=obj), trajectory, slow)
         assert float_bits(got) == float_bits(want)
         assert got[1] == 151
@@ -1607,7 +1612,6 @@ class TestTrajectoryPass:
 
     def test_pass_matches_the_row_loop(self, arm, wide_arm, monkeypatch):
         import armkit.simulator
-        from armkit.simulator import _frame_rows, _next_state, _run_trajectory
 
         handed = []
         monkeypatch.setattr(armkit.simulator, "_run_frames", counting(_run_frames, handed))
