@@ -205,29 +205,35 @@ def interpolate_trajectory(
         raise ValueError(f"max_step_deg must be positive and finite, got {max_step_deg!r}")
     if not waypoints:
         raise ValueError("at least one waypoint required")
-    for index, (config, _) in enumerate(waypoints):
-        if not all(math.isfinite(a) for a in config.angles_deg):
-            raise ValueError(f"waypoint {index} has a non-finite angle: {config.angles_deg}")
-    first_config, first_gripper = waypoints[0]
-    segments = [np.array([first_config.angles_deg])]
-    grippers = [first_gripper]
-    for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
-        a = np.array(prev_config.angles_deg)
-        b = np.array(next_config.angles_deg)
-        gap = float(np.max(np.abs(b - a)))
-        steps = math.ceil(gap / max_step_deg)
-        t = np.arange(1, steps + 1)[:, None] / steps
-        segments.append((1.0 - t) * a + t * b)
-        grippers.extend([prev_gripper] * steps)
+    q = np.array([config.angles_deg for config, _ in waypoints])
+    finite = np.isfinite(q).all(axis=1)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"waypoint {index} has a non-finite angle: {waypoints[index][0].angles_deg}")
+    gaps = np.max(np.abs(q[1:] - q[:-1]), axis=1).tolist()
+    steps = np.array([math.ceil(gap / max_step_deg) for gap in gaps], dtype=np.int64)
+    ends = np.cumsum(steps)
+    # Segment i's knots k = 1 .. steps[i] at t = k / steps[i], an int64
+    # quotient, all segments in one expression.
+    segment = np.repeat(np.arange(steps.size), steps)
+    t = ((np.arange(1, segment.size + 1) - (ends - steps)[segment]) / steps[segment])[:, None]
+    body = (1.0 - t) * q[segment] + t * q[segment + 1]
+    # A gripper change arrives on the configuration itself, so a -0.0 keeps
+    # its sign.
+    pieces, knot_grippers = [q[:1]], [waypoints[0][1]]
+    for i, (count, end) in enumerate(zip(steps.tolist(), ends.tolist())):
+        (_, prev_gripper), (_, next_gripper) = waypoints[i], waypoints[i + 1]
+        pieces.append(body[end - count : end])
+        knot_grippers.extend([prev_gripper] * count)
         if next_gripper != prev_gripper:
-            segments.append(b[None, :])
-            grippers.append(next_gripper)
-    knots = np.concatenate(segments)
+            pieces.append(q[i + 1 : i + 2])
+            knot_grippers.append(next_gripper)
+    knots = np.concatenate(pieces)
     # JointLimit.clamp's comparisons: np.clip would turn -0.0 into 0.0.
     lo, hi = model.limits_deg
     knots = np.where(knots < lo, lo, knots)
     knots = np.where(knots > hi, hi, knots)
-    return Trajectory(knots, tuple(grippers))
+    return Trajectory(knots, tuple(knot_grippers))
 
 
 def plan_to_trajectory(model: ArmModel, plan: GraspPlan) -> Trajectory:

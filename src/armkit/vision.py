@@ -22,9 +22,25 @@ class HomographyError(ValueError):
     """Calibration input is degenerate or otherwise unusable."""
 
 
+def _views_bytes(px: np.ndarray) -> bool:
+    """True when ``px`` and every array under it is read-only and the memory
+    at the bottom is a ``bytes`` object, which nothing can write."""
+    base = px
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return isinstance(base, bytes)
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Row-major 8-bit grayscale frame."""
+    """Row-major 8-bit grayscale frame.
+
+    The pixels are a read-only copy of the array given, except for a
+    read-only view of a ``bytes`` object (``parse_pgm``'s payload), which
+    is kept as it is: nothing can change it.  A view of a ``bytearray``, a
+    ``memoryview``, an ``mmap`` or a writable array is copied."""
 
     width: int
     height: int
@@ -44,7 +60,7 @@ class GrayImage:
             if px.size and (px.min() < 0 or px.max() > 255):
                 raise ValueError("pixel intensities must lie in [0, 255]")
             px = px.astype(np.uint8)
-        else:
+        elif not _views_bytes(px):
             px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
@@ -74,6 +90,17 @@ class BinaryMask:
         bits = bits.copy()
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _adopt(cls, bits: np.ndarray) -> "BinaryMask":
+        """A mask over ``bits``, a bool array that no one else holds: made
+        read-only, not copied."""
+        bits.flags.writeable = False
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "width", bits.shape[1])
+        object.__setattr__(mask, "height", bits.shape[0])
+        object.__setattr__(mask, "bits", bits)
+        return mask
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -112,7 +139,7 @@ def subtract_images(background: GrayImage, frame: GrayImage, threshold: float) -
     a, b = frame.pixels, background.pixels
     diff = np.maximum(a, b)
     diff -= np.minimum(a, b)
-    return BinaryMask(background.width, background.height, diff > math.floor(threshold))
+    return BinaryMask._adopt(diff > math.floor(threshold))
 
 
 def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
@@ -121,14 +148,22 @@ def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
     Ties go to the component whose first scan-order pixel has the smaller
     (row, col).
 
-    Two-pass labeling over row runs (He et al. 2008; Wu, Otoo & Suzuki
-    2009): numpy extracts every row's [start, end) runs in scan order, one
-    Python pass joins runs of adjacent rows whose columns overlap, and
-    bincounts give each component's area and row/column sums.  Those sums
-    are integers held exactly in float64 (below 2**53 for frames up to
-    200,000 pixels on a side), so the centroid is the same correctly rounded
-    quotient a per-pixel count gives.  The smaller run index is always the
-    root, so each component's root is its first run in scan order.
+    Two-pass labeling over row runs (He, Chao & Suzuki 2008; Wu, Otoo &
+    Suzuki 2009), in numpy passes:
+    - numpy extracts every row's [start, end) runs in scan order;
+    - the runs of the row above that overlap a run form one index range
+      [lo, hi), which two searchsorted calls find over the scan-order keys
+      row * (width + 1) + end and row * (width + 1) + start;
+    - a run with hi > lo takes the label of run lo, an earlier run, in one
+      forward pass over the joined runs only; a run with hi - lo > 1 joins
+      two or more labels (a U, a comb, a spiral), and a small union-find
+      merges their roots, keeping the smaller;
+    - so each component's root is its first run in scan order, and its
+      area, summed by bincount at the root, is the first maximum there.
+    The row and column sums are taken over the winning component's runs
+    only, in int64, exactly (below 2**63 for frames up to 200,000 pixels on
+    a side), so the centroid is the same correctly rounded quotient a
+    per-pixel count gives.
     """
     bits = mask.bits
     rows = np.flatnonzero(bits.any(axis=1))
@@ -145,40 +180,52 @@ def largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
     start = flat[0::2] % (width + 1)
     end = flat[1::2] % (width + 1)
 
-    rr, ss, ee = run_row.tolist(), start.tolist(), end.tolist()
-    runs = len(rr)
-    parent = list(range(runs))
+    # Run j of row r - 1 overlaps [s, e) of row r iff its end key exceeds
+    # (r - 1) * (width + 1) + s and its start key lies below
+    # (r - 1) * (width + 1) + e; both keys rise in scan order, and no run of
+    # another row meets both bounds.
+    row_key = run_row * (width + 1)
+    above = row_key - (width + 1)
+    lo = np.searchsorted(row_key + end, above + start, side="right")
+    hi = np.searchsorted(row_key + start, above + end)
+    runs = run_row.size
+    label = list(range(runs))
+    joined = np.flatnonzero(hi > lo)
+    for k, j in zip(joined.tolist(), lo[joined].tolist()):
+        label[k] = label[j]
+    merges = np.flatnonzero(hi - lo > 1)
+    if merges.size:
+        root = list(range(runs))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]  # path halving
+                x = root[x]
+            return x
 
-    above = 0  # first run of the row above that may still touch run k
-    for k, (r, s, e) in enumerate(zip(rr, ss, ee)):
-        while rr[above] < r - 1 or (rr[above] == r - 1 and ee[above] <= s):
-            above += 1
-        j = above
-        while rr[j] == r - 1 and ss[j] < e:
-            a, b = find(j), find(k)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-            j += 1
+        for first, stop in zip(lo[merges].tolist(), hi[merges].tolist()):
+            a = find(label[first])
+            for j in range(first + 1, stop):
+                b = find(label[j])
+                if a != b:
+                    a, b = min(a, b), max(a, b)
+                    root[b] = a
+        label = [find(x) for x in label]
 
-    label = np.array([find(k) for k in range(runs)])
+    label = np.array(label)
     length = end - start
-    area = np.bincount(label, weights=length, minlength=runs)
-    sum_r = np.bincount(label, weights=run_row * length, minlength=runs)
-    sum_c = np.bincount(label, weights=(start + end - 1) * length // 2, minlength=runs)
-    # Every area lies in [1, bits.size]: min_area clamped to [1, bits.size + 1]
-    # picks the same components, and an int beyond float range never reaches numpy.
-    eligible = (label == np.arange(runs)) & (area >= min(max(min_area, 1), bits.size + 1))
-    if not eligible.any():
-        return None
-    best = int(np.argmax(np.where(eligible, area, -1.0)))  # first maximum: lowest root
+    # Only roots collect area, so the first maximum is the root of the
+    # largest component first in scan order.
+    area = np.bincount(label, weights=length)
+    best = int(np.argmax(area))
     n = int(area[best])
-    return Blob((int(sum_c[best]) / n, int(sum_r[best]) / n), n, (rr[best], ss[best]))
+    if n < min_area:
+        return None
+    mine = label == best
+    part = length[mine]
+    sum_r = int(run_row[mine] @ part)
+    sum_c = int((start[mine] + end[mine] - 1) @ part) // 2
+    return Blob((sum_c / n, sum_r / n), n, (int(run_row[best]), int(start[best])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,10 +463,18 @@ def parse_pgm(data: bytes) -> GrayImage:
     Header tokens may be separated by any whitespace; a '#' where a token
     would start opens a comment to end of line.  Exactly one whitespace byte
     separates the maxval from the pixel payload.
+
+    ``data`` may be any bytes-like object.  The image keeps a view of a
+    ``bytes`` payload and copies any other (see ``GrayImage``).
     """
+    view = not isinstance(data, (bytes, bytearray))
+    if view:
+        data = memoryview(data).cast("B")  # a TypeError naming any other type
     m = _PGM_HEADER.match(data)
-    # Sliced from data, so a bytearray's tokens print as bytearrays.
-    magic, *tokens = (data[m.start(g) : m.end(g)] for g in range(1, 5))
+    # Sliced from data, so a bytearray's tokens print as bytearrays; a
+    # view's header is copied out as bytes.
+    header = data[: m.end()].tobytes() if view else data
+    magic, *tokens = (header[m.start(g) : m.end(g)] for g in range(1, 5))
     if not magic:
         raise ValueError("truncated PGM header")
     if magic != b"P5":
@@ -441,7 +496,7 @@ def parse_pgm(data: bytes) -> GrayImage:
     held = max(0, min(len(data) - pos, width * height))
     if held != width * height:
         raise ValueError(f"PGM payload holds {held} bytes, expected {width * height}")
-    # A view into data; GrayImage copies it.
+    # A view into data, which GrayImage keeps only when data is bytes.
     pixels = np.frombuffer(data, dtype=np.uint8, count=held, offset=pos).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
 

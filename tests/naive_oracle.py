@@ -4,10 +4,11 @@ The kinematics oracles are plain lists and math functions so a bug in the
 library's array plumbing cannot hide in its own checker.  The finite-
 difference Jacobian checks the analytic one from the FK chain alone, and
 ``transform_is_valid`` checks that FK output is a rigid transform.  The blob
-oracle is a per-pixel flood fill, the straightforward counterpart of the
-library's run-based labeling, and ``naive_subtract`` compares a signed
-int16 difference with the float threshold, where the library stays in
-uint8.  ``naive_sim_step`` writes out the servo tick rule and carries an
+oracles are a per-pixel flood fill, the straightforward counterpart of the
+library's run-based labeling, and ``loop_largest_blob``, the same run
+labeling with a Python union-find over every run, where the library works
+in numpy passes.  ``naive_subtract`` compares a signed int16 difference
+with the float threshold, where the library stays in uint8.  ``naive_sim_step`` writes out the servo tick rule and carries an
 attached object on every tick (with ``rigid_product``), ``naive_settle``
 repeats it, ``naive_tick`` is the simulator's tick kernel one six-joint
 tick at a time, ``naive_joint_ticks`` counts one joint's ticks step by step
@@ -35,6 +36,9 @@ the form the library's written-out step must equal bit for bit.
 ``loop_closed_form_start`` picks the planner's closed-form start with a
 loop over the joints of each candidate, where the planner writes the six
 joints out, and must give the same bits.
+``loop_interpolate_trajectory`` builds the knots one segment at a time,
+where the planner builds all segments in one expression, and must give the
+same bits.
 ``loop_frame_target`` checks a wire frame's sequence number, angle count,
 float range and limits one joint at a time, where the simulator checks
 named locals first; ``rigid_product`` multiplies two transforms one nested-
@@ -289,6 +293,59 @@ def naive_largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
     return best
 
 
+def loop_largest_blob(mask: BinaryMask, min_area: int) -> Blob | None:
+    """``largest_blob`` with a Python union-find over every row run: each
+    run is joined with every run of the row above whose columns overlap
+    it, the smaller run index kept as the root, and bincounts give each
+    component's area and row/column sums in float64.  The library labels in
+    numpy passes, loops only over the runs that join, and sums the winner's
+    runs alone in int64; both must give the same Blob."""
+    bits = mask.bits
+    rows = np.flatnonzero(bits.any(axis=1))
+    if rows.size == 0:
+        return None
+    width = bits.shape[1]
+    padded = np.zeros((rows.size, width + 2), dtype=bool)
+    padded[:, 1:-1] = bits[rows]
+    flat = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    run_row = rows[flat[0::2] // (width + 1)]
+    start = flat[0::2] % (width + 1)
+    end = flat[1::2] % (width + 1)
+
+    rr, ss, ee = run_row.tolist(), start.tolist(), end.tolist()
+    runs = len(rr)
+    parent = list(range(runs))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    above = 0  # first run of the row above that may still touch run k
+    for k, (r, s, e) in enumerate(zip(rr, ss, ee)):
+        while rr[above] < r - 1 or (rr[above] == r - 1 and ee[above] <= s):
+            above += 1
+        j = above
+        while rr[j] == r - 1 and ss[j] < e:
+            a, b = find(j), find(k)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+            j += 1
+
+    label = np.array([find(k) for k in range(runs)])
+    length = end - start
+    area = np.bincount(label, weights=length, minlength=runs)
+    sum_r = np.bincount(label, weights=run_row * length, minlength=runs)
+    sum_c = np.bincount(label, weights=(start + end - 1) * length // 2, minlength=runs)
+    eligible = (label == np.arange(runs)) & (area >= min(max(min_area, 1), bits.size + 1))
+    if not eligible.any():
+        return None
+    best = int(np.argmax(np.where(eligible, area, -1.0)))
+    n = int(area[best])
+    return Blob((int(sum_c[best]) / n, int(sum_r[best]) / n), n, (rr[best], ss[best]))
+
+
 def naive_sim_step(model, state, dt, config):
     """Advance a simulator state by dt: every joint slews toward its target
     by at most ``config.rate_limit_deg_s * dt``, arriving exactly (no
@@ -434,6 +491,39 @@ def naive_interpolate(model, waypoints, max_step_deg):
             knots.append(clamp_to_limits(model, next_config).angles_deg)
             grippers.append(next_gripper)
     return Trajectory(np.array(knots), tuple(grippers))
+
+
+def loop_interpolate_trajectory(model, waypoints, max_step_deg):
+    """``interpolate_trajectory`` one segment at a time: each segment's
+    knots from its own gap, step count and t column, and the gripper-change
+    knot appended after them; the planner builds every segment's knots in
+    one expression and must give the same bits."""
+    if not (0.0 < max_step_deg < math.inf):
+        raise ValueError(f"max_step_deg must be positive and finite, got {max_step_deg!r}")
+    if not waypoints:
+        raise ValueError("at least one waypoint required")
+    for index, (config, _) in enumerate(waypoints):
+        if not all(math.isfinite(a) for a in config.angles_deg):
+            raise ValueError(f"waypoint {index} has a non-finite angle: {config.angles_deg}")
+    first_config, first_gripper = waypoints[0]
+    segments = [np.array([first_config.angles_deg])]
+    grippers = [first_gripper]
+    for (prev_config, prev_gripper), (next_config, next_gripper) in zip(waypoints, waypoints[1:]):
+        a = np.array(prev_config.angles_deg)
+        b = np.array(next_config.angles_deg)
+        gap = float(np.max(np.abs(b - a)))
+        steps = math.ceil(gap / max_step_deg)
+        t = np.arange(1, steps + 1)[:, None] / steps
+        segments.append((1.0 - t) * a + t * b)
+        grippers.extend([prev_gripper] * steps)
+        if next_gripper != prev_gripper:
+            segments.append(b[None, :])
+            grippers.append(next_gripper)
+    knots = np.concatenate(segments)
+    lo, hi = model.limits_deg
+    knots = np.where(knots < lo, lo, knots)
+    knots = np.where(knots > hi, hi, knots)
+    return Trajectory(knots, tuple(grippers))
 
 
 def naive_encode(trajectory):

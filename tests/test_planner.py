@@ -28,7 +28,7 @@ from armkit.kinematics import _norm
 from armkit.planner import MAX_STEP_DEG, WAYPOINT_ORDER
 
 from conftest import QUICK, feasible_pair, fk_pose, make_trajectory, random_config
-from naive_oracle import naive_encode, naive_interpolate
+from naive_oracle import loop_interpolate_trajectory, naive_encode, naive_interpolate
 
 
 class TestPlan:
@@ -217,6 +217,46 @@ class TestInterpolation:
                 want = naive_interpolate(model, waypoints, step)
                 assert got.knots.tobytes() == want.knots.tobytes()
                 assert got.grippers == want.grippers
+
+    def test_matches_the_segment_loop_bit_for_bit(self, arm, wide_arm):
+        """Against the per-segment loop on 2,400 seeded waypoint lists: angles
+        on a quarter-degree grid with steps that divide them (gaps that are
+        exact multiples of the step), repeated configurations (zero gaps),
+        single waypoints, a gripper change at every position, and -0.0 and
+        0.0 angles on the wide arm, whose joints have a 0-degree limit."""
+        rng = np.random.default_rng(2424)
+        seen = dict.fromkeys(("single", "zero gap", "exact multiple", "every change", "signed zero"), 0)
+        for case in range(2400):
+            model = wide_arm if case % 2 else arm
+            lo, hi = model.limits_deg
+            step = float(rng.choice([0.25, 0.5, 1.0, 2.0, rng.uniform(0.5, 10.0)]))
+            q = [rng.uniform(lo, hi)]
+            for _ in range(int(rng.integers(0, 7))):
+                kind = rng.integers(4)
+                if kind == 0:  # the same configuration again
+                    q.append(q[-1].copy())
+                elif kind == 1:  # whole steps on some joints
+                    q.append(q[-1] + rng.integers(-8, 9, 6) * rng.integers(0, 2, 6) * step)
+                elif kind == 2:  # signed zeros and limits
+                    q.append(np.stack([np.full(6, -0.0), np.zeros(6), lo, hi])[rng.integers(0, 4, 6), np.arange(6)])
+                else:
+                    q.append(rng.integers(-360, 361, 6) * 0.25)
+            if rng.random() < 0.3:
+                grippers = [(GRIPPER_OPEN, GRIPPER_CLOSED)[(i + case) % 2] for i in range(len(q))]
+                seen["every change"] += len(q) > 2
+            else:
+                grippers = [GRIPPER_CLOSED if rng.random() < 0.5 else GRIPPER_OPEN for _ in q]
+            waypoints = [(JointConfig(tuple(float(v) for v in c)), g) for c, g in zip(q, grippers)]
+            got = interpolate_trajectory(model, waypoints, step)
+            want = loop_interpolate_trajectory(model, waypoints, step)
+            assert got.knots.tobytes() == want.knots.tobytes(), case
+            assert got.grippers == want.grippers, case
+            gaps = [float(np.max(np.abs(b - a))) for a, b in zip(q, q[1:])]
+            seen["single"] += len(q) == 1
+            seen["zero gap"] += 0.0 in gaps
+            seen["exact multiple"] += any(g > 0 and (g / step).is_integer() for g in gaps)
+            seen["signed zero"] += model is wide_arm and bool(np.any(np.signbit(got.knots) & (got.knots == 0.0)))
+        assert min(seen.values()) >= 100, seen
 
     @pytest.mark.parametrize("index", [0, 2])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -23,7 +23,13 @@ from armkit import (
 from armkit.vision import _first_duplicate
 
 from conftest import PERFBENCH, mutate
-from naive_oracle import naive_first_duplicate, naive_largest_blob, naive_parse_pgm, naive_subtract
+from naive_oracle import (
+    loop_largest_blob,
+    naive_first_duplicate,
+    naive_largest_blob,
+    naive_parse_pgm,
+    naive_subtract,
+)
 
 
 def image(height, width, value=0):
@@ -252,6 +258,92 @@ class TestBlobOracle:
         assert naive_largest_blob(BinaryMask(12, 10, masks["ties"]), 1).top_left == (0, 4)
         assert naive_largest_blob(BinaryMask(8, 5, masks["ties_same_row"]), 2).top_left == (1, 0)
         assert naive_largest_blob(BinaryMask(13, 9, masks["empty"]), 0) is None
+
+
+def _merges(bits: np.ndarray) -> int:
+    """How many row runs touch two or more runs of the row above: the runs
+    at which labeling has to join labels, as a U's floor or a comb's spine
+    does."""
+    first = np.flatnonzero(bits & ~np.pad(bits, ((0, 0), (1, 0)))[:, :-1])  # each run's first pixel
+    touch = np.flatnonzero(bits[:-1] & bits[1:])  # pixels with a pixel below them
+    # A pixel's run is the last run starting at or before it in scan order.
+    above = np.searchsorted(first, touch, side="right")
+    below = np.searchsorted(first, touch + bits.shape[1], side="right")
+    pairs = np.unique(below * (first.size + 1) + above) // (first.size + 1)
+    return int(np.count_nonzero(np.bincount(pairs) > 1))
+
+
+def _scene(rng) -> np.ndarray:
+    """A 640x480 mask drawn with pick_table's recipe, a disc and 150
+    speckles, where the object may also be a ring or a U and the speckles
+    may touch it."""
+    yy, xx = np.ogrid[:480, :640]
+    radius = rng.uniform(15.0, 60.0)
+    cy, cx = (int(v) for v in rng.integers(61, (480 - 61, 640 - 61)))
+    d2 = (xx - cx) ** 2 + (yy - cy) ** 2
+    kind = rng.integers(3)
+    if kind == 0:
+        bits = d2 <= radius**2
+    elif kind == 1:
+        bits = (d2 <= radius**2) & (d2 > (radius * rng.uniform(0.2, 0.9)) ** 2)
+    else:
+        wall = int(rng.integers(1, 8))
+        outer = (abs(yy - cy) <= radius) & (abs(xx - cx) <= radius)
+        bits = outer & ~((yy < cy + radius - wall) & (abs(xx - cx) < radius - wall))
+    bits[rng.integers(0, 480, 150), rng.integers(0, 640, 150)] = True
+    return bits
+
+
+def _placed(rng, pattern: np.ndarray) -> np.ndarray:
+    """``pattern`` at a random offset on a larger canvas, with sparse noise
+    around it."""
+    height, width = pattern.shape
+    canvas = rng.random((height + int(rng.integers(0, 20)), width + int(rng.integers(0, 20)))) < rng.uniform(0.0, 0.1)
+    r, c = (int(rng.integers(0, n + 1)) for n in (canvas.shape[0] - height, canvas.shape[1] - width))
+    canvas[r : r + height, c : c + width] = pattern
+    return canvas
+
+
+class TestBlobTwoOracles:
+    """``largest_blob`` against the run loop it replaced, on every mask, and
+    the per-pixel flood fill, on the small ones: the same Blob, with Python
+    int and float fields, so ``armkit detect``'s JSON never meets a numpy
+    scalar."""
+
+    @staticmethod
+    def _agree(bits: np.ndarray, min_area: int, flood: bool) -> None:
+        mask = BinaryMask(bits.shape[1], bits.shape[0], bits)
+        got = largest_blob(mask, min_area)
+        assert got == loop_largest_blob(mask, min_area), (bits.shape, min_area)
+        if flood:
+            assert got == naive_largest_blob(mask, min_area), (bits.shape, min_area)
+        if got is not None:
+            assert type(got.area) is int
+            assert [type(v) for v in got.pixel_centroid] == [float, float]
+            assert [type(v) for v in got.top_left] == [int, int]
+
+    def test_seeded_masks(self):
+        rng = np.random.default_rng(3030)
+        min_areas = (0, 1, 2, 4, 30, 100, 10**6, 10**400)
+        named = [_named_masks()[name] for name in ("u", "lopsided_u", "comb", "nested_u", "spiral", "two_spirals")]
+        masks = [(_scene(rng), False) for _ in range(150)]
+        for _ in range(1500):
+            shape = rng.integers(1, (121, 161)) if rng.random() < 0.25 else rng.integers(1, (25, 33))
+            masks.append((rng.random(tuple(int(v) for v in shape)) < rng.uniform(0.0, 1.0), shape.prod() <= 800))
+        masks += [(_placed(rng, named[k % len(named)]), True) for k in range(400)]
+        merged = 0
+        for bits, flood in masks:
+            self._agree(bits, min_areas[int(rng.integers(len(min_areas)))], flood)
+            merged += _merges(bits) > 0
+        assert len(masks) >= 2000
+        assert merged >= 200, merged
+
+    def test_merge_count(self):
+        masks = _named_masks()
+        assert _merges(masks["u"]) == 1
+        assert _merges(masks["comb"]) == 1
+        assert _merges(masks["full"]) == 0
+        assert _merges(masks["checkerboard"]) == 0
 
 
 class TestHomography:
@@ -495,6 +587,22 @@ class TestPgm:
         assert img.pixels.tobytes() == bytes(range(6))
         assert not img.pixels.flags.writeable
 
+    def test_memoryview_input_is_read(self):
+        payload = bytes(range(6))
+        img = parse_pgm(memoryview(b"P5\n3 2\n255\n" + payload))
+        assert (img.width, img.height, img.pixels.tobytes()) == (3, 2, payload)
+        with pytest.raises(ValueError, match=r"^malformed PGM header: b'2x5' is not a decimal number$"):
+            parse_pgm(memoryview(b"P5\n3 2\n2x5\n" + payload))
+        with pytest.raises(TypeError, match="not 'str'"):
+            parse_pgm("P5\n3 2\n255\n" + "x" * 6)
+
+    def test_memoryview_of_a_bytearray_is_copied(self):
+        data = bytearray(b"P5\n3 2\n255\n" + bytes(range(6)))
+        img = parse_pgm(memoryview(data))
+        assert not np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+        data[-6:] = bytes(6)
+        assert img.pixels.tobytes() == bytes(range(6))
+
     @pytest.mark.parametrize(
         "header",
         [b"P5\n+1_0 1\n2_5_5\n", b"P5\n-1 1\n255\n", b"P5\n1_0 1\n255\n"],
@@ -502,6 +610,51 @@ class TestPgm:
     def test_header_numbers_are_ascii_digits_only(self, header):
         with pytest.raises(ValueError, match="malformed PGM header"):
             parse_pgm(header + bytes(10))
+
+
+class TestCopyRule:
+    """Pixels and bits are copied unless nothing can change them: a
+    ``bytes`` payload is kept as a view, anything writable is copied."""
+
+    def test_bytes_payload_is_kept_as_a_view(self):
+        data = b"P5\n3 2\n255\n" + bytes(range(6))
+        img = parse_pgm(data)
+        assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            img.pixels.flags.writeable = True
+
+    @staticmethod
+    def _held_apart(source: np.ndarray, pixels: np.ndarray) -> None:
+        assert not np.shares_memory(pixels, source)
+        before = pixels.copy()
+        source[...] = ~source
+        assert np.array_equal(pixels, before)
+
+    @pytest.mark.parametrize("kind", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_mutable_pgm_input_is_copied(self, kind):
+        data = kind(b"P5\n3 2\n255\n" + bytes(range(6)))
+        img = parse_pgm(data)
+        self._held_apart(np.frombuffer(data, dtype=np.uint8), img.pixels)
+
+    def test_writable_array_is_copied(self):
+        source = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        self._held_apart(source, GrayImage.from_array(source).pixels)
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        source = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        view = source[:, :]
+        view.flags.writeable = False
+        self._held_apart(source, GrayImage.from_array(view).pixels)
+
+    def test_caller_mask_is_copied(self):
+        source = np.eye(4, dtype=bool)
+        self._held_apart(source, BinaryMask(4, 4, source).bits)
+
+    def test_subtraction_mask_is_read_only(self):
+        mask = subtract_images(image(4, 5), image(4, 5, 200), 10)
+        assert mask.count() == 20
+        assert (mask.width, mask.height) == (5, 4)
+        assert not mask.bits.flags.writeable
 
 
 # Header pieces for the differential test: both magics, the six ASCII
