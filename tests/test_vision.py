@@ -630,11 +630,10 @@ class TestCopyRule:
         source[...] = ~source
         assert np.array_equal(pixels, before)
 
-    @pytest.mark.parametrize("kind", [bytearray, lambda b: memoryview(bytearray(b))])
-    def test_mutable_pgm_input_is_copied(self, kind):
-        data = kind(b"P5\n3 2\n255\n" + bytes(range(6)))
-        img = parse_pgm(data)
-        self._held_apart(np.frombuffer(data, dtype=np.uint8), img.pixels)
+    def test_bytearray_pgm_input_is_copied(self):
+        # A memoryview of one: TestPgm::test_memoryview_of_a_bytearray_is_copied.
+        data = bytearray(b"P5\n3 2\n255\n" + bytes(range(6)))
+        self._held_apart(np.frombuffer(data, dtype=np.uint8), parse_pgm(data).pixels)
 
     def test_writable_array_is_copied(self):
         source = np.arange(12, dtype=np.uint8).reshape(3, 4)
